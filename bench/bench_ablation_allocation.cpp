@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/grid_util.h"
 #include "src/common/flags.h"
@@ -23,27 +24,18 @@ int main(int argc, char** argv) {
   std::printf("%-10s %12s %12s %12s %10s %10s\n", "policy", "cost($/hr)",
               "unavail(%)", "degr(%)", "revocs", "backups");
 
-  const MappingPolicyKind kPolicies[] = {
-      MappingPolicyKind::k1PM,          MappingPolicyKind::k4PED,
-      MappingPolicyKind::k4PCost,       MappingPolicyKind::k4PStability,
-      MappingPolicyKind::kGreedyCheapest, MappingPolicyKind::kStabilityFirst};
-  for (MappingPolicyKind policy : kPolicies) {
-    const EvaluationResult result = RunPolicyEvaluation(
-        GridConfig(policy, MigrationMechanism::kSpotCheckLazyRestore));
-    std::printf("%-10s %12.4f %12.5f %12.4f %10lld %10d\n",
-                std::string(MappingPolicyName(policy)).c_str(),
-                result.avg_cost_per_vm_hour, result.unavailability_pct,
-                result.degradation_pct,
-                static_cast<long long>(result.revocation_events),
-                result.num_backup_servers);
-  }
+  std::vector<std::string> policies = {"map=1p-m",    "map=4p-ed",
+                                       "map=4p-cost", "map=4p-st",
+                                       "map=greedy",  "map=stable"};
   if (!policy_flag.empty()) {
-    EvaluationConfig config = GridConfig(
-        MappingPolicyKind::k1PM, MigrationMechanism::kSpotCheckLazyRestore);
-    config.policy_spec = ParsePolicySpecOrExit(policy_flag);
+    policies.push_back(policy_flag);
+  }
+  for (const std::string& policy : policies) {
+    const EvaluationConfig config =
+        GridConfig(policy, MigrationMechanism::kSpotCheckLazyRestore);
     const EvaluationResult result = RunPolicyEvaluation(config);
     std::printf("%-10s %12.4f %12.5f %12.4f %10lld %10d\n",
-                config.policy_spec->map.ToString().c_str(),
+                config.policy_spec->Label().c_str(),
                 result.avg_cost_per_vm_hour, result.unavailability_pct,
                 result.degradation_pct,
                 static_cast<long long>(result.revocation_events),

@@ -28,28 +28,26 @@ int main(int argc, char** argv) {
   // bidding the on-demand price approximates the optimum. Higher bids ride
   // out the cheaper spikes.
   const struct {
-    double k;
+    std::string bid;
     bool proactive;
-  } kRows[] = {{1.0, false}, {2.0, false}, {3.0, false},
-               {5.0, false}, {3.0, true},  {5.0, true}};
+  } kRows[] = {{"bid=on-demand", false},  {"bid=multiple:2", false},
+               {"bid=multiple:3", false}, {"bid=multiple:5", false},
+               {"bid=multiple:3", true},  {"bid=multiple:5", true}};
   for (const auto& row : kRows) {
-    EvaluationConfig config =
-        GridConfig(MappingPolicyKind::k4PED, MigrationMechanism::kSpotCheckLazyRestore);
-    config.bidding = row.k == 1.0 ? BiddingPolicy::OnDemand()
-                                  : BiddingPolicy::Multiple(row.k);
+    EvaluationConfig config = GridConfig(
+        row.bid + ",map=4p-ed", MigrationMechanism::kSpotCheckLazyRestore);
     config.proactive = row.proactive;
     const EvaluationResult result = RunPolicyEvaluation(config);
     std::printf("%-22s %-10s %10lld %10lld %12.4f %12.5f %12.4f\n",
-                config.bidding.ToString().c_str(), row.proactive ? "yes" : "no",
+                row.bid.c_str(), row.proactive ? "yes" : "no",
                 static_cast<long long>(result.revocation_events),
                 static_cast<long long>(result.repatriations),
                 result.avg_cost_per_vm_hour, result.unavailability_pct,
                 result.degradation_pct);
   }
   if (!policy_flag.empty()) {
-    EvaluationConfig config = GridConfig(
-        MappingPolicyKind::k4PED, MigrationMechanism::kSpotCheckLazyRestore);
-    config.policy_spec = ParsePolicySpecOrExit(policy_flag);
+    EvaluationConfig config =
+        GridConfig(policy_flag, MigrationMechanism::kSpotCheckLazyRestore);
     config.proactive = true;  // no-op for bids without proactive support
     const EvaluationResult result = RunPolicyEvaluation(config);
     std::printf("%-22s %-10s %10lld %10lld %12.4f %12.5f %12.4f\n",

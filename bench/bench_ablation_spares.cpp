@@ -7,7 +7,6 @@
 // and no migration at all.
 
 #include <cstdio>
-#include <optional>
 #include <string>
 
 #include "bench/grid_util.h"
@@ -20,17 +19,13 @@ int main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
   // Optional strategy-layer override: --policy="bid=multiple:2,map=4p-cost"
   // runs every variant under that spec instead of 4P-ED.
-  const std::string policy_flag = flags.GetString("policy", "");
+  const std::string policy = flags.GetString("policy", "map=4p-ed");
   flags.ExitIfUnknownFlags("--policy=SPEC");
-  std::optional<PolicySpec> policy_spec;
-  if (!policy_flag.empty()) {
-    policy_spec = ParsePolicySpecOrExit(policy_flag);
-  }
+  const std::string label = ParsePolicySpecOrExit(policy).Label();
 
   std::printf("=== Ablation: storm absorption & stateless mode (%s, six"
               " months) ===\n",
-              policy_spec.has_value() ? policy_spec->ToString().c_str()
-                                      : "4P-ED");
+              label.c_str());
   std::printf("%-22s %12s %12s %10s %10s %10s %10s\n", "variant", "cost($/hr)",
               "unavail(%)", "evacs", "stagings", "respawns", "backups");
 
@@ -48,9 +43,8 @@ int main(int argc, char** argv) {
       {"all stateless", 0, false, 1.0},
   };
   for (const Variant& variant : kVariants) {
-    EvaluationConfig config = GridConfig(MappingPolicyKind::k4PED,
-                                         MigrationMechanism::kSpotCheckLazyRestore);
-    config.policy_spec = policy_spec;
+    EvaluationConfig config =
+        GridConfig(policy, MigrationMechanism::kSpotCheckLazyRestore);
     config.hot_spares = variant.hot_spares;
     config.use_staging = variant.staging;
     config.stateless_fraction = variant.stateless;

@@ -27,20 +27,20 @@
 #include "src/core/parallel_evaluation.h"
 #include "src/obs/grid_summary.h"
 #include "src/obs/json.h"
+#include "src/policy/policy_spec.h"
 
 namespace spotcheck {
 namespace {
 
 std::vector<EvaluationConfig> SweepGrid(int horizon_days, int num_vms) {
   std::vector<EvaluationConfig> configs;
-  for (MappingPolicyKind policy :
-       {MappingPolicyKind::k1PM, MappingPolicyKind::k2PML,
-        MappingPolicyKind::k4PED, MappingPolicyKind::k4PCost}) {
+  for (const char* policy :
+       {"map=1p-m", "map=2p-ml", "map=4p-ed", "map=4p-cost"}) {
     for (MigrationMechanism mechanism :
          {MigrationMechanism::kSpotCheckFullRestore,
           MigrationMechanism::kSpotCheckLazyRestore}) {
       EvaluationConfig config;
-      config.policy = policy;
+      config.policy_spec = ParsePolicySpecOrExit(policy);
       config.mechanism = mechanism;
       config.num_vms = num_vms;
       config.horizon = SimDuration::Days(horizon_days);

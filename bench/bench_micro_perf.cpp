@@ -29,6 +29,7 @@
 #include "src/net/connection_tracker.h"
 #include "src/net/nat_table.h"
 #include "src/net/vpc.h"
+#include "src/policy/policy_spec.h"
 #include "src/sim/simulator.h"
 #include "src/virt/migration_engine.h"
 #include "src/virt/migration_models.h"
@@ -229,7 +230,7 @@ BENCHMARK(BM_PlacementFindHostAt1kHosts)->Arg(1'000);
 void BM_SixMonthPolicyEvaluation(benchmark::State& state) {
   for (auto _ : state) {
     EvaluationConfig config;
-    config.policy = MappingPolicyKind::k4PED;
+    config.policy_spec = ParsePolicySpecOrExit("map=4p-ed");
     config.mechanism = MigrationMechanism::kSpotCheckLazyRestore;
     config.num_vms = 40;
     config.horizon = SimDuration::Days(180);
@@ -244,13 +245,12 @@ BENCHMARK(BM_SixMonthPolicyEvaluation)->Unit(benchmark::kMillisecond);
 // parallel scaling on this machine (cells share cached traces either way).
 void BM_ParallelEvaluationGrid(benchmark::State& state) {
   std::vector<EvaluationConfig> configs;
-  for (MappingPolicyKind policy :
-       {MappingPolicyKind::k1PM, MappingPolicyKind::k4PED}) {
+  for (const char* policy : {"map=1p-m", "map=4p-ed"}) {
     for (MigrationMechanism mechanism :
          {MigrationMechanism::kSpotCheckFullRestore,
           MigrationMechanism::kSpotCheckLazyRestore}) {
       EvaluationConfig config;
-      config.policy = policy;
+      config.policy_spec = ParsePolicySpecOrExit(policy);
       config.mechanism = mechanism;
       config.num_vms = 16;
       config.horizon = SimDuration::Days(30);

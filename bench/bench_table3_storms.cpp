@@ -14,10 +14,10 @@ int main(int argc, char** argv) {
   const GridBenchArgs args = ParseGridBenchArgs(argc, argv);
   const struct {
     const char* label;
-    MappingPolicyKind policy;
-  } kRows[] = {{"1-Pool", MappingPolicyKind::k1PM},
-               {"2-Pool", MappingPolicyKind::k2PML},
-               {"4-Pool", MappingPolicyKind::k4PED}};
+    const char* policy;
+  } kRows[] = {{"1-Pool", "map=1p-m"},
+               {"2-Pool", "map=2p-ml"},
+               {"4-Pool", "map=4p-ed"}};
 
   // Both table variants (independent and regionally-coupled markets) are one
   // batch for the parallel grid runner: six independent six-month cells.

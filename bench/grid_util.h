@@ -16,13 +16,13 @@
 #include "src/core/parallel_evaluation.h"
 #include "src/obs/grid_summary.h"
 #include "src/obs/trace.h"
+#include "src/policy/policy_spec.h"
 
 namespace spotcheck {
 
 // The five placement policies of Table 2, in the paper's plot order.
-inline constexpr std::array<MappingPolicyKind, 5> kGridPolicies = {
-    MappingPolicyKind::k1PM, MappingPolicyKind::k2PML, MappingPolicyKind::k4PED,
-    MappingPolicyKind::k4PCost, MappingPolicyKind::k4PStability};
+inline constexpr std::array<const char*, 5> kGridPolicies = {
+    "map=1p-m", "map=2p-ml", "map=4p-ed", "map=4p-cost", "map=4p-st"};
 
 // The four mechanism variants plotted in Figures 10-12.
 inline constexpr std::array<MigrationMechanism, 4> kGridMechanisms = {
@@ -30,10 +30,11 @@ inline constexpr std::array<MigrationMechanism, 4> kGridMechanisms = {
     MigrationMechanism::kSpotCheckFullRestore,
     MigrationMechanism::kSpotCheckLazyRestore};
 
-inline EvaluationConfig GridConfig(MappingPolicyKind policy,
+// `policy` is a spec string ("map=4p-ed"); a bad one exits 2.
+inline EvaluationConfig GridConfig(const std::string& policy,
                                    MigrationMechanism mechanism) {
   EvaluationConfig config;
-  config.policy = policy;
+  config.policy_spec = ParsePolicySpecOrExit(policy);
   config.mechanism = mechanism;
   config.num_vms = 40;                        // one backup server's worth
   config.horizon = SimDuration::Days(180);    // April-October 2014
@@ -169,7 +170,7 @@ void PrintGrid(const char* header, const char* unit, const char* csv_name,
   std::vector<std::string> cells;
   configs.reserve(kGridPolicies.size() * kGridMechanisms.size());
   cells.reserve(configs.capacity());
-  for (MappingPolicyKind policy : kGridPolicies) {
+  for (const char* policy : kGridPolicies) {
     for (MigrationMechanism mechanism : kGridMechanisms) {
       EvaluationConfig config = GridConfig(policy, mechanism);
       config.chaos = ChaosConfigForLevel(args.chaos_level, args.chaos_seed);
@@ -178,7 +179,7 @@ void PrintGrid(const char* header, const char* unit, const char* csv_name,
       // sampling plus event-cost profiling (both behavior-free).
       config.collect_timeseries = !args.timeseries_dir.empty();
       config.collect_profile = !args.timeseries_dir.empty();
-      cells.push_back(std::string(MappingPolicyName(policy)) + "_" +
+      cells.push_back(config.policy_spec->Label() + "_" +
                       std::string(MigrationMechanismName(mechanism)));
       config.report_label = cells.back();
       configs.push_back(config);
@@ -209,9 +210,10 @@ void PrintGrid(const char* header, const char* unit, const char* csv_name,
   std::printf("\n");
   std::vector<std::vector<std::string>> csv_rows;
   size_t cell = 0;
-  for (MappingPolicyKind policy : kGridPolicies) {
-    std::printf("%-10s", std::string(MappingPolicyName(policy)).c_str());
-    std::vector<std::string> csv_row = {std::string(MappingPolicyName(policy))};
+  for (size_t p = 0; p < kGridPolicies.size(); ++p) {
+    const std::string policy = configs[cell].policy_spec->Label();
+    std::printf("%-10s", policy.c_str());
+    std::vector<std::string> csv_row = {policy};
     for (size_t m = 0; m < kGridMechanisms.size(); ++m) {
       const EvaluationResult& result = results[cell++];
       std::printf("  %24.6f", metric(result));

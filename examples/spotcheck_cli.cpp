@@ -8,11 +8,15 @@
 //   $ ./examples/spotcheck_cli --policy=4P-ED --mechanism=lazy --days=180
 //         --vms=40 --seed=2 --staging --predictive --zones=2 --dump --events=timeline.csv
 //
-// Policies:   1P-M 2P-ML 4P-ED 4P-COST 4P-ST GREEDY STABLE
-//             or a strategy spec, e.g. --policy="bid=adaptive:2,map=index-track"
-//             (names via the policy registry; see DESIGN.md section 15)
+// Policies:   a strategy spec, e.g. --policy="bid=adaptive:2,map=index-track"
+//             (names via the policy registry; see DESIGN.md section 15), or
+//             a bare pool-strategy name -- 1P-M 2P-ML 4P-ED 4P-COST 4P-ST
+//             GREEDY STABLE, case-insensitive -- short for map=<name>, whose
+//             bid --bid-multiple=K sets to multiple:K when K > 1. A full
+//             spec names its own bid, so --bid-multiple beside it exits 2.
 // Mechanisms: live yank-full full lazy-unopt lazy
 
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -28,16 +32,30 @@ using namespace spotcheck;
 
 namespace {
 
-std::optional<MappingPolicyKind> ParsePolicy(const std::string& name) {
-  for (MappingPolicyKind kind :
-       {MappingPolicyKind::k1PM, MappingPolicyKind::k2PML, MappingPolicyKind::k4PED,
-        MappingPolicyKind::k4PCost, MappingPolicyKind::k4PStability,
-        MappingPolicyKind::kGreedyCheapest, MappingPolicyKind::kStabilityFirst}) {
-    if (name == MappingPolicyName(kind)) {
-      return kind;
+// The spec text `policy` (the --policy value) and --bid-multiple describe;
+// empty, after printing why, when --bid-multiple sits beside a full spec.
+std::string PolicySpecText(const std::string& policy, const FlagParser& flags) {
+  if (policy.find('=') != std::string::npos) {
+    if (flags.Has("bid-multiple")) {
+      std::fprintf(stderr,
+                   "--bid-multiple cannot be combined with the full spec "
+                   "--policy=%s; put the bid in the spec (bid=multiple:K)\n",
+                   policy.c_str());
+      return "";
     }
+    return policy;
   }
-  return std::nullopt;
+  std::string spec = "map=";
+  for (char c : policy) {
+    spec += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  const double bid_multiple = flags.GetDouble("bid-multiple", 1.0);
+  if (bid_multiple > 1.0) {
+    char bid[64];
+    std::snprintf(bid, sizeof(bid), "bid=multiple:%.17g,", bid_multiple);
+    spec = bid + spec;
+  }
+  return spec;
 }
 
 std::optional<MigrationMechanism> ParseMechanism(const std::string& name) {
@@ -65,15 +83,13 @@ int main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
 
   const std::string policy_name = flags.GetString("policy", "1P-M");
-  const std::string mechanism_name = flags.GetString("mechanism", "lazy");
-  const auto policy = ParsePolicy(policy_name);
-  // Anything that is not a legacy policy name is treated as a strategy spec
-  // ("bid=...,map=..."): registry-validated, bad specs exit 2 with the list
-  // of registered names.
-  std::optional<PolicySpec> policy_spec;
-  if (!policy.has_value()) {
-    policy_spec = ParsePolicySpecOrExit(policy_name);
+  const std::string spec_text = PolicySpecText(policy_name, flags);
+  if (spec_text.empty()) {
+    return 2;
   }
+  // Registry-validated: a bad spec exits 2 with the registered names.
+  const PolicySpec policy_spec = ParsePolicySpecOrExit(spec_text);
+  const std::string mechanism_name = flags.GetString("mechanism", "lazy");
   const auto mechanism = ParseMechanism(mechanism_name);
   if (!mechanism.has_value()) {
     std::fprintf(stderr,
@@ -108,12 +124,8 @@ int main(int argc, char** argv) {
   NativeCloud cloud(&sim, &markets, cloud_config);
 
   ControllerConfig config;
-  config.mapping = policy.value_or(MappingPolicyKind::k1PM);
   config.policy_spec = policy_spec;
   config.mechanism = *mechanism;
-  const double bid_multiple = flags.GetDouble("bid-multiple", 1.0);
-  config.bidding = bid_multiple > 1.0 ? BiddingPolicy::Multiple(bid_multiple)
-                                      : BiddingPolicy::OnDemand();
   config.enable_proactive = flags.GetBool("proactive", false);
   config.enable_predictive = flags.GetBool("predictive", false);
   config.use_staging = flags.GetBool("staging", false);
@@ -148,11 +160,10 @@ int main(int argc, char** argv) {
                                                         horizon);
   const auto books = controller.ComputeBusinessReport();
 
-  std::printf("policy=%s mechanism=%s vms=%d days=%.0f seed=%llu %s\n",
+  std::printf("policy=%s mechanism=%s vms=%d days=%.0f seed=%llu bid=%s\n",
               policy_name.c_str(), mechanism_name.c_str(), vms, horizon.days(),
               static_cast<unsigned long long>(seed),
-              policy_spec.has_value() ? controller.policy_spec().bid.ToString().c_str()
-                                      : config.bidding.ToString().c_str());
+              policy_spec.bid.ToString().c_str());
   std::printf("cost:          $%.4f per VM-hour (on-demand $%.3f -> %.1fx"
               " cheaper)\n",
               cost.avg_cost_per_vm_hour, OnDemandPrice(config.nested_type),

@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <utility>
 
-#include "src/core/policy_bridge.h"
 #include "src/obs/timeseries.h"
+#include "src/policy/registry.h"
 
 namespace spotcheck {
 
@@ -40,9 +40,8 @@ SpotCheckController::SpotCheckController(Simulator* sim, NativeCloud* cloud,
   ctx_.network = &network_;
   ctx_.connections = &connections_;
   ctx_.vms = &vms_;
-  // Resolve the policy spec (explicit spec wins over the legacy enums) and
-  // own the bid strategy every component consults through ctx_.bid.
-  policy_spec_ = ResolvedPolicySpec(config_);
+  // Own the bid strategy every component consults through ctx_.bid.
+  policy_spec_ = config_.policy_spec.value_or(PolicySpec{});
   bid_strategy_ = CreateBidStrategyOrDie(policy_spec_.bid);
   ctx_.bid = bid_strategy_.get();
 
@@ -154,22 +153,11 @@ void SpotCheckController::RegisterTelemetry(TimeSeriesRecorder& ts) {
 std::string SpotCheckController::DumpState() const {
   std::string out;
   char line[256];
-  if (config_.policy_spec.has_value()) {
-    std::snprintf(line, sizeof(line),
-                  "SpotCheck controller @ %s | policy=%s mechanism=%s bid=%s\n",
-                  FormatTime(sim_->Now()).c_str(),
-                  policy_spec_.map.ToString().c_str(),
-                  std::string(MigrationMechanismName(config_.mechanism)).c_str(),
-                  policy_spec_.bid.ToString().c_str());
-  } else {
-    // Legacy print, pinned by the state-dump test ("policy=1P-M ...").
-    std::snprintf(line, sizeof(line),
-                  "SpotCheck controller @ %s | policy=%s mechanism=%s %s\n",
-                  FormatTime(sim_->Now()).c_str(),
-                  std::string(MappingPolicyName(config_.mapping)).c_str(),
-                  std::string(MigrationMechanismName(config_.mechanism)).c_str(),
-                  config_.bidding.ToString().c_str());
-  }
+  std::snprintf(line, sizeof(line),
+                "SpotCheck controller @ %s | policy=%s mechanism=%s bid=%s\n",
+                FormatTime(sim_->Now()).c_str(), policy_spec_.Label().c_str(),
+                std::string(MigrationMechanismName(config_.mechanism)).c_str(),
+                policy_spec_.bid.ToString().c_str());
   out += line;
   std::snprintf(line, sizeof(line),
                 "vms=%zu hosts=%zu backups=%d revocations=%lld repatriations=%lld"

@@ -99,8 +99,8 @@ class SpotCheckController {
   // degradation); regular evaluation code should use the const accessor.
   BackupPool& mutable_backup_pool() { return backup_pool_; }
   const ControllerConfig& config() const { return config_; }
-  // The policy spec this controller actually runs: config.policy_spec when
-  // set, else the legacy enums translated to registry names.
+  // The policy spec this controller runs: config.policy_spec, or
+  // PolicySpec{} when that is unset.
   const PolicySpec& policy_spec() const { return policy_spec_; }
   const BidStrategy& bid_strategy() const { return *bid_strategy_; }
   // Network state: each nested VM keeps one stable private address whose

@@ -11,8 +11,6 @@
 #include <optional>
 
 #include "src/backup/backup_pool.h"
-#include "src/core/bidding_policy.h"
-#include "src/core/mapping_policy.h"
 #include "src/market/instance_types.h"
 #include "src/market/revocation_predictor.h"
 #include "src/obs/metrics.h"
@@ -25,15 +23,12 @@ namespace spotcheck {
 class EventCostProfiler;
 
 struct ControllerConfig {
-  MappingPolicyKind mapping = MappingPolicyKind::k1PM;
   MigrationMechanism mechanism = MigrationMechanism::kSpotCheckLazyRestore;
-  BiddingPolicy bidding = BiddingPolicy::OnDemand();
-  // Strategy-layer policy selection (DESIGN.md section 15). When set, it
-  // overrides `mapping` and `bidding` wholesale: the controller instantiates
-  // both strategies from this spec via the PolicyRegistry. When unset, the
-  // legacy enums above are translated to the equivalent spec -- existing
-  // configs behave bit-identically. Specs from user input should come
-  // through PolicySpec::Parse so they are registry-validated.
+  // The bidding and pool-selection strategies (DESIGN.md section 15), which
+  // the controller instantiates through the PolicyRegistry. nullopt means
+  // PolicySpec{}: bid=on-demand,map=1p-m, the paper's defaults. Specs from
+  // user input should come through PolicySpec::Parse so they are
+  // registry-validated.
   std::optional<PolicySpec> policy_spec;
   // The server type customers request (the paper's default: the smallest
   // HVM-capable type).

@@ -67,7 +67,7 @@ struct ControllerContext {
   EventCostProfiler* profiler = nullptr;
   // The resolved bidding strategy (facade-owned, set before any component is
   // constructed): every bid the components place and every proactive-window
-  // decision goes through it, never through config->bidding directly.
+  // decision goes through it.
   BidStrategy* bid = nullptr;
 
   // Facade-owned bookkeeping shared by every component.

@@ -10,7 +10,6 @@
 #include "src/chaos/chaos_engine.h"
 #include "src/chaos/fault_plan.h"
 #include "src/common/memory_probe.h"
-#include "src/core/mapping_policy.h"
 #include "src/market/spot_market.h"
 #include "src/policy/registry.h"
 #include "src/market/spot_price_process.h"
@@ -29,21 +28,15 @@ std::shared_ptr<const RunReport> BuildRunReport(
     std::shared_ptr<const EventCostProfiler> profile,
     std::shared_ptr<const TimeSeriesRecorder> timeseries) {
   auto report = std::make_shared<RunReport>();
-  if (!config.report_label.empty()) {
-    report->label = config.report_label;
-  } else if (config.policy_spec.has_value()) {
-    report->label =
-        config.policy_spec->ToString() + "/" +
-        std::string(MigrationMechanismName(config.mechanism));
-  } else {
-    report->label =
-        std::string(MappingPolicyName(config.policy)) + "/" +
-        std::string(MigrationMechanismName(config.mechanism));
+  const PolicySpec& policy = controller.policy_spec();
+  report->label = config.report_label;
+  if (report->label.empty()) {
+    report->label = policy.Label() + "/" +
+                    std::string(MigrationMechanismName(config.mechanism));
   }
-  // Record the spec the controller actually ran (resolved from either the
-  // explicit spec or the legacy enums), so grid summaries can group cells by
-  // policy without re-deriving the translation.
-  report->policy_spec = controller.policy_spec().ToString();
+  // Record the spec the controller ran, so grid summaries can group cells by
+  // policy.
+  report->policy_spec = policy.ToString();
   report->AddSummary("config.num_vms", config.num_vms);
   report->AddSummary("config.num_customers", config.num_customers);
   report->AddSummary("config.horizon_days", config.horizon.days());
@@ -201,10 +194,8 @@ EvaluationResult RunPolicyEvaluation(const EvaluationConfig& config) {
   NativeCloud cloud(&sim, &markets, cloud_config);
 
   ControllerConfig controller_config;
-  controller_config.mapping = config.policy;
-  controller_config.mechanism = config.mechanism;
-  controller_config.bidding = config.bidding;
   controller_config.policy_spec = config.policy_spec;
+  controller_config.mechanism = config.mechanism;
   controller_config.enable_proactive = config.proactive;
   controller_config.hot_spares = config.hot_spares;
   controller_config.use_staging = config.use_staging;
@@ -346,17 +337,10 @@ std::vector<EvaluationTraceKey> EvaluationTraceKeys(
   for (int i = 0; i < std::max(config.num_zones, 1); ++i) {
     zones.push_back(AvailabilityZone{defaults.zone.index + i});
   }
-  // Candidate enumeration ignores the Rng (only weighted ChoosePool draws
-  // from it), so any seed yields the same key set.
-  std::vector<MarketKey> candidates;
-  if (config.policy_spec.has_value()) {
-    std::string error;
-    candidates = PolicyRegistry::Instance().CandidatesFor(
-        config.policy_spec->map, defaults.nested_type, zones, &error);
-  } else {
-    MappingPolicy mapping(config.policy, defaults.nested_type, zones, Rng(0));
-    candidates = mapping.candidates();
-  }
+  const std::vector<MarketKey> candidates =
+      PolicyRegistry::Instance().CandidatesFor(
+          config.policy_spec.value_or(PolicySpec{}).map, defaults.nested_type,
+          zones, /*error=*/nullptr);
   const SimDuration horizon = config.horizon + SimDuration::Days(1);
   std::vector<EvaluationTraceKey> keys;
   keys.reserve(candidates.size());

@@ -23,14 +23,10 @@
 namespace spotcheck {
 
 struct EvaluationConfig {
-  MappingPolicyKind policy = MappingPolicyKind::k1PM;
-  MigrationMechanism mechanism = MigrationMechanism::kSpotCheckLazyRestore;
-  BiddingPolicy bidding = BiddingPolicy::OnDemand();
-  // Strategy-layer override: when set, `policy` and `bidding` above are
-  // ignored and both strategies come from this spec (see ControllerConfig::
-  // policy_spec). Enables the new families ("index-track", "adaptive") that
-  // have no legacy enum value.
+  // The cell's policy; nullopt means PolicySpec{} (see ControllerConfig::
+  // policy_spec).
   std::optional<PolicySpec> policy_spec;
+  MigrationMechanism mechanism = MigrationMechanism::kSpotCheckLazyRestore;
   bool proactive = false;
   int hot_spares = 0;
   bool use_staging = false;
@@ -83,8 +79,8 @@ struct EvaluationConfig {
   bool collect_timeseries = false;
   // Recorder knobs (sim-time sampling interval, ring capacity).
   TimeSeriesConfig timeseries;
-  // RunReport label; defaults to "<policy>/<mechanism>" when empty (with the
-  // policy spec string standing in for <policy> when policy_spec is set).
+  // RunReport label; defaults to "<PolicySpec::Label()>/<mechanism>" when
+  // empty.
   std::string report_label;
 };
 
@@ -146,7 +142,7 @@ struct EvaluationTraceKey {
 };
 
 // The catalog keys `config`'s simulation resolves through MarketPlace::
-// GetOrCreate: the mapping policy's candidate pools across the config's
+// GetOrCreate: the pool strategy's candidate pools across the config's
 // zones, at the horizon/seed NativeCloud passes through. Empty when the
 // config pre-populates correlated traces (market_coupling > 0), which
 // bypass the catalog. The grid runner generates these once, on the calling

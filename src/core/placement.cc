@@ -9,10 +9,10 @@
 #include "src/core/controller_config.h"
 #include "src/core/event_log.h"
 #include "src/core/host_pool.h"
-#include "src/core/policy_bridge.h"
 #include "src/net/connection_tracker.h"
 #include "src/net/nat_table.h"
 #include "src/net/vpc.h"
+#include "src/policy/registry.h"
 #include "src/virt/activity_log.h"
 #include "src/virt/migration_engine.h"
 
@@ -31,12 +31,13 @@ std::vector<AvailabilityZone> ZoneSpan(const ControllerConfig& config) {
 
 PlacementEngine::PlacementEngine(ControllerContext* ctx) : ctx_(ctx) {
   // The Rng split label and seeding are pinned by the determinism golden
-  // test: the weighted-draw stream must match the pre-refactor MappingPolicy.
+  // test: the weighted-draw stream must not move.
   PoolStrategyInit init;
   init.nested_type = ctx->config->nested_type;
   init.zones = ZoneSpan(*ctx->config);
   init.rng = Rng(ctx->config->seed).Split(0x9a9);
-  pool_ = CreatePoolStrategyOrDie(ResolvedPolicySpec(*ctx->config).map, init);
+  pool_ = CreatePoolStrategyOrDie(
+      ctx->config->policy_spec.value_or(PolicySpec{}).map, init);
 }
 
 void PlacementEngine::PlaceVm(NestedVm& vm) {

@@ -39,8 +39,7 @@
 
 namespace spotcheck {
 
-// on-demand / multiple:k -- the paper's two fixed bids. Replicates the old
-// BiddingPolicy arithmetic exactly.
+// on-demand / multiple:k -- the paper's two fixed bids.
 class FixedBidStrategy : public BidStrategy {
  public:
   FixedBidStrategy(StrategySpec spec, bool multiple, double k)

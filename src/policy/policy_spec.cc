@@ -1,5 +1,7 @@
 #include "src/policy/policy_spec.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,9 +10,16 @@
 namespace spotcheck {
 namespace {
 
+// %.12g, or the fewest digits beyond it (at most 17) that read back as the
+// same double: short for every parameter people write, exact for all.
 std::string FormatParam(double value) {
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
+  for (int digits = 12; digits <= 17; ++digits) {
+    std::snprintf(buffer, sizeof(buffer), "%.*g", digits, value);
+    if (std::strtod(buffer, nullptr) == value) {
+      break;
+    }
+  }
   return buffer;
 }
 
@@ -21,7 +30,7 @@ bool SetError(std::string* error, std::string message) {
   return false;
 }
 
-// name[:param[:param...]] with params as strtod-parsable doubles.
+// name[:param[:param...]] with params as strtod-parsable finite doubles.
 bool ParseStrategy(std::string_view text, StrategySpec* out,
                    std::string* error) {
   out->params.clear();
@@ -44,6 +53,10 @@ bool ParseStrategy(std::string_view text, StrategySpec* out,
       const double value = std::strtod(param_text.c_str(), &end);
       if (param_text.empty() || end == nullptr || *end != '\0') {
         return SetError(error, "bad numeric parameter '" + param_text +
+                                   "' in strategy '" + out->name + "'");
+      }
+      if (!std::isfinite(value)) {
+        return SetError(error, "non-finite parameter '" + param_text +
                                    "' in strategy '" + out->name + "'");
       }
       out->params.push_back(value);
@@ -69,6 +82,17 @@ std::string StrategySpec::ToString() const {
 
 std::string PolicySpec::ToString() const {
   return "bid=" + bid.ToString() + ",map=" + map.ToString();
+}
+
+std::string PolicySpec::Label() const {
+  if (bid != PolicySpec{}.bid || !map.params.empty()) {
+    return ToString();
+  }
+  std::string label = map.name;
+  for (char& c : label) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return label;
 }
 
 std::optional<PolicySpec> PolicySpec::Parse(std::string_view text,

@@ -9,13 +9,12 @@
 //
 // Grammar: comma-separated `key=value` pairs, keys `bid` and `map` (each at
 // most once), values `name[:param[:param...]]` with params parsed as
-// doubles. Parse() validates names and parameters against the
+// finite doubles. Parse() validates names and parameters against the
 // PolicyRegistry, so a spec that parses is a spec that instantiates. Specs
-// round-trip: Parse(spec.ToString()) == spec.
+// round-trip exactly: Parse(spec.ToString()) == spec.
 //
-// The spec layer is how benches/CLI/configs talk about strategies without
-// the enum plumbing the old BidPolicyKind/MappingPolicyKind required; see
-// DESIGN.md section 15.
+// A spec is the one identity of a policy: configs, benches, the CLI and the
+// reports all name strategies this way; see DESIGN.md section 15.
 
 #ifndef SRC_POLICY_POLICY_SPEC_H_
 #define SRC_POLICY_POLICY_SPEC_H_
@@ -34,7 +33,9 @@ struct StrategySpec {
 
   bool operator==(const StrategySpec& other) const = default;
 
-  // "name" or "name:p1:p2" with params printed via %.12g.
+  // "name" or "name:p1:p2". Each param prints via %.12g when that reads back
+  // as the same double, else with the fewest more digits (at most 17) that
+  // do, so the text always round-trips.
   std::string ToString() const;
 };
 
@@ -46,6 +47,11 @@ struct PolicySpec {
 
   // "bid=<bid>,map=<map>"; Parse(ToString()) == *this.
   std::string ToString() const;
+
+  // Display name for tables, report labels and state dumps: the upper-cased
+  // map name ("4P-ED") when the bid is the default on-demand and the map
+  // takes no parameters -- the paper's Table-2 names -- else ToString().
+  std::string Label() const;
 
   // Parses and validates `text` against the registry. On failure returns
   // nullopt and, when `error` is non-null, a one-line description naming the

@@ -1,6 +1,8 @@
 #include "src/policy/registry.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/policy/builtin_strategies.h"
@@ -150,6 +152,29 @@ std::vector<MarketKey> PolicyRegistry::CandidatesFor(
     ladder_pools = it->second.ladder_pools;
   }
   return PoolCandidates(ladder_pools, nested, zones);
+}
+
+std::unique_ptr<BidStrategy> CreateBidStrategyOrDie(const StrategySpec& spec) {
+  std::string error;
+  auto strategy = PolicyRegistry::Instance().CreateBid(spec, &error);
+  if (strategy == nullptr) {
+    std::fprintf(stderr, "cannot instantiate bid strategy '%s': %s\n",
+                 spec.ToString().c_str(), error.c_str());
+    std::abort();
+  }
+  return strategy;
+}
+
+std::unique_ptr<PoolSelectionStrategy> CreatePoolStrategyOrDie(
+    const StrategySpec& spec, const PoolStrategyInit& init) {
+  std::string error;
+  auto strategy = PolicyRegistry::Instance().CreatePool(spec, init, &error);
+  if (strategy == nullptr) {
+    std::fprintf(stderr, "cannot instantiate pool strategy '%s': %s\n",
+                 spec.ToString().c_str(), error.c_str());
+    std::abort();
+  }
+  return strategy;
 }
 
 }  // namespace spotcheck

@@ -92,6 +92,13 @@ class PolicyRegistry {
   std::map<std::string, PoolEntry> pools_;
 };
 
+// Registry instantiation for specs that are valid by construction: parsed
+// by PolicySpec::Parse or written in code. Prints the error and aborts on
+// failure, since a bad spec here is a programming error, not user input.
+std::unique_ptr<BidStrategy> CreateBidStrategyOrDie(const StrategySpec& spec);
+std::unique_ptr<PoolSelectionStrategy> CreatePoolStrategyOrDie(
+    const StrategySpec& spec, const PoolStrategyInit& init);
+
 }  // namespace spotcheck
 
 #endif  // SRC_POLICY_REGISTRY_H_

@@ -1,8 +1,7 @@
 // Strategy interfaces for the pluggable policy layer (DESIGN.md section 15).
 //
-// The controller used to thread two enums (BidPolicyKind, MappingPolicyKind)
-// through five layers; every new policy meant another case in every switch.
-// This module replaces the enums with two small interfaces:
+// A policy is two small interfaces, created from a PolicySpec by the
+// registry:
 //
 //   * BidStrategy -- what to bid per instance type, when proactive migration
 //     makes sense, and (for adaptive strategies) how to react to observed
@@ -16,9 +15,8 @@
 //
 // Determinism contract: strategies are deterministic functions of their
 // construction seed and the observation sequence. The weighted draw
-// (ChooseWeighted) reproduces the pre-refactor MappingPolicy sequence
-// bit-for-bit -- same Rng stream, same fallback order -- which is what keeps
-// the Table-2 golden CSVs identical across the refactor at any --jobs.
+// (ChooseWeighted) is pinned bit-for-bit -- same Rng stream, same fallback
+// order -- by the golden fixture and the Table-2 CSVs, at any --jobs.
 
 #ifndef SRC_POLICY_STRATEGY_H_
 #define SRC_POLICY_STRATEGY_H_
@@ -101,8 +99,7 @@ class PoolSelectionStrategy {
 
   // Picks the pool for the next VM. The single-candidate early return is
   // shared by every strategy and deliberately precedes any Rng draw or
-  // counter bump -- the pre-refactor MappingPolicy did the same, and the
-  // golden CSVs pin that order.
+  // counter bump; the golden CSVs pin that order.
   MarketKey ChoosePool(const MarketView& view, const BidStrategy& bid) {
     if (candidates_.size() == 1) {
       return candidates_.front();
@@ -130,7 +127,7 @@ class PoolSelectionStrategy {
   }
 
   // Weighted draw over candidates_; an all-zero weight vector falls back to
-  // round-robin. Bit-identical to the pre-refactor MappingPolicy draw.
+  // round-robin. The draw sequence is pinned by the golden fixture.
   MarketKey ChooseWeighted(const std::vector<double>& weights);
 
   InstanceType nested_type_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluation.h"
+#include "src/policy/policy_spec.h"
 
 namespace spotcheck {
 namespace {
@@ -211,7 +212,7 @@ TEST_F(ControllerTest, ProactiveMigrationAvoidsRevocation) {
   trace.Append(SimTime::FromSeconds(10000), 0.10);  // above od, below bid
   trace.Append(SimTime::FromSeconds(20000), 0.008);
   ControllerConfig config;
-  config.bidding = BiddingPolicy::Multiple(2.0);
+  config.policy_spec = ParsePolicySpecOrExit("bid=multiple:2");
   config.enable_proactive = true;
   Build(config, std::move(trace));
   const NestedVmId vm = controller_->RequestServer(customer_);
@@ -236,7 +237,7 @@ TEST_F(ControllerTest, HigherBidSurvivesModerateSpike) {
   trace.Append(SimTime::FromSeconds(10000), 0.10);
   trace.Append(SimTime::FromSeconds(20000), 0.008);
   ControllerConfig config;
-  config.bidding = BiddingPolicy::Multiple(2.0);
+  config.policy_spec = ParsePolicySpecOrExit("bid=multiple:2");
   Build(config, std::move(trace));
   const NestedVmId vm = controller_->RequestServer(customer_);
   sim_.RunUntil(SimTime::FromSeconds(25000));

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/policy/policy_spec.h"
+
 namespace spotcheck {
 namespace {
 
@@ -18,7 +20,7 @@ EvaluationConfig BaseConfig() {
 
 TEST(EvaluationTest, SpotCheckIsSeveralTimesCheaperThanOnDemand) {
   EvaluationConfig config = BaseConfig();
-  config.policy = MappingPolicyKind::k1PM;
+  config.policy_spec = ParsePolicySpecOrExit("map=1p-m");
   config.num_vms = 40;  // a full backup server's worth amortizes its cost
   const EvaluationResult result = RunPolicyEvaluation(config);
   // Paper headline: ~5x cheaper than the $0.07/hr on-demand price.
@@ -28,7 +30,7 @@ TEST(EvaluationTest, SpotCheckIsSeveralTimesCheaperThanOnDemand) {
 
 TEST(EvaluationTest, AvailabilityAboveFourNines) {
   EvaluationConfig config = BaseConfig();
-  config.policy = MappingPolicyKind::k1PM;
+  config.policy_spec = ParsePolicySpecOrExit("map=1p-m");
   config.horizon = SimDuration::Days(180);
   const EvaluationResult result = RunPolicyEvaluation(config);
   // Paper: 99.9989% for 1P-M with lazy restore.
@@ -42,7 +44,7 @@ TEST(EvaluationTest, NoVmStateIsEverLostWithBoundedTime) {
         MigrationMechanism::kSpotCheckFullRestore,
         MigrationMechanism::kSpotCheckLazyRestore}) {
     EvaluationConfig config = BaseConfig();
-    config.policy = MappingPolicyKind::k4PED;
+    config.policy_spec = ParsePolicySpecOrExit("map=4p-ed");
     config.mechanism = mechanism;
     const EvaluationResult result = RunPolicyEvaluation(config);
     EXPECT_EQ(result.failed_migrations, 0)
@@ -53,7 +55,7 @@ TEST(EvaluationTest, NoVmStateIsEverLostWithBoundedTime) {
 
 TEST(EvaluationTest, LazyRestoreBeatsFullRestoreOnAvailability) {
   EvaluationConfig lazy = BaseConfig();
-  lazy.policy = MappingPolicyKind::k2PML;
+  lazy.policy_spec = ParsePolicySpecOrExit("map=2p-ml");
   lazy.mechanism = MigrationMechanism::kSpotCheckLazyRestore;
   EvaluationConfig full = lazy;
   full.mechanism = MigrationMechanism::kYankFullRestore;
@@ -67,10 +69,10 @@ TEST(EvaluationTest, LazyRestoreBeatsFullRestoreOnAvailability) {
 
 TEST(EvaluationTest, MorePoolsMeanMoreMigrationsButNoMassStorms) {
   EvaluationConfig one = BaseConfig();
-  one.policy = MappingPolicyKind::k1PM;
+  one.policy_spec = ParsePolicySpecOrExit("map=1p-m");
   one.num_vms = 40;
   EvaluationConfig four = one;
-  four.policy = MappingPolicyKind::k4PED;
+  four.policy_spec = ParsePolicySpecOrExit("map=4p-ed");
   const EvaluationResult one_result = RunPolicyEvaluation(one);
   const EvaluationResult four_result = RunPolicyEvaluation(four);
   // Table 3's structure: the single pool only ever storms in full; four
@@ -83,11 +85,11 @@ TEST(EvaluationTest, MorePoolsMeanMoreMigrationsButNoMassStorms) {
 
 TEST(EvaluationTest, MultiPoolCostsMarginallyMore) {
   EvaluationConfig one = BaseConfig();
-  one.policy = MappingPolicyKind::k1PM;
+  one.policy_spec = ParsePolicySpecOrExit("map=1p-m");
   one.horizon = SimDuration::Days(180);
   one.num_vms = 40;
   EvaluationConfig four = one;
-  four.policy = MappingPolicyKind::k4PED;
+  four.policy_spec = ParsePolicySpecOrExit("map=4p-ed");
   const EvaluationResult one_result = RunPolicyEvaluation(one);
   const EvaluationResult four_result = RunPolicyEvaluation(four);
   EXPECT_GT(four_result.avg_cost_per_vm_hour, one_result.avg_cost_per_vm_hour);
@@ -98,7 +100,7 @@ TEST(EvaluationTest, MultiPoolCostsMarginallyMore) {
 
 TEST(EvaluationTest, EveryRevocationIsFollowedByRepatriation) {
   EvaluationConfig config = BaseConfig();
-  config.policy = MappingPolicyKind::k2PML;
+  config.policy_spec = ParsePolicySpecOrExit("map=2p-ml");
   const EvaluationResult result = RunPolicyEvaluation(config);
   EXPECT_GT(result.evacuations, 0);
   // Prices always fall back below on-demand after a spike, so (nearly) every
@@ -110,7 +112,7 @@ TEST(EvaluationTest, CoupledMarketsDefeatDiversification) {
   // With independent markets a 4-pool policy never loses more than a
   // quarter of the fleet at once; regionally-coupled spikes break that.
   EvaluationConfig independent = BaseConfig();
-  independent.policy = MappingPolicyKind::k4PED;
+  independent.policy_spec = ParsePolicySpecOrExit("map=4p-ed");
   independent.num_vms = 40;
   independent.horizon = SimDuration::Days(180);
   EvaluationConfig coupled = independent;
@@ -135,7 +137,7 @@ TEST(EvaluationTest, DeterministicForSameSeed) {
 
 TEST(EvaluationTest, HotSparesDoNotHurtAvailability) {
   EvaluationConfig base = BaseConfig();
-  base.policy = MappingPolicyKind::k2PML;
+  base.policy_spec = ParsePolicySpecOrExit("map=2p-ml");
   EvaluationConfig spares = base;
   spares.hot_spares = 4;
   const EvaluationResult without = RunPolicyEvaluation(base);
@@ -147,10 +149,9 @@ TEST(EvaluationTest, HotSparesDoNotHurtAvailability) {
 
 TEST(EvaluationTest, ProactiveBiddingReducesRevocations) {
   EvaluationConfig reactive = BaseConfig();
-  reactive.policy = MappingPolicyKind::k1PM;
-  reactive.bidding = BiddingPolicy::OnDemand();
+  reactive.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=1p-m");
   EvaluationConfig proactive = reactive;
-  proactive.bidding = BiddingPolicy::Multiple(10.0);
+  proactive.policy_spec = ParsePolicySpecOrExit("bid=multiple:10,map=1p-m");
   proactive.proactive = true;
   const EvaluationResult reactive_result = RunPolicyEvaluation(reactive);
   const EvaluationResult proactive_result = RunPolicyEvaluation(proactive);
@@ -161,7 +162,7 @@ TEST(EvaluationTest, ProactiveBiddingReducesRevocations) {
 
 TEST(EvaluationTest, RunReportReconcilesWithResultCounters) {
   EvaluationConfig config = BaseConfig();
-  config.policy = MappingPolicyKind::k2PML;
+  config.policy_spec = ParsePolicySpecOrExit("map=2p-ml");
   const EvaluationResult result = RunPolicyEvaluation(config);
   // Metrics are on by default and produce a report...
   ASSERT_NE(result.report, nullptr);
@@ -196,7 +197,7 @@ TEST(EvaluationTest, RunReportReconcilesWithResultCounters) {
 
 TEST(EvaluationTest, DisablingMetricsDropsReportButNotResults) {
   EvaluationConfig config = BaseConfig();
-  config.policy = MappingPolicyKind::k2PML;
+  config.policy_spec = ParsePolicySpecOrExit("map=2p-ml");
   EvaluationConfig bare = config;
   bare.collect_metrics = false;
   const EvaluationResult with = RunPolicyEvaluation(config);

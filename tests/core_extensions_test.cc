@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/controller.h"
+#include "src/policy/policy_spec.h"
 #include "src/sim/simulator.h"
 
 namespace spotcheck {
@@ -94,7 +95,7 @@ TEST_F(ExtensionsTest, StatelessFleetIsCheaper) {
 TEST_F(ExtensionsTest, StagingParksVmInStablePool) {
   ControllerConfig config;
   config.use_staging = true;
-  config.mapping = MappingPolicyKind::k2PML;  // both pools in play
+  config.policy_spec = ParsePolicySpecOrExit("map=2p-ml");  // both pools
   Build(config);
   // Fill the large pool lightly so it has free slots to lend: place two VMs;
   // 2P-ML round-robins medium, large.
@@ -118,7 +119,7 @@ TEST_F(ExtensionsTest, StagingParksVmInStablePool) {
 TEST_F(ExtensionsTest, StagingRelievedByFinalDestination) {
   ControllerConfig config;
   config.use_staging = true;
-  config.mapping = MappingPolicyKind::k2PML;
+  config.policy_spec = ParsePolicySpecOrExit("map=2p-ml");
   Build(config);
   const NestedVmId vm_medium = controller_->RequestServer(customer_);
   const NestedVmId vm_large = controller_->RequestServer(customer_);
@@ -158,7 +159,7 @@ TEST_F(ExtensionsTest, MultiZoneSpreadsHostsAcrossZones) {
   cloud_config.market_seed = 3;
   NativeCloud cloud(&sim, &markets, cloud_config);
   ControllerConfig config;
-  config.mapping = MappingPolicyKind::k1PM;
+  config.policy_spec = ParsePolicySpecOrExit("map=1p-m");
   config.num_zones = 3;
   SpotCheckController controller(&sim, &cloud, &markets, config);
   const CustomerId customer = controller.RegisterCustomer("mz");

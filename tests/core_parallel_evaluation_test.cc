@@ -9,19 +9,19 @@
 #include "src/market/trace_catalog.h"
 #include "src/obs/grid_summary.h"
 #include "src/obs/trace.h"
+#include "src/policy/policy_spec.h"
 
 namespace spotcheck {
 namespace {
 
 std::vector<EvaluationConfig> SmallGrid() {
   std::vector<EvaluationConfig> configs;
-  for (MappingPolicyKind policy :
-       {MappingPolicyKind::k1PM, MappingPolicyKind::k4PED}) {
+  for (const char* policy : {"map=1p-m", "map=4p-ed"}) {
     for (MigrationMechanism mechanism :
          {MigrationMechanism::kSpotCheckFullRestore,
           MigrationMechanism::kSpotCheckLazyRestore}) {
       EvaluationConfig config;
-      config.policy = policy;
+      config.policy_spec = ParsePolicySpecOrExit(policy);
       config.mechanism = mechanism;
       config.num_vms = 12;
       config.horizon = SimDuration::Days(45);

@@ -37,9 +37,9 @@ const char* const kGoldenPath =
 
 // Mirrors bench/grid_util.h GridConfig (the cell shape behind Figures 10-12
 // and Table 3): 40 VMs, 180 days, seed 2, chaos off.
-EvaluationConfig Cell(MappingPolicyKind policy, MigrationMechanism mechanism) {
+EvaluationConfig Cell(const char* policy, MigrationMechanism mechanism) {
   EvaluationConfig config;
-  config.policy = policy;
+  config.policy_spec = ParsePolicySpecOrExit(policy);
   config.mechanism = mechanism;
   config.num_vms = 40;
   config.horizon = SimDuration::Days(180);
@@ -53,20 +53,17 @@ EvaluationConfig Cell(MappingPolicyKind policy, MigrationMechanism mechanism) {
 // the index-tracking allocator) pinning the new families' numbers.
 std::vector<EvaluationConfig> GoldenCells() {
   EvaluationConfig strategy_cell =
-      Cell(MappingPolicyKind::k1PM, MigrationMechanism::kSpotCheckLazyRestore);
-  strategy_cell.policy_spec =
-      ParsePolicySpecOrExit("bid=adaptive:2,map=index-track");
+      Cell("bid=adaptive:2,map=index-track",
+           MigrationMechanism::kSpotCheckLazyRestore);
   strategy_cell.proactive = true;
-  return {Cell(MappingPolicyKind::k1PM, MigrationMechanism::kSpotCheckLazyRestore),
-          Cell(MappingPolicyKind::k4PCost, MigrationMechanism::kXenLiveMigration),
+  return {Cell("map=1p-m", MigrationMechanism::kSpotCheckLazyRestore),
+          Cell("map=4p-cost", MigrationMechanism::kXenLiveMigration),
           strategy_cell};
 }
 
 std::string CellName(const EvaluationConfig& config) {
-  const std::string policy = config.policy_spec.has_value()
-                                 ? config.policy_spec->ToString()
-                                 : std::string(MappingPolicyName(config.policy));
-  return policy + "/" + std::string(MigrationMechanismName(config.mechanism));
+  return config.policy_spec->Label() + "/" +
+         std::string(MigrationMechanismName(config.mechanism));
 }
 
 std::string Num(double value) {

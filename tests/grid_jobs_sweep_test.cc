@@ -17,25 +17,24 @@
 #include "src/chaos/chaos_config.h"
 #include "src/core/evaluation.h"
 #include "src/core/parallel_evaluation.h"
+#include "src/policy/policy_spec.h"
 
 namespace spotcheck {
 namespace {
 
 std::vector<EvaluationConfig> FullGrid() {
-  constexpr MappingPolicyKind kPolicies[] = {
-      MappingPolicyKind::k1PM, MappingPolicyKind::k2PML,
-      MappingPolicyKind::k4PED, MappingPolicyKind::k4PCost,
-      MappingPolicyKind::k4PStability};
+  constexpr const char* kPolicies[] = {"map=1p-m", "map=2p-ml", "map=4p-ed",
+                                       "map=4p-cost", "map=4p-st"};
   constexpr MigrationMechanism kMechanisms[] = {
       MigrationMechanism::kXenLiveMigration,
       MigrationMechanism::kYankFullRestore,
       MigrationMechanism::kSpotCheckFullRestore,
       MigrationMechanism::kSpotCheckLazyRestore};
   std::vector<EvaluationConfig> configs;
-  for (MappingPolicyKind policy : kPolicies) {
+  for (const char* policy : kPolicies) {
     for (MigrationMechanism mechanism : kMechanisms) {
       EvaluationConfig config;
-      config.policy = policy;
+      config.policy_spec = ParsePolicySpecOrExit(policy);
       config.mechanism = mechanism;
       config.num_vms = 40;
       config.horizon = SimDuration::Days(30);
@@ -89,13 +88,12 @@ TEST(GridJobsSweepTest, FullGridIsBitIdenticalAtOneTwoAndEightWorkers) {
 TEST(GridJobsSweepTest, ChaosGridIsBitIdenticalAcrossJobs) {
   for (const int chaos_level : {0, 2}) {
     std::vector<EvaluationConfig> configs;
-    for (MappingPolicyKind policy :
-         {MappingPolicyKind::k1PM, MappingPolicyKind::k4PED}) {
+    for (const char* policy : {"map=1p-m", "map=4p-ed"}) {
       for (MigrationMechanism mechanism :
            {MigrationMechanism::kSpotCheckFullRestore,
             MigrationMechanism::kSpotCheckLazyRestore}) {
         EvaluationConfig config;
-        config.policy = policy;
+        config.policy_spec = ParsePolicySpecOrExit(policy);
         config.mechanism = mechanism;
         config.num_vms = 24;
         config.horizon = SimDuration::Days(30);

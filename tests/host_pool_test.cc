@@ -17,13 +17,14 @@
 #include "src/core/event_log.h"
 #include "src/core/host_pool.h"
 #include "src/core/placement.h"
-#include "src/core/policy_bridge.h"
 #include "src/core/repatriation.h"
 #include "src/core/storm_tracker.h"
 #include "src/market/spot_market.h"
 #include "src/net/connection_tracker.h"
 #include "src/net/nat_table.h"
 #include "src/net/vpc.h"
+#include "src/policy/policy_spec.h"
+#include "src/policy/registry.h"
 #include "src/sim/simulator.h"
 #include "src/virt/activity_log.h"
 #include "src/virt/migration_engine.h"
@@ -58,7 +59,7 @@ struct PoolHarness {
     ctx.network = &network;
     ctx.connections = &connections;
     ctx.vms = &vms;
-    bid = CreateBidStrategyOrDie(BidSpecFromLegacy(config.bidding));
+    bid = CreateBidStrategyOrDie(PolicySpec{}.bid);
     ctx.bid = bid.get();
     pool = std::make_unique<HostPoolManager>(&ctx);
     ctx.pool = pool.get();

@@ -1,39 +1,36 @@
-// ChoosePool determinism audit (ISSUE 9, satellite): pool selection must be
+// ChoosePool determinism audit: pool selection must be
 // a pure function of (seeded Rng stream, round-robin counter, market
 // history) -- never of wall clock, worker id, or scheduling order. Two
 // layers of protection:
 //
 //  1. A direct audit: two strategy instances built from the same seed must
 //     emit byte-identical choice sequences for every one of the seven
-//     mapping kinds, with per-draw price movement so the weighted policies
-//     actually consult their Rng.
-//  2. A grid regression: evaluation cells for all seven kinds (plus the
-//     new strategy-layer families addressed by spec string) must serialize
-//     bitwise-equal at --jobs 1, 2, and 8. This is the sweep the issue
-//     asks for -- it would have caught a round_robin_ counter shared
+//     built-in pool strategies, with per-draw price movement so the
+//     weighted ones actually consult their Rng.
+//  2. A grid regression: evaluation cells for all seven (plus the
+//     index-tracking and adaptive families) must serialize bitwise-equal
+//     at --jobs 1, 2, and 8. It would catch a round_robin_ counter shared
 //     across workers or an Rng reseeded from global state.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/evaluation.h"
-#include "src/core/mapping_policy.h"
 #include "src/core/parallel_evaluation.h"
 #include "src/policy/policy_spec.h"
+#include "src/policy/registry.h"
 #include "src/sim/simulator.h"
 
 namespace spotcheck {
 namespace {
 
-constexpr MappingPolicyKind kAllKinds[] = {
-    MappingPolicyKind::k1PM,           MappingPolicyKind::k2PML,
-    MappingPolicyKind::k4PED,          MappingPolicyKind::k4PCost,
-    MappingPolicyKind::k4PStability,   MappingPolicyKind::kGreedyCheapest,
-    MappingPolicyKind::kStabilityFirst,
-};
+// The paper's seven pool strategies: Table 2 plus greedy and stable.
+constexpr const char* kAllKinds[] = {"1p-m",  "2p-ml",  "4p-ed", "4p-cost",
+                                     "4p-st", "greedy", "stable"};
 
 const AvailabilityZone kZone{0};
 
@@ -61,26 +58,32 @@ void PopulateMarkets(MarketPlace& markets) {
   }
 }
 
-std::string ChoiceSequence(MappingPolicyKind kind, uint64_t seed) {
+std::string ChoiceSequence(const std::string& kind, uint64_t seed) {
   Simulator sim;
   MarketPlace markets(&sim);
   PopulateMarkets(markets);
-  MappingPolicy policy(kind, InstanceType::kM3Medium, kZone, Rng(seed));
-  const BiddingPolicy bidding = BiddingPolicy::OnDemand();
+  PoolStrategyInit init;
+  init.nested_type = InstanceType::kM3Medium;
+  init.zones = {kZone};
+  init.rng = Rng(seed);
+  const std::unique_ptr<PoolSelectionStrategy> policy =
+      CreatePoolStrategyOrDie(StrategySpec{kind, {}}, init);
+  const std::unique_ptr<BidStrategy> bid =
+      CreateBidStrategyOrDie(StrategySpec{"on-demand", {}});
   std::ostringstream out;
   for (int i = 0; i < 64; ++i) {
     // Advance through the staggered spikes so later draws see different
     // price history than earlier ones.
     const SimTime now = SimTime() + SimDuration::Hours(0.5 * i);
-    const MarketKey pool = policy.ChoosePool(markets, bidding, now);
+    const MarketKey pool = policy->ChoosePool(MarketView(markets, now), *bid);
     out << InstanceTypeName(pool.type) << '/' << pool.zone.index << ';';
   }
   return out.str();
 }
 
 TEST(ChoosePoolDeterminismTest, SameSeedSameChoicesForEveryKind) {
-  for (MappingPolicyKind kind : kAllKinds) {
-    SCOPED_TRACE(std::string(MappingPolicyName(kind)));
+  for (const char* kind : kAllKinds) {
+    SCOPED_TRACE(kind);
     const std::string first = ChoiceSequence(kind, 99);
     EXPECT_EQ(first, ChoiceSequence(kind, 99))
         << "ChoosePool consumed state outside the seeded Rng stream";
@@ -92,7 +95,7 @@ TEST(ChoosePoolDeterminismTest, DifferentSeedsDivergeSomewhere) {
   // The weighted kinds must actually use their Rng stream (a policy that
   // ignores its seed would trivially pass the identity check above).
   bool any_diverged = false;
-  for (MappingPolicyKind kind : kAllKinds) {
+  for (const char* kind : kAllKinds) {
     if (ChoiceSequence(kind, 99) != ChoiceSequence(kind, 7)) {
       any_diverged = true;
     }
@@ -133,9 +136,9 @@ EvaluationConfig BaseCell() {
 
 TEST(ChoosePoolDeterminismTest, AllSevenKindsAreBitIdenticalAcrossJobs) {
   std::vector<EvaluationConfig> configs;
-  for (MappingPolicyKind kind : kAllKinds) {
+  for (const char* kind : kAllKinds) {
     EvaluationConfig config = BaseCell();
-    config.policy = kind;
+    config.policy_spec = ParsePolicySpecOrExit(std::string("map=") + kind);
     configs.push_back(config);
   }
   const std::string serial = Serialize(RunPolicyEvaluationGrid(configs, 1));

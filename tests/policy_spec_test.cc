@@ -108,11 +108,16 @@ TEST(PolicySpecTest, ParameterizedSpecsRoundTripAtFullPrecision) {
   for (const char* text : {"bid=multiple:1.5,map=4p-cost",
                            "bid=adaptive:2:0.5:1,map=index-track",
                            "bid=adaptive:1.25,map=4p-ed",
-                           "bid=on-demand,map=1p-m"}) {
+                           "bid=on-demand,map=1p-m",
+                           // Past %.12g: must not print as multiple:1 or
+                           // index-track:0.123456789012.
+                           "bid=multiple:1.0000000000001,map=1p-m",
+                           "bid=on-demand,map=index-track:0.12345678901234"}) {
     SCOPED_TRACE(text);
     const std::optional<PolicySpec> parsed = ParseOk(text);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->ToString(), text);
+    EXPECT_EQ(PolicySpec::Parse(parsed->ToString()), parsed);
   }
 }
 
@@ -138,6 +143,10 @@ TEST(PolicySpecTest, MalformedSpecsFailWithDiagnostic) {
       "bid=on-demand,,map=1p-m",         // empty segment
       "bid=on-demand map=1p-m",          // missing comma
       "bid=:2,map=1p-m",                 // empty strategy name
+      "bid=multiple:inf,map=1p-m",       // non-finite bid
+      "bid=multiple:1e999,map=1p-m",     // strtod overflow to inf
+      "bid=multiple:nan,map=1p-m",       // not a number
+      "bid=adaptive:2:inf:inf,map=1p-m", // non-finite step and target
   };
   for (const char* text : kBad) {
     SCOPED_TRACE(std::string("'") + text + "'");

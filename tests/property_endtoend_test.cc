@@ -6,16 +6,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <tuple>
 
 #include "src/core/controller.h"
+#include "src/policy/policy_spec.h"
 #include "src/sim/simulator.h"
 
 namespace spotcheck {
 namespace {
 
-using EndToEndPoint = std::tuple<MappingPolicyKind, uint64_t>;
+// The five Table-2 pool strategies, addressed by index. The index is a
+// one-byte struct with no printer, so gtest names each instance by its raw
+// bytes: ".../(1-byte object <02>, 11)" is 4P-ED at seed 11.
+constexpr const char* kPolicies[] = {"map=1p-m", "map=2p-ml", "map=4p-ed",
+                                     "map=4p-cost", "map=4p-st"};
+struct PolicyIndex {
+  uint8_t index;
+};
+using EndToEndPoint = std::tuple<PolicyIndex, uint64_t>;
 
 class EndToEndPropertyTest : public testing::TestWithParam<EndToEndPoint> {
  protected:
@@ -28,7 +38,8 @@ class EndToEndPropertyTest : public testing::TestWithParam<EndToEndPoint> {
     cloud_config.market_horizon = SimDuration::Days(40);
     cloud_ = std::make_unique<NativeCloud>(&sim_, &markets_, cloud_config);
     ControllerConfig config;
-    config.mapping = std::get<0>(GetParam());
+    config.policy_spec =
+        ParsePolicySpecOrExit(kPolicies[std::get<0>(GetParam()).index]);
     config.seed = std::get<1>(GetParam());
     controller_ =
         std::make_unique<SpotCheckController>(&sim_, cloud_.get(), &markets_, config);
@@ -117,11 +128,9 @@ TEST_P(EndToEndPropertyTest, StormAccountingConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndSeeds, EndToEndPropertyTest,
-    testing::Combine(testing::Values(MappingPolicyKind::k1PM,
-                                     MappingPolicyKind::k2PML,
-                                     MappingPolicyKind::k4PED,
-                                     MappingPolicyKind::k4PCost,
-                                     MappingPolicyKind::k4PStability),
+    testing::Combine(testing::Values(PolicyIndex{0}, PolicyIndex{1},
+                                     PolicyIndex{2}, PolicyIndex{3},
+                                     PolicyIndex{4}),
                      testing::Values(2u, 11u, 23u)));
 
 }  // namespace

@@ -17,13 +17,14 @@
 #include "src/core/event_log.h"
 #include "src/core/host_pool.h"
 #include "src/core/placement.h"
-#include "src/core/policy_bridge.h"
 #include "src/core/repatriation.h"
 #include "src/core/storm_tracker.h"
 #include "src/market/spot_market.h"
 #include "src/net/connection_tracker.h"
 #include "src/net/nat_table.h"
 #include "src/net/vpc.h"
+#include "src/policy/policy_spec.h"
+#include "src/policy/registry.h"
 #include "src/sim/simulator.h"
 #include "src/virt/activity_log.h"
 #include "src/virt/migration_engine.h"
@@ -56,7 +57,7 @@ struct SchedulerHarness {
     ctx.network = &network;
     ctx.connections = &connections;
     ctx.vms = &vms;
-    SetBidding(config.bidding);
+    SetBid(PolicySpec{}.bid);
     pool = std::make_unique<HostPoolManager>(&ctx);
     ctx.pool = pool.get();
     placement = std::make_unique<PlacementEngine>(&ctx);
@@ -75,11 +76,10 @@ struct SchedulerHarness {
     return cloud_config;
   }
 
-  // The facade translates the legacy bidding enum into a BidStrategy once at
-  // construction; tests that change the bid mid-setup rebuild it the same way.
-  void SetBidding(const BiddingPolicy& bidding) {
-    config.bidding = bidding;
-    bid = CreateBidStrategyOrDie(BidSpecFromLegacy(bidding));
+  // The facade creates its BidStrategy once at construction; tests that
+  // change the bid mid-setup rebuild it the same way.
+  void SetBid(const StrategySpec& spec) {
+    bid = CreateBidStrategyOrDie(spec);
     ctx.bid = bid.get();
   }
 
@@ -255,7 +255,7 @@ TEST(RepatriationSchedulerTest, MarketWatcherGatesRepatriationOnPrice) {
 TEST(RepatriationSchedulerTest, ProactiveDrainMovesVmsOffRiskyPool) {
   SchedulerHarness h;
   h.config.enable_proactive = true;
-  h.SetBidding(BiddingPolicy::Multiple(4.0));
+  h.SetBid(StrategySpec{"multiple", {4.0}});
   HostVm* spot_host = h.LaunchHost(kHomePool, /*is_spot=*/true);
   NestedVm& vm = h.NewVm();
   h.Settle(vm, *spot_host);

@@ -22,6 +22,7 @@
 
 #include "src/core/evaluation.h"
 #include "src/core/parallel_evaluation.h"
+#include "src/policy/policy_spec.h"
 
 namespace spotcheck {
 namespace {
@@ -53,13 +54,12 @@ std::string Serialize(const std::vector<EvaluationResult>& results) {
 
 std::vector<EvaluationConfig> SmallGrid(bool flight_recorder) {
   std::vector<EvaluationConfig> configs;
-  for (MappingPolicyKind policy :
-       {MappingPolicyKind::k1PM, MappingPolicyKind::k4PED}) {
+  for (const char* policy : {"map=1p-m", "map=4p-ed"}) {
     for (MigrationMechanism mechanism :
          {MigrationMechanism::kSpotCheckFullRestore,
           MigrationMechanism::kSpotCheckLazyRestore}) {
       EvaluationConfig config;
-      config.policy = policy;
+      config.policy_spec = ParsePolicySpecOrExit(policy);
       config.mechanism = mechanism;
       config.num_vms = 24;
       config.horizon = SimDuration::Days(30);
@@ -89,7 +89,7 @@ TEST(TelemetryDeterminismTest, ResultsBitIdenticalWithRecorderOnOffAcrossJobs) {
 
 TEST(TelemetryDeterminismTest, RecorderAttachesAndSamples) {
   EvaluationConfig config;
-  config.policy = MappingPolicyKind::k4PED;
+  config.policy_spec = ParsePolicySpecOrExit("map=4p-ed");
   config.mechanism = MigrationMechanism::kSpotCheckLazyRestore;
   config.num_vms = 8;
   config.horizon = SimDuration::Days(10);
@@ -144,7 +144,7 @@ constexpr bool kSanitized = false;
 double RunOnceSeconds(bool profiler, bool timeseries) {
   // The BM_SixMonthPolicyEvaluation shape: one full-length figure cell.
   EvaluationConfig config;
-  config.policy = MappingPolicyKind::k4PED;
+  config.policy_spec = ParsePolicySpecOrExit("map=4p-ed");
   config.mechanism = MigrationMechanism::kSpotCheckLazyRestore;
   config.num_vms = 40;
   config.horizon = SimDuration::Days(180);

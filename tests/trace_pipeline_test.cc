@@ -23,6 +23,7 @@
 #include "src/obs/grid_summary.h"
 #include "src/obs/trace.h"
 #include "src/obs/trace_analyzer.h"
+#include "src/policy/policy_spec.h"
 #include "tests/json_test_util.h"
 
 namespace spotcheck {
@@ -33,7 +34,7 @@ using testjson::ParseJson;
 
 EvaluationConfig PipelineConfig() {
   EvaluationConfig config;
-  config.policy = MappingPolicyKind::k1PM;
+  config.policy_spec = ParsePolicySpecOrExit("map=1p-m");
   config.mechanism = MigrationMechanism::kSpotCheckLazyRestore;
   config.num_vms = 16;
   config.horizon = SimDuration::Days(20);
@@ -343,7 +344,7 @@ TEST(TracePipelineTest, GridWorkerTraceCoversEveryCell) {
   std::vector<EvaluationConfig> configs;
   for (int i = 0; i < 4; ++i) {
     EvaluationConfig config;
-    config.policy = MappingPolicyKind::k1PM;
+    config.policy_spec = ParsePolicySpecOrExit("map=1p-m");
     config.mechanism = i % 2 == 0 ? MigrationMechanism::kSpotCheckLazyRestore
                                   : MigrationMechanism::kSpotCheckFullRestore;
     config.num_vms = 4;
