@@ -101,7 +101,8 @@ void BM_CachedTraceLookup(benchmark::State& state) {
   catalog.Clear();
   const MarketKey key{InstanceType::kM3Large, AvailabilityZone{7}};
   // Prime the entry; the loop then measures the steady-state hit path the
-  // 20 grid cells (and repeated figure benches) ride on.
+  // grid cells (and repeated figure benches) ride on: one map probe under
+  // the catalog mutex, about three times per six-month cell.
   catalog.GetOrGenerate(key, SimDuration::Days(180), 42);
   for (auto _ : state) {
     benchmark::DoNotOptimize(

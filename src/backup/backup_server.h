@@ -46,10 +46,6 @@ struct BackupServerPerf {
   double rand_read_mbps_opt = 300.0;
   double rand_thrash_unopt = 0.20;
   double rand_thrash_opt = 0.02;
-
-  // tc-based per-VM throttling: restores share bandwidth equally and cannot
-  // starve checkpoint ingest for non-migrating VMs.
-  bool throttle_per_vm = true;
 };
 
 class BackupServer : public RestoreBandwidthSource {
@@ -89,6 +85,8 @@ class BackupServer : public RestoreBandwidthSource {
   void EndRestore(NestedVmId vm);
   int active_restores() const { return active_restores_; }
 
+  // Concurrent restores split the server's disk and NIC bandwidth equally
+  // (the paper's per-VM tc throttling), so one restore cannot starve others.
   double PerVmRestoreBandwidth(RestoreKind kind, bool optimized,
                                int concurrent) const override;
 

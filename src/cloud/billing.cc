@@ -45,21 +45,7 @@ double BillingMeter::StreamCost(const Stream& stream, SimTime until) const {
     return 0.0;
   }
   if (stream.trace != nullptr) {
-    const Window window{stream.trace, stream.started.micros(), until.micros()};
-    // Admitting a new window past the cap clears the memo first: every
-    // mid-run cost probe (TotalCost at a fresh `now`) inserts one-off
-    // windows per open stream, so an unbounded memo grows for the life of
-    // the meter. Dropping it is purely a cache eviction -- values are exact
-    // recomputations, so costs stay bitwise identical.
-    if (mean_price_memo_.size() >= kMeanPriceMemoCap &&
-        mean_price_memo_.find(window) == mean_price_memo_.end()) {
-      mean_price_memo_.clear();
-    }
-    const auto [it, inserted] = mean_price_memo_.try_emplace(window, 0.0);
-    if (inserted) {
-      it->second = stream.trace->MeanPrice(stream.started, until);
-    }
-    return it->second * hours;
+    return stream.trace->MeanPrice(stream.started, until) * hours;
   }
   return stream.fixed_rate * hours;
 }

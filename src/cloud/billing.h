@@ -9,7 +9,6 @@
 #ifndef SRC_CLOUD_BILLING_H_
 #define SRC_CLOUD_BILLING_H_
 
-#include <cstdint>
 #include <unordered_map>
 
 #include "src/common/ids.h"
@@ -45,16 +44,6 @@ class BillingMeter {
   // Total instance-hours across all streams, open ones evaluated at `now`.
   double TotalInstanceHours(SimTime now) const;
 
-  // Current MeanPrice-memo population (tests: the memo must stay bounded
-  // and must not grow across repeated identical queries).
-  size_t mean_price_memo_size() const { return mean_price_memo_.size(); }
-
-  // The memo clears itself rather than admit more distinct windows than
-  // this. High enough that a 180-day cell's recurring windows (storm-batch
-  // stops, batched acquisitions) all stay resident; low enough that
-  // per-probe one-off windows can't grow the meter for its whole life.
-  static constexpr size_t kMeanPriceMemoCap = 4096;
-
  private:
   struct Stream {
     SimTime started;
@@ -66,31 +55,7 @@ class BillingMeter {
   // Rounds the stop time up to the next whole billed hour when quantized.
   SimTime BilledUntil(const Stream& stream, SimTime until) const;
 
-  // MeanPrice over an identical (trace, started, until) window recurs
-  // constantly: a revocation storm stops every same-market stream at the
-  // same instant, and pool acquisitions start them in batches. Caching the
-  // exact computed double turns the duplicate O(window) trace walks into
-  // hash hits; evictions only ever force an exact recomputation, so results
-  // stay bitwise identical. Bounded by kMeanPriceMemoCap (clear-on-cap).
-  struct Window {
-    const PriceTrace* trace;
-    int64_t started_us;
-    int64_t until_us;
-    bool operator==(const Window&) const = default;
-  };
-  struct WindowHash {
-    size_t operator()(const Window& w) const {
-      uint64_t h = reinterpret_cast<uintptr_t>(w.trace);
-      h = (h ^ static_cast<uint64_t>(w.started_us) * 0x9e3779b97f4a7c15ull);
-      h ^= h >> 30;
-      h = (h ^ static_cast<uint64_t>(w.until_us) * 0xbf58476d1ce4e5b9ull);
-      h ^= h >> 27;
-      return static_cast<size_t>(h * 0x94d049bb133111ebull);
-    }
-  };
-
   std::unordered_map<InstanceId, Stream> open_;
-  mutable std::unordered_map<Window, double, WindowHash> mean_price_memo_;
   double closed_cost_ = 0.0;
   double closed_hours_ = 0.0;
   bool hourly_quantum_ = false;

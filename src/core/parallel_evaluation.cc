@@ -6,10 +6,8 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 
 #include "src/market/trace_catalog.h"
 #include "src/obs/grid_summary.h"
@@ -55,19 +53,12 @@ void RecordCell(WorkerSlot& slot, bool buffer_span, size_t cell,
   }
 }
 
-// Generates every distinct trace the configs will need, on this thread.
-// Returns how many traces were actually generated (the rest were cached).
+// Generates every trace the configs will need, on this thread. Returns how
+// many traces were actually generated (the rest were cached).
 int64_t PrewarmTraces(const std::vector<EvaluationConfig>& configs) {
-  std::set<std::tuple<int, int, int64_t, uint64_t>> seen;
   int64_t generated = 0;
   for (const EvaluationConfig& config : configs) {
     for (const EvaluationTraceKey& key : EvaluationTraceKeys(config)) {
-      const auto dedupe = std::make_tuple(static_cast<int>(key.market.type),
-                                          key.market.zone.index,
-                                          key.horizon.micros(), key.seed);
-      if (!seen.insert(dedupe).second) {
-        continue;
-      }
       TraceCatalog::Lookup lookup;
       TraceCatalog::Global().GetOrGenerate(key.market, key.horizon, key.seed,
                                            &lookup);
@@ -159,8 +150,8 @@ std::vector<EvaluationResult> RunPolicyEvaluationGrid(
 
   // Generate shared traces before any worker exists. Otherwise every cold
   // worker's first cell wants the same (market, horizon, seed) traces and
-  // the whole pool stalls single-file on the single-flight markers.
-  if (workers > 1 && options.prewarm_traces) {
+  // the whole pool queues on the catalog mutex while one of them generates.
+  if (workers > 1) {
     const auto prewarm_started = Clock::now();
     report.prewarm_traces = PrewarmTraces(configs);
     report.prewarm_ns = ElapsedNs(prewarm_started);

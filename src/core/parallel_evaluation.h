@@ -10,7 +10,7 @@
 //
 // Scaling contract (DESIGN.md section 13): the pool itself must never
 // serialize its workers. Shared traces are pre-warmed once on the calling
-// thread before any worker spawns (no cold-start single-flight convoy),
+// thread before any worker spawns (no worker waits on a cold generation),
 // worker-profile spans are buffered per worker and merged after join (no
 // tracer mutex on the cell path), and all per-worker state lives in
 // cache-line-padded slots (no false sharing). Each run can emit a
@@ -55,12 +55,6 @@ struct GridRunOptions {
   // observational: results are bit-identical with or without it. Must
   // outlive the call.
   SpanTracer* worker_tracer = nullptr;
-  // Generate every trace the cells will need once, on the calling thread,
-  // before spawning workers. Without this a cold multi-worker grid starts
-  // with every worker blocked on the single-flight generation of the same
-  // (market, horizon, seed) traces. Has no effect on results (catalog
-  // traces are deterministic per key); only on who generates when.
-  bool prewarm_traces = true;
   // When non-null, receives the per-worker contention breakdown (cells,
   // busy/report-build time, catalog hits/misses/lock-wait) plus the grid's
   // one-time costs. Must outlive the call.

@@ -142,62 +142,5 @@ TEST(BillingMeterTest, HourlyQuantumMeteredStreamsBillSpikePrices) {
               1e-9);
 }
 
-TEST(BillingMeterTest, MeanPriceMemoDoesNotGrowOnRepeatedQueries) {
-  PriceTrace trace;
-  trace.Append(SimTime(), 0.02);
-  BillingMeter meter;
-  for (int i = 0; i < 8; ++i) {
-    meter.StartMetered(InstanceId(i + 1), SimTime(), &trace);
-  }
-  const SimTime probe = SimTime() + SimDuration::Hours(3);
-  const double first = meter.TotalCost(probe);
-  const size_t after_first = meter.mean_price_memo_size();
-  EXPECT_EQ(after_first, 1u);  // identical windows share one entry
-  // Re-evaluating the same instant must be pure cache hits: same cost, no
-  // new memo entries, however many times the controller probes.
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(meter.TotalCost(probe), first);
-  }
-  EXPECT_EQ(meter.mean_price_memo_size(), after_first);
-}
-
-TEST(BillingMeterTest, MeanPriceMemoStaysBounded) {
-  // A long simulation probes TotalCost at an ever-advancing `now`; every
-  // probe is a distinct window. The memo must cap, not track the probe
-  // count for the meter's whole life.
-  PriceTrace trace;
-  trace.Append(SimTime(), 0.02);
-  BillingMeter meter;
-  meter.StartMetered(InstanceId(1), SimTime(), &trace);
-  const size_t probes = BillingMeter::kMeanPriceMemoCap * 2 + 17;
-  for (size_t i = 1; i <= probes; ++i) {
-    meter.TotalCost(SimTime() + SimDuration::Minutes(static_cast<int64_t>(i)));
-    EXPECT_LE(meter.mean_price_memo_size(), BillingMeter::kMeanPriceMemoCap);
-  }
-}
-
-TEST(BillingMeterTest, MemoEvictionKeepsCostsBitwiseIdentical) {
-  // Eviction only ever forces an exact recomputation: a meter whose memo
-  // has been churned past the cap reports the same bits as a fresh one.
-  PriceTrace trace;
-  trace.Append(SimTime(), 0.017);
-  trace.Append(SimTime() + SimDuration::Hours(2), 0.041);
-  trace.Append(SimTime() + SimDuration::Hours(5), 0.023);
-
-  BillingMeter churned;
-  churned.StartMetered(InstanceId(1), SimTime(), &trace);
-  for (size_t i = 1; i <= BillingMeter::kMeanPriceMemoCap + 10; ++i) {
-    churned.TotalCost(SimTime() + SimDuration::Seconds(static_cast<double>(i)));
-  }
-
-  BillingMeter fresh;
-  fresh.StartMetered(InstanceId(1), SimTime(), &trace);
-
-  const SimTime probe = SimTime() + SimDuration::Hours(7);
-  EXPECT_EQ(churned.TotalCost(probe), fresh.TotalCost(probe));
-  EXPECT_EQ(churned.AccruedCost(InstanceId(1), probe),
-            fresh.AccruedCost(InstanceId(1), probe));
-}
-
 }  // namespace
 }  // namespace spotcheck

@@ -111,7 +111,7 @@ int64_t ChildOffsetUs(int id) {
     case 1:
       return 40'000 + (id % 977) * 1'000;  // tens of milliseconds
     default:
-      return int64_t{3} * 86'400'000'000 + id * 1'000'000;  // days out
+      return int64_t{3} * 86'400'000'000 + int64_t{id} * 1'000'000;  // days out
   }
 }
 
