@@ -12,17 +12,26 @@ and, when the 100k tier is present (full runs), that its bytes/VM stays
 within --max-growth of the 10k tier's: per-VM cost must be flat in fleet
 size, or the storage layer has re-grown a per-VM overhead.
 
-When the bench recorded event-cost profiles (the "profile" section each
-tier now carries), the gate also prints the top-3 hotspot categories by
-estimated total time at the highest profiled tier -- informational only
-(scripts/profile_fleet.py does the cross-tier slope analysis).
+At every tier that carries an event-cost profile (the "profile" section),
+the gate also checks two exact counts, so these rules cannot flake:
+
+    * counters.backup_probes == categories.backup_assign.count
+      (backup assignment names its server in one probe, never a scan)
+    * when counters.ring_rebases == 0:
+      counters.lazy_sorted_events <= ring_inserts + overflow_spills
+      (each calendar event is sorted at most once)
+
+and prints the top-3 hotspot categories by estimated total time at the
+highest profiled tier -- informational only (scripts/profile_fleet.py
+does the cross-tier slope analysis). A file without profiles skips both.
 
 Exit codes:
 
     0  gate passed
     1  gate FAILED: a budget or floor was breached
     2  the input could not be judged at all (missing file, malformed JSON,
-       missing tiers, non-positive numbers) -- never a soft pass
+       missing tiers, non-positive numbers, a profile without a counter
+       the count rules need) -- never a soft pass
 
 The throughput floor is deliberately conservative: it exists to catch a
 storage change that makes event dispatch accidentally quadratic (an order
@@ -72,11 +81,71 @@ def positive_number(entry, key, field, path):
     return float(value)
 
 
+def count(section, name, key, path):
+    value = section.get(name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        fail_parse(f"{path}: '{key}' profile has no numeric '{name}'")
+    return value
+
+
+def check_profile_counts(bench, path):
+    """Applies the exact count rules at every profiled tier.
+
+    Returns True when every rule holds. A tier whose profile is absent or
+    null is skipped; a profile missing a needed key is a parse error.
+    """
+    ok = True
+    for key, entry in bench.items():
+        if not key.startswith("tiers/") or not isinstance(entry, dict):
+            continue
+        profile = entry.get("profile")
+        if profile is None:
+            continue
+        if not isinstance(profile, dict):
+            fail_parse(f"{path}: '{key}' profile is not an object")
+        categories = profile.get("categories")
+        counters = profile.get("counters")
+        if not isinstance(categories, dict) or not isinstance(counters, dict):
+            fail_parse(f"{path}: '{key}' profile lacks categories or counters")
+        assign = categories.get("backup_assign")
+        if not isinstance(assign, dict):
+            fail_parse(f"{path}: '{key}' profile has no 'backup_assign' category")
+        assignments = count(assign, "count", key, path)
+        probes = count(counters, "backup_probes", key, path)
+        rebases = count(counters, "ring_rebases", key, path)
+        sorted_events = count(counters, "lazy_sorted_events", key, path)
+        bound = (count(counters, "ring_inserts", key, path) +
+                 count(counters, "overflow_spills", key, path))
+        print(
+            f"check_fleet_scale: {key}: {probes:.0f} backup probes for "
+            f"{assignments:.0f} assignments, {sorted_events:.0f} lazily "
+            f"sorted events (bound {bound:.0f}, {rebases:.0f} rebases)"
+        )
+        if probes != assignments:
+            print(
+                f"check_fleet_scale: FAILED: {key} made {probes:.0f} backup "
+                f"probes for {assignments:.0f} assignments -- assignment "
+                f"must take one probe",
+                file=sys.stderr,
+            )
+            ok = False
+        if rebases == 0 and sorted_events > bound:
+            print(
+                f"check_fleet_scale: FAILED: {key} sorted {sorted_events:.0f} "
+                f"calendar events, over the {bound:.0f} that entered the "
+                f"ring or the ladder -- an event was sorted more than once",
+                file=sys.stderr,
+            )
+            ok = False
+    return ok
+
+
 def print_hotspots(bench):
     """Top-3 profile categories at the highest profiled tier (informational).
 
-    Tolerant of absent/null/malformed profiles: older bench files predate
-    the profiler and must still pass the gate unchanged.
+    Tolerant of absent/null profiles and malformed category entries: older
+    bench files predate the profiler and must still pass the gate unchanged
+    (check_profile_counts has already rejected a profile it cannot read).
     """
     best_vms, best_profile = 0, None
     for key, entry in bench.items():
@@ -202,6 +271,8 @@ def main(argv=None):
             )
             failed = True
 
+    if not check_profile_counts(bench, args.bench_json):
+        failed = True
     print_hotspots(bench)
 
     if failed:

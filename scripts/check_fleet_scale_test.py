@@ -4,7 +4,9 @@
 Covers the parse/judge path end to end via subprocess: the bytes/VM budget
 and events/s floor at the 10k tier, the flat-memory growth check against
 the 100k tier, the smoke-run case (100k absent skips growth, never the
-budget), and every malformed-input mode as a distinct exit 2.
+budget), the exact count rules at every profiled tier (one backup probe
+per assignment; each calendar event sorted at most once unless the ring
+was rebased), and every malformed-input mode as a distinct exit 2.
 """
 
 import json
@@ -25,6 +27,25 @@ def tier(num_vms, bytes_per_vm, events_per_second, invariants_ok=True):
         "bytes_per_vm": bytes_per_vm,
         "events_per_second": events_per_second,
         "invariants_ok": invariants_ok,
+    }
+
+
+def profile(assignments=10000, probes=10000, sorted_events=30000,
+            ring_inserts=30007, overflow_spills=133, ring_rebases=0):
+    """A tier profile as bench_fleet_scale writes it (trimmed)."""
+    return {
+        "sample_interval": 64,
+        "categories": {
+            "dispatch_callback": {"count": 30000, "est_total_ns": 9e7},
+            "backup_assign": {"count": assignments, "est_total_ns": 1e6},
+        },
+        "counters": {
+            "overflow_spills": overflow_spills,
+            "ring_inserts": ring_inserts,
+            "lazy_sorted_events": sorted_events,
+            "ring_rebases": ring_rebases,
+            "backup_probes": probes,
+        },
     }
 
 
@@ -116,15 +137,14 @@ class GateTest(unittest.TestCase):
 
     def test_profiled_bench_surfaces_top_hotspot_categories(self):
         doc = bench_json()
-        doc["tiers/100000"]["profile"] = {
-            "sample_interval": 64,
-            "categories": {
-                "dispatch_callback": {"est_total_ns": 9e9},
-                "pool_placeable_index": {"est_total_ns": 5e9},
-                "ladder_merge": {"est_total_ns": 1e9},
-                "calendar_wrap": {"est_total_ns": 1e8},
-            },
-            "counters": {},
+        doc["tiers/100000"]["profile"] = profile(
+            assignments=100000, probes=100000)
+        doc["tiers/100000"]["profile"]["categories"] = {
+            "dispatch_callback": {"est_total_ns": 9e9},
+            "pool_placeable_index": {"est_total_ns": 5e9},
+            "ladder_merge": {"est_total_ns": 1e9},
+            "calendar_wrap": {"est_total_ns": 1e8},
+            "backup_assign": {"count": 100000, "est_total_ns": 1e6},
         }
         proc = run_gate(json.dumps(doc))
         self.assertEqual(proc.returncode, 0, proc.stderr)
@@ -137,6 +157,76 @@ class GateTest(unittest.TestCase):
         proc = run_gate(json.dumps(bench_json()))
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertNotIn("hotspots", proc.stdout)
+
+    def test_profiled_counts_within_the_rules_pass(self):
+        doc = bench_json()
+        doc["tiers/10000"]["profile"] = profile(sorted_events=30140)
+        doc["tiers/100000"]["profile"] = profile(
+            assignments=100000, probes=100000)
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("10000 backup probes for 10000 assignments",
+                      proc.stdout)
+
+    def test_more_probes_than_assignments_fail_at_any_tier(self):
+        # The round-robin probe loop the open-server index replaced made
+        # 1,254,750 probes for 10,000 assignments at 10k.
+        doc = bench_json()
+        doc["tiers/1000"] = tier(1000, 2000.0, 100000.0)
+        doc["tiers/1000"]["profile"] = profile(assignments=1000, probes=1001)
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("tiers/1000 made 1001 backup probes", proc.stderr)
+
+    def test_sorting_an_event_twice_fails(self):
+        doc = bench_json()
+        doc["tiers/10000"]["profile"] = profile(sorted_events=34918)
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("sorted more than once", proc.stderr)
+
+    def test_sort_rule_skipped_after_a_ring_rebase(self):
+        # A rebase re-sorts surviving buckets whole, so the bound no longer
+        # applies; the probe rule still does.
+        doc = bench_json()
+        doc["tiers/10000"]["profile"] = profile(sorted_events=34918,
+                                                ring_rebases=1)
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        doc["tiers/10000"]["profile"]["counters"]["backup_probes"] = 10001
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+
+    def test_null_profile_skips_the_count_rules(self):
+        doc = bench_json()
+        doc["tiers/10000"]["profile"] = None
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertNotIn("backup probes", proc.stdout)
+
+    def test_profile_missing_a_counter_is_a_parse_error(self):
+        for name in ("backup_probes", "ring_rebases", "lazy_sorted_events",
+                     "ring_inserts", "overflow_spills"):
+            doc = bench_json()
+            doc["tiers/10000"]["profile"] = profile()
+            del doc["tiers/10000"]["profile"]["counters"][name]
+            proc = run_gate(json.dumps(doc))
+            self.assertEqual(proc.returncode, 2, name)
+            self.assertIn(name, proc.stderr)
+
+    def test_profile_missing_backup_assign_is_a_parse_error(self):
+        doc = bench_json()
+        doc["tiers/10000"]["profile"] = profile()
+        del doc["tiers/10000"]["profile"]["categories"]["backup_assign"]
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn("backup_assign", proc.stderr)
+
+    def test_profile_that_is_not_an_object_is_a_parse_error(self):
+        doc = bench_json()
+        doc["tiers/10000"]["profile"] = "profiled"
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 2)
 
     def test_missing_10k_tier_is_a_parse_error(self):
         proc = run_gate(json.dumps({"_context": {}}))

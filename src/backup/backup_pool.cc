@@ -17,18 +17,18 @@ void TraceAssign(SpanTracer* tracer, const BackupServer& server, NestedVmId vm,
 
 }  // namespace
 
-BackupServer& BackupPool::Provision(SimTime now) {
+void BackupPool::Provision(SimTime now) {
   servers_.push_back(std::make_unique<BackupServer>(
       ids_.Next(), config_.server_type, config_.perf, config_.max_vms_per_server));
   servers_.back()->set_restore_bandwidth_scale(restore_bandwidth_scale_);
   provisioned_at_.push_back(now);
+  open_servers_.insert(static_cast<uint32_t>(servers_.size() - 1));
   MetricInc(servers_provisioned_metric_);
   if (tracer_ != nullptr) {
     tracer_->Instant(
         now, "backup.provision", "backup",
         tracer_->Track("backup/" + servers_.back()->id().ToString()));
   }
-  return *servers_.back();
 }
 
 BackupServer& BackupPool::Assign(NestedVmId vm, double demand_mbps, SimTime now) {
@@ -36,28 +36,32 @@ BackupServer& BackupPool::Assign(NestedVmId vm, double demand_mbps, SimTime now)
     return *existing;
   }
   ProfileScope scope(profiler_, ProfileCategory::kBackupAssign);
-  // Round-robin over existing servers, skipping full ones. The probe
-  // counter exposes this loop's cost exactly: once every server is full
-  // (the steady state while a fleet grows), each assignment walks the
-  // whole roster before provisioning -- O(fleet^2 / max_vms) in total,
-  // the super-linear subsystem behind ROADMAP item 1's events/s cliff.
-  for (size_t probe = 0; probe < servers_.size(); ++probe) {
-    BackupServer& candidate = *servers_[rr_cursor_ % servers_.size()];
-    rr_cursor_ = (rr_cursor_ + 1) % servers_.size();
-    ProfileAdd(profiler_, ProfileStat::kBackupProbes);
-    if (candidate.AddStream(vm, demand_mbps)) {
-      assignment_[vm] = &candidate;
-      RecordAssignment(candidate);
-      TraceAssign(tracer_, candidate, vm, now);
-      return candidate;
+  // Round-robin over servers with room: take the first open index at or
+  // after the cursor, wrapping around -- the server a cyclic scan that
+  // skips full servers would reach, found in O(log servers). With none
+  // open, provision one and leave the cursor where it is, as a full scan
+  // would.
+  ProfileAdd(profiler_, ProfileStat::kBackupProbes);
+  uint32_t index = static_cast<uint32_t>(servers_.size());
+  if (open_servers_.empty()) {
+    Provision(now);
+  } else {
+    auto it = open_servers_.lower_bound(static_cast<uint32_t>(rr_cursor_));
+    if (it == open_servers_.end()) {
+      it = open_servers_.begin();
     }
+    index = *it;
+    rr_cursor_ = (index + 1) % servers_.size();
   }
-  BackupServer& fresh = Provision(now);
-  fresh.AddStream(vm, demand_mbps);
-  assignment_[vm] = &fresh;
-  RecordAssignment(fresh);
-  TraceAssign(tracer_, fresh, vm, now);
-  return fresh;
+  BackupServer& server = *servers_[index];
+  server.AddStream(vm, demand_mbps);
+  if (server.full()) {
+    open_servers_.erase(index);
+  }
+  assignment_[vm] = index;
+  RecordAssignment(server);
+  TraceAssign(tracer_, server, vm, now);
+  return server;
 }
 
 void BackupPool::RecordAssignment(const BackupServer& server) {
@@ -71,7 +75,11 @@ void BackupPool::Release(NestedVmId vm) {
   if (it == assignment_.end()) {
     return;
   }
-  it->second->RemoveStream(vm);
+  BackupServer& server = *servers_[it->second];
+  server.RemoveStream(vm);
+  if (!server.full()) {
+    open_servers_.insert(it->second);
+  }
   assignment_.erase(it);
   MetricInc(releases_metric_);
   MetricSet(assigned_vms_metric_, static_cast<double>(assignment_.size()));
@@ -79,12 +87,12 @@ void BackupPool::Release(NestedVmId vm) {
 
 BackupServer* BackupPool::ServerFor(NestedVmId vm) {
   const auto it = assignment_.find(vm);
-  return it == assignment_.end() ? nullptr : it->second;
+  return it == assignment_.end() ? nullptr : servers_[it->second].get();
 }
 
 const BackupServer* BackupPool::ServerFor(NestedVmId vm) const {
   const auto it = assignment_.find(vm);
-  return it == assignment_.end() ? nullptr : it->second;
+  return it == assignment_.end() ? nullptr : servers_[it->second].get();
 }
 
 double BackupPool::TotalHourlyCost() const {

@@ -8,7 +8,9 @@
 #ifndef SRC_BACKUP_BACKUP_POOL_H_
 #define SRC_BACKUP_BACKUP_POOL_H_
 
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -33,8 +35,8 @@ class BackupPool {
   // `metrics` (optional) registers the backup.* instruments; `tracer`
   // (optional) marks provisioning/assignment on each server's
   // "backup/<id>" track; `profiler` (optional) times stream placement
-  // (kBackupAssign) and counts round-robin probes. All must outlive the
-  // pool.
+  // (kBackupAssign) and counts one probe per assignment (kBackupProbes).
+  // All must outlive the pool.
   explicit BackupPool(BackupPoolConfig config = {},
                       MetricsRegistry* metrics = nullptr,
                       SpanTracer* tracer = nullptr,
@@ -53,7 +55,9 @@ class BackupPool {
   // Assigns `vm` to a backup server (provisioning a new one if all are
   // full) and registers its checkpoint stream. Round-robin across
   // non-full servers spreads both checkpoint load and revocation risk.
-  // `now` timestamps any newly provisioned server for cost accounting.
+  // O(log servers): an ordered index of servers with room names the next
+  // one directly. `now` timestamps any newly provisioned server for cost
+  // accounting.
   BackupServer& Assign(NestedVmId vm, double demand_mbps,
                        SimTime now = SimTime());
 
@@ -89,14 +93,17 @@ class BackupPool {
   double restore_bandwidth_scale() const { return restore_bandwidth_scale_; }
 
  private:
-  BackupServer& Provision(SimTime now);
+  void Provision(SimTime now);
   void RecordAssignment(const BackupServer& server);
 
   BackupPoolConfig config_;
   IdGenerator<BackupServerTag> ids_;
   std::vector<std::unique_ptr<BackupServer>> servers_;
   std::vector<SimTime> provisioned_at_;  // parallel to servers_
-  std::unordered_map<NestedVmId, BackupServer*> assignment_;
+  std::unordered_map<NestedVmId, uint32_t> assignment_;  // VM -> server index
+  // Indices of servers with room, ordered so Assign can take the first one
+  // at or after rr_cursor_.
+  std::set<uint32_t> open_servers_;
   size_t rr_cursor_ = 0;
   double restore_bandwidth_scale_ = 1.0;
   SpanTracer* tracer_ = nullptr;

@@ -1,11 +1,10 @@
 // Sampled event-cost profiler: attributes wall-clock time to kernel and
 // controller subsystems without perturbing simulation order.
 //
-// The flight-recorder question ROADMAP item 1 leaves open -- events/s
-// collapses 206k -> 92k -> 6.1k/s from 10k to 1M VMs -- is a *where does the
-// time go* question, which MetricsRegistry (what happened) and SpanTracer
-// (sim-time causality) cannot answer. EventCostProfiler closes the gap with
-// two instruments:
+// Why events/s collapsed 206k -> 92k -> 6.1k/s from 10k to 1M VMs was a
+// *where does the time go* question, which MetricsRegistry (what happened)
+// and SpanTracer (sim-time causality) cannot answer (DESIGN.md §16.5 has the
+// answer). EventCostProfiler closes the gap with two instruments:
 //
 //   * Timed categories: each occurrence of a category is counted exactly;
 //     a deterministic 1-in-N subset (rare maintenance episodes: every
@@ -48,7 +47,7 @@ enum class ProfileCategory : uint8_t {
   kDispatchPeriodic,     // periodic tick
   kLadderMerge,          // SortTail: overflow-ladder tail merge
   kCalendarWrap,         // Wrap(): window advance + ladder drain + retune
-  kLazyBucketSort,       // FindEarliest: first-touch bucket sort
+  kLazyBucketSort,       // FindEarliest: sort a bucket's tail, merge it in
   kPoolCapacityIndex,    // capacity index maintenance in host_pool
   kPoolPlaceableIndex,   // placeable-subindex refresh in host_pool
   kPoolPendingJoin,      // pending/joinable bookkeeping in host_pool
@@ -57,20 +56,22 @@ enum class ProfileCategory : uint8_t {
 inline constexpr size_t kNumProfileCategories = 10;
 std::string_view ProfileCategoryName(ProfileCategory c);
 
-// Exact (never sampled) structural counters for the cliff suspects named in
-// ROADMAP item 1.
+// Exact (never sampled) structural counters: they explain why a category got
+// slow, and scripts/check_fleet_scale.py gates on the exact relations the
+// calendar queue and the backup pool promise.
 enum class ProfileStat : uint8_t {
   kOverflowSpills = 0,   // events appended beyond the calendar window
   kRingInserts,          // events inserted into the bucket ring
-  kBucketDegrades,       // sorted-bucket inserts demoted to unsorted append
-  kLazySortedEvents,     // events sorted by first-touch bucket sorts
+  kBucketDegrades,       // appends giving a sorted bucket an unsorted tail
+  kLazySortedEvents,     // bucket tail events sorted on contact (once each
+                         // unless a ring rebase re-sorts a bucket whole)
   kLadderMergedEvents,   // tail events merged into the sorted ladder
   kLadderFallbackSorts,  // SortTail calls that fell back to std::sort
   kCalendarRetunes,      // bucket-width changes at Wrap()
   kRingRebases,          // RebaseRingTo flushes of live ring events
   kIndexInserts,         // per-market std::set inserts (pool indexes)
   kIndexErases,          // per-market std::set erases (pool indexes)
-  kBackupProbes,         // backup servers probed per stream assignment
+  kBackupProbes,         // backup servers probed: one per stream assignment
 };
 inline constexpr size_t kNumProfileStats = 11;
 std::string_view ProfileStatName(ProfileStat s);

@@ -24,9 +24,11 @@ namespace spotcheck {
 //       ring is non-empty, so pop never compares against the ladder.
 //   I3  No queued ring event has abs < scan_abs_ (inserts move scan_abs_
 //       backward; pops advance it over empty buckets).
-//   I4  A bucket with bucket_sorted_ set is sorted descending by
-//       (when, seq); the scan sorts a bucket on first contact and inserts
-//       keep sorted buckets sorted, so the active bucket pops from back().
+//   I4  bucket[0 .. bucket_sorted_n_) is sorted descending by (when, seq);
+//       the tail is unsorted appends. Inserts always append; on contact the
+//       scan sorts only the tail and merges it into the prefix, so the
+//       active bucket pops from back() and each ring event is sorted at most
+//       once (RebaseRingTo, a rare path, re-sorts surviving buckets whole).
 //   I5  overflow_[0 .. overflow_sorted_n_) is sorted descending; the tail
 //       is unsorted appends. overflow_min_ is the ladder minimum whenever
 //       the ladder is non-empty.
@@ -38,7 +40,7 @@ Simulator::Simulator(MetricsRegistry* metrics, SpanTracer* tracer,
                      std::pmr::memory_resource* memory)
     : memory_(memory != nullptr ? memory : std::pmr::get_default_resource()),
       buckets_(static_cast<size_t>(kNumBuckets), memory_),
-      bucket_sorted_(static_cast<size_t>(kNumBuckets), 1),
+      bucket_sorted_n_(static_cast<size_t>(kNumBuckets), 0),
       overflow_(memory_),
       slots_(memory_),
       free_slots_(memory_),
@@ -101,7 +103,8 @@ void Simulator::OverflowAppend(const QueuedEvent& ev) {
 void Simulator::RebaseRingTo(int64_t abs) {
   const int64_t new_end = abs + kNumBuckets;
   if (ring_count_ > 0) {
-    for (Bucket& bucket : buckets_) {
+    for (size_t index = 0; index < buckets_.size(); ++index) {
+      Bucket& bucket = buckets_[index];
       if (bucket.empty()) {
         continue;
       }
@@ -113,6 +116,7 @@ void Simulator::RebaseRingTo(int64_t abs) {
         }
         return false;
       });
+      bucket_sorted_n_[index] = 0;  // re-sorted whole on contact (I4)
     }
   }
   ring_base_abs_ = abs;
@@ -137,26 +141,11 @@ void Simulator::InsertEvent(const QueuedEvent& ev) {
   }
   const size_t index = static_cast<size_t>(abs & kBucketMask);
   Bucket& bucket = buckets_[index];
-  if (bucket_sorted_[index]) {
-    // Keep a sorted bucket sorted (I4) only while that is cheap: insertion
-    // cost is the number of tail elements shifted, so bound it. Imminent
-    // events (the cascade-at-now pattern) sit near the back and stay O(1);
-    // anything deeper -- e.g. bulk pre-loading a crowded bucket, which
-    // would otherwise go quadratic -- degrades the bucket to unsorted and
-    // is re-sorted once when the scan reaches it.
-    const auto pos = std::lower_bound(
-        bucket.begin(), bucket.end(), ev,
-        [](const QueuedEvent& a, const QueuedEvent& b) { return Earlier(b, a); });
-    if (bucket.end() - pos <= 16) {
-      bucket.insert(pos, ev);
-    } else {
-      bucket.push_back(ev);
-      bucket_sorted_[index] = 0;
-      ProfileAdd(profiler_, ProfileStat::kBucketDegrades);
-    }
-  } else {
-    bucket.push_back(ev);
+  // Append to the unsorted tail (I4); the scan merges it on contact.
+  if (!bucket.empty() && bucket_sorted_n_[index] == bucket.size()) {
+    ProfileAdd(profiler_, ProfileStat::kBucketDegrades);
   }
+  bucket.push_back(ev);
   ++ring_count_;
   ProfileAdd(profiler_, ProfileStat::kRingInserts);
   if (abs < scan_abs_) {
@@ -165,13 +154,13 @@ void Simulator::InsertEvent(const QueuedEvent& ev) {
 }
 
 // Sorts [first, last) descending by (when, seq). The dominant producer of a
-// large unsorted tail is market attachment, which appends each price trace as
-// one long time-ascending run, so the tail is typically a few dozen runs that
-// introsort cannot exploit. Detect maximal runs, reverse the ascending ones,
+// large unsorted ladder tail is market attachment, which appends each price
+// trace as one long time-ascending run, so the tail is typically a few dozen
+// runs that introsort cannot exploit. Detect maximal runs, reverse the ascending ones,
 // and merge pairwise -- O(n log k) for k runs -- falling back to plain sort
 // when the tail is genuinely unordered. The comparator is a strict total
 // order (seq is unique), so every correct sort yields the same permutation.
-void Simulator::SortTail(OverflowIter first, OverflowIter last,
+void Simulator::SortTail(EventIter first, EventIter last,
                          EventCostProfiler* profiler) {
   const auto desc = [](const QueuedEvent& a, const QueuedEvent& b) {
     return Earlier(b, a);
@@ -182,10 +171,10 @@ void Simulator::SortTail(OverflowIter first, OverflowIter last,
     return;
   }
   // Run boundaries: bounds[i]..bounds[i+1] is sorted descending.
-  std::vector<OverflowIter> bounds;
+  std::vector<EventIter> bounds;
   bounds.push_back(first);
-  for (OverflowIter it = first; it != last;) {
-    OverflowIter run_end = it + 1;
+  for (EventIter it = first; it != last;) {
+    EventIter run_end = it + 1;
     if (run_end != last) {
       const bool run_desc = desc(*it, *run_end);
       ++run_end;
@@ -208,7 +197,7 @@ void Simulator::SortTail(OverflowIter first, OverflowIter last,
   }
   // Merge adjacent run pairs until one remains.
   while (bounds.size() > 2) {
-    std::vector<OverflowIter> next;
+    std::vector<EventIter> next;
     next.push_back(bounds[0]);
     size_t i = 1;
     while (i + 1 < bounds.size()) {
@@ -275,8 +264,7 @@ void Simulator::Wrap() {
       break;
     }
     const size_t index = static_cast<size_t>(abs & kBucketMask);
-    buckets_[index].push_back(ev);
-    bucket_sorted_[index] = 0;  // drained ascending; sort lazily on contact
+    buckets_[index].push_back(ev);  // unsorted tail; sorted on contact
     ++ring_count_;
     overflow_.pop_back();
   }
@@ -302,23 +290,30 @@ const Simulator::QueuedEvent* Simulator::FindEarliest() {
     index = static_cast<size_t>(scan_abs_ & kBucketMask);
   }
   Bucket& bucket = buckets_[index];
-  if (!bucket_sorted_[index]) {
+  const size_t sorted_n = bucket_sorted_n_[index];
+  if (sorted_n < bucket.size()) {
+    // I4: sort only the unsorted tail, then merge it into the prefix. The
+    // null profiler keeps kLadderFallbackSorts a ladder-only counter.
     ProfileScope sort_scope(profiler_, ProfileCategory::kLazyBucketSort);
     ProfileAdd(profiler_, ProfileStat::kLazySortedEvents,
-               static_cast<int64_t>(bucket.size()));
-    std::sort(bucket.begin(), bucket.end(),
-              [](const QueuedEvent& a, const QueuedEvent& b) {
-                return Earlier(b, a);
-              });
-    bucket_sorted_[index] = 1;
+               static_cast<int64_t>(bucket.size() - sorted_n));
+    const auto mid = bucket.begin() + static_cast<int64_t>(sorted_n);
+    SortTail(mid, bucket.end(), nullptr);
+    std::inplace_merge(bucket.begin(), mid, bucket.end(),
+                       [](const QueuedEvent& a, const QueuedEvent& b) {
+                         return Earlier(b, a);
+                       });
+    bucket_sorted_n_[index] = static_cast<uint32_t>(bucket.size());
   }
   return &bucket.back();
 }
 
 Simulator::QueuedEvent Simulator::PopEarliest() {
-  Bucket& bucket = buckets_[static_cast<size_t>(scan_abs_ & kBucketMask)];
+  const size_t index = static_cast<size_t>(scan_abs_ & kBucketMask);
+  Bucket& bucket = buckets_[index];
   const QueuedEvent ev = bucket.back();
   bucket.pop_back();
+  --bucket_sorted_n_[index];  // FindEarliest left the bucket fully sorted
   --ring_count_;
   return ev;
 }

@@ -24,6 +24,10 @@
 //     heap. Bucket width is retuned at each wrap from the density of the
 //     upcoming overflow chunk; retuning happens only while the ring is
 //     empty, so no event ever needs remapping.
+//   - A bucket is a sorted prefix plus an unsorted tail, like the ladder:
+//     inserts append, and when the scan reaches the bucket it sorts only
+//     the tail and merges it in, so an event is sorted once however
+//     crowded its bucket (a join burst can put thousands in one).
 //   - Pop order is exactly ascending (time, seq) -- identical to the
 //     previous heap -- so results are bit-identical: the calendar layout
 //     affects performance only, never ordering.
@@ -207,10 +211,11 @@ class Simulator {
   // Calendar-queue primitives (see the .cc for the invariants).
   void InsertEvent(const QueuedEvent& ev);
   void OverflowAppend(const QueuedEvent& ev);
-  using OverflowIter = std::pmr::vector<QueuedEvent>::iterator;
-  // Sorts an unsorted ladder tail descending, exploiting pre-sorted runs.
-  // `profiler` (nullable) records fragmented-tail fallbacks to std::sort.
-  static void SortTail(OverflowIter first, OverflowIter last,
+  using EventIter = std::pmr::vector<QueuedEvent>::iterator;
+  // Sorts an unsorted ladder or bucket tail descending, exploiting
+  // pre-sorted runs. `profiler` (nullable) records fragmented-tail fallbacks
+  // to std::sort.
+  static void SortTail(EventIter first, EventIter last,
                        EventCostProfiler* profiler);
   void RebaseRingTo(int64_t abs);
   void Wrap();
@@ -234,10 +239,11 @@ class Simulator {
 
   // --- calendar ring ---
   std::pmr::vector<Bucket> buckets_;  // bucket for abs index a: a & kBucketMask
-  // Per-bucket "sorted descending by (when, seq)" flag; buckets fill
-  // unsorted and are sorted lazily when the scan reaches them, after which
-  // inserts keep them sorted (pop is then back()).
-  std::vector<uint8_t> bucket_sorted_;
+  // Per-bucket length of the prefix sorted descending by (when, seq), the
+  // same shape as the ladder's overflow_sorted_n_. Inserts append to the
+  // unsorted tail; the scan sorts and merges the tail on contact, so pop
+  // is back().
+  std::vector<uint32_t> bucket_sorted_n_;
   int width_log2_ = kInitialWidthLog2;
   int64_t ring_base_abs_ = 0;  // absolute bucket index of the window start
   int64_t scan_abs_ = 0;       // no queued ring event lives below this bucket

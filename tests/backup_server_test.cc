@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <vector>
+
 #include "src/backup/backup_pool.h"
+#include "src/obs/profiler.h"
 
 namespace spotcheck {
 namespace {
@@ -142,6 +148,102 @@ TEST(BackupPoolTest, AccruedCostIntegratesProvisionTime) {
   const SimTime later = SimTime() + SimDuration::Hours(10);
   EXPECT_NEAR(pool.TotalAccruedCost(later), 0.28 * 10.0, 1e-9);
   EXPECT_NEAR(pool.TotalHourlyCost(), 0.28, 1e-12);
+}
+
+// Reference model: the cyclic probe loop BackupPool::Assign ran before it
+// indexed the servers with room. Servers are plain stream counts.
+class ProbeLoopModel {
+ public:
+  explicit ProbeLoopModel(int max_vms) : max_vms_(max_vms) {}
+
+  // Returns the index of the server `vm` lands on.
+  size_t Assign(int vm) {
+    if (const auto it = assignment_.find(vm); it != assignment_.end()) {
+      return it->second;
+    }
+    for (size_t probe = 0; probe < streams_.size(); ++probe) {
+      const size_t candidate = rr_cursor_ % streams_.size();
+      rr_cursor_ = (rr_cursor_ + 1) % streams_.size();
+      if (streams_[candidate] < max_vms_) {
+        ++streams_[candidate];
+        return assignment_[vm] = candidate;
+      }
+    }
+    streams_.push_back(1);
+    return assignment_[vm] = streams_.size() - 1;
+  }
+
+  void Release(int vm) {
+    if (const auto it = assignment_.find(vm); it != assignment_.end()) {
+      --streams_[it->second];
+      assignment_.erase(it);
+    }
+  }
+
+  size_t num_servers() const { return streams_.size(); }
+
+ private:
+  int max_vms_;
+  std::vector<int> streams_;
+  std::map<int, size_t> assignment_;
+  size_t rr_cursor_ = 0;
+};
+
+// Differential check of the open-server index: seeded random Assign /
+// Release sequences (re-assigning live VMs and releasing unknown ones
+// included) must pick the probe loop's server at every step, and each new
+// assignment must cost exactly one probe.
+TEST(BackupPoolTest, IndexMatchesProbeLoopReferenceModel) {
+  for (const int max_vms : {1, 2, 3, 40}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "max_vms " << max_vms << " seed "
+                                      << seed);
+      BackupPoolConfig config;
+      config.max_vms_per_server = max_vms;
+      EventCostProfiler profiler;
+      BackupPool pool(config, nullptr, nullptr, &profiler);
+      ProbeLoopModel model(max_vms);
+      std::mt19937_64 rng(seed);
+      std::vector<int> live;
+      int next_vm = 1;
+      int64_t assignments = 0;
+      for (int step = 0; step < 5'000; ++step) {
+        const uint64_t op = rng() % 20;
+        if (op < 11 || live.empty()) {
+          const int vm = next_vm++;
+          const size_t expected = model.Assign(vm);
+          const BackupServer& got = pool.Assign(NestedVmId(vm), 3.0);
+          ASSERT_LT(expected, pool.servers().size()) << "step " << step;
+          ASSERT_EQ(got.id().ToString(),
+                    pool.servers()[expected]->id().ToString())
+              << "step " << step;
+          live.push_back(vm);
+          ++assignments;
+        } else if (op < 19) {
+          const size_t victim = rng() % live.size();
+          model.Release(live[victim]);
+          pool.Release(NestedVmId(live[victim]));
+          live[victim] = live.back();
+          live.pop_back();
+        } else {
+          // Re-assigning a live VM returns its server; releasing an unknown
+          // VM is a no-op. Neither is an assignment.
+          const int vm = live[rng() % live.size()];
+          const size_t expected = model.Assign(vm);
+          ASSERT_EQ(pool.Assign(NestedVmId(vm), 3.0).id().ToString(),
+                    pool.servers()[expected]->id().ToString())
+              << "step " << step;
+          pool.Release(NestedVmId(next_vm + 1'000'000));
+        }
+        ASSERT_EQ(static_cast<size_t>(pool.num_servers()), model.num_servers())
+            << "step " << step;
+      }
+      EXPECT_EQ(pool.num_assigned(), static_cast<int>(live.size()));
+      EXPECT_EQ(profiler.stats(ProfileCategory::kBackupAssign).count,
+                assignments);
+      EXPECT_EQ(profiler.stat(ProfileStat::kBackupProbes), assignments);
+    }
+  }
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/obs/profiler.h"
 #include "src/sim/simulator.h"
 
 namespace spotcheck {
@@ -243,6 +244,166 @@ TEST(CalendarQueueStressTest, FifoPreservedAcrossOverflowAndRing) {
   for (int i = 0; i < 128; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i) << "position " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Crowded buckets and window rebases.
+// ---------------------------------------------------------------------------
+
+// A cohort of 64 events spread over 30 days from `t0` makes the first
+// Wrap() tune buckets to 2^30 us (~17.9 min) wide. Every `t0` below is a
+// multiple of 2^30 us, so [t0, t0 + 60 s) sits inside one bucket for any
+// width of a minute or more.
+constexpr int kCohort = 64;
+constexpr int64_t kCohortSpacingUs = int64_t{30} * 86'400'000'000 / kCohort;
+constexpr int64_t kBucketUs = int64_t{1} << 30;
+
+// A pseudo-random offset in [0, 60 s), quantized to 10 ms so that some
+// events share a timestamp (FIFO pressure). A pure function of `id`.
+int64_t ScatterUs(int id) {
+  const uint64_t mixed = static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull;
+  return static_cast<int64_t>((mixed >> 32) % 6'000) * 10'000;
+}
+
+// Thousands of events share the active bucket while fired callbacks keep
+// scheduling children deep inside it (not at its back). Fire order must
+// match the reference, and each event must be sorted at most once: inserts
+// append to the bucket's unsorted tail, which is merged on contact instead
+// of re-sorting the whole bucket.
+TEST(CalendarQueueStressTest, CrowdedBucketSortsEachEventOnce) {
+  const int64_t t0 = 81 * kBucketUs;  // ~1 day
+  constexpr int64_t kCrowdUs = 60'000'000;
+  constexpr int kCrowd = 2'400;
+
+  // Event 0 (the cohort's first, at t0) schedules the crowd; every even
+  // crowd event schedules a child between now and the crowd's end, so the
+  // children total about one more crowd.
+  const auto spawn = [&](int id, int64_t now_us, int& next_id,
+                         const std::function<void(int64_t, int)>& schedule) {
+    if (id == 0) {
+      for (int i = 0; i < kCrowd; ++i) {
+        const int child = next_id++;
+        schedule(t0 + ScatterUs(child), child);
+      }
+    } else if (id >= kCohort && id % 2 == 0) {
+      const int64_t room = t0 + kCrowdUs - now_us;
+      const int child = next_id++;
+      schedule(now_us + (room > 0 ? ScatterUs(child) % room : 0), child);
+    }
+  };
+
+  EventCostProfiler profiler;
+  Simulator sim;
+  sim.set_profiler(&profiler);
+  ReferenceScheduler ref;
+  std::vector<int> sim_fired;
+  int sim_next_id = kCohort;
+  int ref_next_id = kCohort;
+  std::function<void(int)> sim_fire = [&](int id) {
+    sim_fired.push_back(id);
+    spawn(id, sim.Now().micros(), sim_next_id, [&](int64_t when_us, int child) {
+      sim.ScheduleAt(SimTime::FromMicros(when_us),
+                     [&sim_fire, child] { sim_fire(child); });
+    });
+  };
+  const std::function<void(int)> ref_fire = [&](int id) {
+    spawn(id, ref.now_us(), ref_next_id, [&](int64_t when_us, int child) {
+      ref.Schedule(when_us, child);
+    });
+  };
+  for (int id = 0; id < kCohort; ++id) {
+    const int64_t when_us = t0 + id * kCohortSpacingUs;
+    sim.ScheduleAt(SimTime::FromMicros(when_us),
+                   [&sim_fire, id] { sim_fire(id); });
+    ref.Schedule(when_us, id);
+  }
+
+  sim.Run();
+  ref.RunUntil(INT64_MAX / 2, ref_fire);
+  ASSERT_EQ(sim_next_id, ref_next_id);
+  ASSERT_GT(sim_next_id, kCohort + kCrowd + 2'000);
+  EXPECT_EQ(sim_fired, ref.fired());
+  EXPECT_EQ(profiler.stat(ProfileStat::kRingRebases), 0);
+  EXPECT_LE(profiler.stat(ProfileStat::kLazySortedEvents),
+            profiler.stat(ProfileStat::kRingInserts) +
+                profiler.stat(ProfileStat::kOverflowSpills));
+}
+
+// The rebase scenario shared by the two tests below:
+//   1. the cohort plus five out-of-order events in the bucket at `t0`;
+//   2. RunUntil(12 h) wraps the window forward to `t0` and sorts that
+//      bucket on contact (its whole content becomes the sorted prefix);
+//   3. three more events append to it as an unsorted tail (one degrade);
+//   4. an event at 12 h + 1 min falls below the window, so RebaseRingTo
+//      slides the window back to it.
+// Returns after step 4 with both sides at the same clock.
+struct RebaseTwin {
+  EventCostProfiler profiler;  // outlives `sim`, which points at it
+  Simulator sim;
+  ReferenceScheduler ref;
+  std::vector<int> sim_fired;
+  int next_id = 0;
+
+  void Schedule(int64_t when_us) {
+    const int id = next_id++;
+    sim.ScheduleAt(SimTime::FromMicros(when_us),
+                   [this, id] { sim_fired.push_back(id); });
+    ref.Schedule(when_us, id);
+  }
+
+  void SetUpRebase(int64_t t0) {
+    sim.set_profiler(&profiler);
+    for (int i = 1; i < kCohort; ++i) {
+      Schedule(t0 + i * kCohortSpacingUs);
+    }
+    for (const int64_t s : {50, 10, 40, 20, 30}) {
+      Schedule(t0 + s * 1'000'000);
+    }
+    const int64_t deadline_us = int64_t{12} * 3'600'000'000;
+    sim.RunUntil(SimTime::FromMicros(deadline_us));
+    ref.RunUntil(deadline_us, [](int) {});
+    ASSERT_TRUE(sim_fired.empty());
+    ASSERT_EQ(profiler.stat(ProfileStat::kBucketDegrades), 0);
+    for (const int64_t s : {45, 5, 25}) {
+      Schedule(t0 + s * 1'000'000);
+    }
+    ASSERT_EQ(profiler.stat(ProfileStat::kBucketDegrades), 1);
+    ASSERT_EQ(profiler.stat(ProfileStat::kRingRebases), 0);
+    Schedule(deadline_us + 60'000'000);
+    ASSERT_EQ(profiler.stat(ProfileStat::kRingRebases), 1);
+  }
+
+  void DrainAndCompare() {
+    sim.Run();
+    ref.RunUntil(INT64_MAX / 2, [](int) {});
+    EXPECT_EQ(sim_fired, ref.fired());
+    EXPECT_EQ(static_cast<int>(sim_fired.size()), next_id);
+    EXPECT_TRUE(sim.empty());
+  }
+};
+
+// The rebase keeps the bucket with a sorted prefix and an unsorted tail in
+// the ring; its events must still fire in (time, seq) order.
+TEST(CalendarQueueStressTest, RebaseKeepsSortedPrefixAndTailInOrder) {
+  RebaseTwin twin;
+  // ~1 day: stays inside the new window.
+  ASSERT_NO_FATAL_FAILURE(twin.SetUpRebase(81 * kBucketUs));
+  twin.DrainAndCompare();
+}
+
+// The rebase moves that bucket's events to the ladder, and later inserts
+// refill the same bucket slot (one window width earlier) out of order. The
+// slot must not keep the old bucket's sorted-prefix length.
+TEST(CalendarQueueStressTest, RebaseEvictedBucketSortsItsRefill) {
+  const int64_t t0 = 8'047 * kBucketUs;  // ~100 days: beyond the new window
+  RebaseTwin twin;
+  ASSERT_NO_FATAL_FAILURE(twin.SetUpRebase(t0));
+  // 4096 buckets of 2^30 us: the slot that held `t0`'s bucket.
+  const int64_t refill = t0 - 4'096 * kBucketUs;
+  for (const int64_t s : {30, 10, 50, 20, 40, 0}) {
+    twin.Schedule(refill + s * 1'000'000);
+  }
+  twin.DrainAndCompare();
 }
 
 // A handle from a completed event must never cancel the event that later
