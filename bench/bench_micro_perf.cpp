@@ -27,7 +27,6 @@
 #include "src/market/spot_price_process.h"
 #include "src/market/trace_catalog.h"
 #include "src/net/connection_tracker.h"
-#include "src/net/nat_table.h"
 #include "src/net/vpc.h"
 #include "src/policy/policy_spec.h"
 #include "src/sim/simulator.h"
@@ -143,7 +142,6 @@ void BM_PlacementFindHostAt1kHosts(benchmark::State& state) {
   BackupPool backup_pool;
   RevocationStormTracker storms;
   VirtualPrivateCloud vpc;
-  HostNetworkPlane network;
   ConnectionTracker connections;
   FleetTable<NestedVmTag, NestedVm> vms;
   ControllerContext ctx;
@@ -157,7 +155,6 @@ void BM_PlacementFindHostAt1kHosts(benchmark::State& state) {
   ctx.backup_pool = &backup_pool;
   ctx.storms = &storms;
   ctx.vpc = &vpc;
-  ctx.network = &network;
   ctx.connections = &connections;
   ctx.vms = &vms;
   HostPoolManager pool(&ctx);
@@ -221,8 +218,7 @@ void BM_PlacementFindHostAt1kHosts(benchmark::State& state) {
   const NestedVmSpec spec = MakeVmSpec(config.nested_type, config.workload);
   const MarketKey probe = keys[kMarkets - 1];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.FindHostWithCapacity(probe, /*spot=*/true,
-                                                       spec));
+    benchmark::DoNotOptimize(pool.FindHostWithCapacity(probe, spec));
   }
   state.SetItemsProcessed(state.iterations());
 }

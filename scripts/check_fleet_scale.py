@@ -39,30 +39,16 @@ of magnitude), not a few percent of noise on a busy runner.
 """
 
 import argparse
-import json
+import functools
 import sys
 
-PARSE_ERROR = 2
+import bench_gate
+
 BASE_TIER = "tiers/10000"
 SCALE_TIER = "tiers/100000"
 
-
-def fail_parse(message):
-    print(f"check_fleet_scale: ERROR: {message}", file=sys.stderr)
-    raise SystemExit(PARSE_ERROR)
-
-
-def load_bench(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            bench = json.load(f)
-    except OSError as e:
-        fail_parse(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        fail_parse(f"{path} is not valid JSON: {e}")
-    if not isinstance(bench, dict):
-        fail_parse(f"{path}: top-level JSON value must be an object")
-    return bench
+fail_parse = functools.partial(bench_gate.fail_parse, "check_fleet_scale")
+load_bench = functools.partial(bench_gate.load_bench, "check_fleet_scale")
 
 
 def tier(bench, key, path):

@@ -22,30 +22,16 @@ problem is a distinct, loud exit 2.
 """
 
 import argparse
-import json
+import functools
 import sys
+
+import bench_gate
 
 GRID_ONE = "BM_ParallelEvaluationGrid/1/real_time"
 GRID_FOUR = "BM_ParallelEvaluationGrid/4/real_time"
-PARSE_ERROR = 2
 
-
-def fail_parse(message):
-    print(f"check_grid_scaling: ERROR: {message}", file=sys.stderr)
-    raise SystemExit(PARSE_ERROR)
-
-
-def load_bench(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            bench = json.load(f)
-    except OSError as e:
-        fail_parse(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        fail_parse(f"{path} is not valid JSON: {e}")
-    if not isinstance(bench, dict):
-        fail_parse(f"{path}: top-level JSON value must be an object")
-    return bench
+fail_parse = functools.partial(bench_gate.fail_parse, "check_grid_scaling")
+load_bench = functools.partial(bench_gate.load_bench, "check_grid_scaling")
 
 
 def ns_per_op(bench, key, path):

@@ -33,29 +33,14 @@ Exit codes:
 """
 
 import argparse
-import json
+import functools
 import math
 import sys
 
-PARSE_ERROR = 2
+import bench_gate
 
-
-def fail_parse(message):
-    print(f"profile_fleet: ERROR: {message}", file=sys.stderr)
-    raise SystemExit(PARSE_ERROR)
-
-
-def load_bench(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            bench = json.load(f)
-    except OSError as e:
-        fail_parse(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        fail_parse(f"{path} is not valid JSON: {e}")
-    if not isinstance(bench, dict):
-        fail_parse(f"{path}: top-level JSON value must be an object")
-    return bench
+fail_parse = functools.partial(bench_gate.fail_parse, "profile_fleet")
+load_bench = functools.partial(bench_gate.load_bench, "profile_fleet")
 
 
 def profiled_tiers(bench, path):

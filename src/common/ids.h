@@ -51,7 +51,6 @@ struct PoolTag { static constexpr const char* kPrefix = "pool"; };
 struct BackupServerTag { static constexpr const char* kPrefix = "bak"; };
 struct VolumeTag { static constexpr const char* kPrefix = "vol"; };
 struct AddressTag { static constexpr const char* kPrefix = "ip"; };
-struct InterfaceTag { static constexpr const char* kPrefix = "eni"; };
 struct EventTag { static constexpr const char* kPrefix = "ev"; };
 struct RequestTag { static constexpr const char* kPrefix = "req"; };
 
@@ -62,7 +61,6 @@ using PoolId = TypedId<PoolTag>;
 using BackupServerId = TypedId<BackupServerTag>;
 using VolumeId = TypedId<VolumeTag>;
 using AddressId = TypedId<AddressTag>;
-using InterfaceId = TypedId<InterfaceTag>;
 using EventId = TypedId<EventTag>;
 using RequestId = TypedId<RequestTag>;
 

@@ -37,7 +37,6 @@ SpotCheckController::SpotCheckController(Simulator* sim, NativeCloud* cloud,
   ctx_.backup_pool = &backup_pool_;
   ctx_.storms = &storms_;
   ctx_.vpc = &vpc_;
-  ctx_.network = &network_;
   ctx_.connections = &connections_;
   ctx_.vms = &vms_;
   // Own the bid strategy every component consults through ctx_.bid.
@@ -105,11 +104,7 @@ void SpotCheckController::ReleaseServer(NestedVmId id) {
   event_log_.Record(sim_->Now(), ControllerEventKind::kVmReleased, id,
                     vm.host(), ctx_.MarketOfOrDefault(vm.host()));
   backup_pool_.Release(id);
-  const auto ip = vpc_.IpOf(id);
-  if (ip.has_value()) {
-    network_.ReleaseAddress(*ip);
-    vpc_.ReleasePrivateIp(id);
-  }
+  vpc_.ReleasePrivateIp(id);
   const InstanceId old_host = vm.host();
   placement_->DetachVmFromCurrentHost(vm);
   pool_->MaybeReleaseHost(old_host);
@@ -232,15 +227,20 @@ bool SpotCheckController::ValidateInvariants(std::string* error) const {
       return fail(id.ToString() + (needs_backup ? " misses" : " leaks") +
                   " a backup stream");
     }
-    // The stable private address routes to this VM.
+    // The stable private address routes to this VM, through its own host.
     const auto ip = vpc_.IpOf(id);
     if (!ip.has_value()) {
       return fail(id.ToString() + " has no private address");
     }
-    const auto routed = network_.Route(*ip);
+    const auto routed = vpc_.Route(*ip);
     if (!routed.has_value() || *routed != id) {
       return fail(id.ToString() + " address " + ip->ToString() +
                   " does not route to it");
+    }
+    if (vpc_.HostFor(*ip) != vm.host()) {
+      return fail(id.ToString() + " address " + ip->ToString() +
+                  " is forwarded by a host other than " +
+                  vm.host().ToString());
     }
   });
   if (failure.empty() && scanned != vm_state_counts_) {

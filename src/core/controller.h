@@ -50,7 +50,6 @@
 #include "src/core/repatriation.h"
 #include "src/core/storm_tracker.h"
 #include "src/net/connection_tracker.h"
-#include "src/net/nat_table.h"
 #include "src/net/vpc.h"
 #include "src/policy/policy_spec.h"
 #include "src/policy/strategy.h"
@@ -107,7 +106,6 @@ class SpotCheckController {
   // NAT binding follows it from host to host (Fig. 4); client connections
   // survive any outage shorter than their timeout.
   const VirtualPrivateCloud& vpc() const { return vpc_; }
-  const HostNetworkPlane& network() const { return network_; }
   ConnectionTracker& connections() { return connections_; }
   const ConnectionTracker& connections() const { return connections_; }
 
@@ -181,7 +179,6 @@ class SpotCheckController {
   BackupPool backup_pool_;
   RevocationStormTracker storms_;
   VirtualPrivateCloud vpc_;
-  HostNetworkPlane network_;
   ConnectionTracker connections_;
 
   IdGenerator<CustomerTag> customer_ids_;

@@ -12,7 +12,7 @@
 //   * The facade (or a test) owns everything the context points to and
 //     guarantees it outlives every component.
 //   * Platform handles (sim/cloud/markets/config) and the facade-owned
-//     bookkeeping (logs, engine, backup pool, network planes, VM table) are
+//     bookkeeping (logs, engine, backup pool, VPC, VM table) are
 //     set before any component is constructed.
 //   * Component pointers are wired immediately after each component is
 //     constructed and never reseated. Components must not call each other
@@ -44,7 +44,6 @@ class MigrationEngine;
 class BackupPool;
 class RevocationStormTracker;
 class VirtualPrivateCloud;
-class HostNetworkPlane;
 class ConnectionTracker;
 class HostPoolManager;
 class PlacementEngine;
@@ -77,7 +76,6 @@ struct ControllerContext {
   BackupPool* backup_pool = nullptr;
   RevocationStormTracker* storms = nullptr;
   VirtualPrivateCloud* vpc = nullptr;
-  HostNetworkPlane* network = nullptr;
   ConnectionTracker* connections = nullptr;
   // Fleet-scale VM table: arena-stored records with stable references (the
   // components capture NestedVm& in event lambdas) and O(1) id lookups.

@@ -44,12 +44,12 @@ double HostPoolManager::PlaceableThresholdMb() const {
 void HostPoolManager::RefreshPlaceable(const HostVm& host) {
   // The single hottest index site: every AddVm/RemoveVm on a pooled host
   // lands here via OnHostOccupancyChanged.
+  if (!host.is_spot()) {
+    return;
+  }
   ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolPlaceableIndex);
-  std::set<InstanceId>& bucket =
-      PlaceableIndex(host.market(), host.is_spot());
-  const bool eligible = !hot_spare_set_.contains(host.instance()) &&
-                        host.free_mb() >= PlaceableThresholdMb();
-  if (eligible) {
+  std::set<InstanceId>& bucket = placeable_spot_index_[host.market()];
+  if (host.free_mb() >= PlaceableThresholdMb()) {
     if (bucket.insert(host.instance()).second) {
       ProfileAdd(ctx_->profiler, ProfileStat::kIndexInserts);
     }
@@ -69,7 +69,6 @@ int HostPoolManager::SpotSlots(const MarketKey& market) const {
 }
 
 HostVm* HostPoolManager::FindHostWithCapacity(const MarketKey& market,
-                                              bool spot,
                                               const NestedVmSpec& spec) {
   // The placeable sub-index is exact for specs of at least one standard
   // slot: every host that CanHost(spec) then has free_mb >= threshold and
@@ -79,9 +78,7 @@ HostVm* HostPoolManager::FindHostWithCapacity(const MarketKey& market,
   // id (= acquisition) order and re-check CanHost plus native state, so
   // the selection is identical to the whole-index scan.
   const bool standard = spec.memory_mb >= PlaceableThresholdMb();
-  const auto& index =
-      standard ? (spot ? placeable_spot_index_ : placeable_ondemand_index_)
-               : (spot ? spot_index_ : ondemand_index_);
+  const auto& index = standard ? placeable_spot_index_ : spot_index_;
   const auto bucket = index.find(market);
   if (bucket == index.end()) {
     return nullptr;
@@ -140,14 +137,11 @@ void HostPoolManager::AcquireHost(MarketKey market, bool is_spot,
     pending.waiting.push_back(first_waiter);
     ++num_waiting_vms_;
   }
-  if (is_spot && !hot_spare) {
+  if (is_spot && !hot_spare &&
+      static_cast<int>(pending.waiting.size()) < SpotSlots(market)) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolPendingJoin);
-    pending_spot_index_[market].insert(instance);
+    joinable_spot_index_[market].insert(instance);
     ProfileAdd(ctx_->profiler, ProfileStat::kIndexInserts);
-    if (static_cast<int>(pending.waiting.size()) < SpotSlots(market)) {
-      joinable_spot_index_[market].insert(instance);
-      ProfileAdd(ctx_->profiler, ProfileStat::kIndexInserts);
-    }
   }
   if (hot_spare) {
     ++pending_hot_spares_;
@@ -189,7 +183,6 @@ void HostPoolManager::OnHostReady(InstanceId instance, bool ok) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolPendingJoin);
     ProfileAdd(ctx_->profiler, ProfileStat::kIndexErases,
                static_cast<int64_t>(
-                   pending_spot_index_[pending.market].erase(instance) +
                    joinable_spot_index_[pending.market].erase(instance)));
   }
   if (pending.is_hot_spare) {
@@ -251,9 +244,9 @@ void HostPoolManager::OnHostReady(InstanceId instance, bool ok) {
   if (pending.is_hot_spare) {
     hot_spare_order_.push_back(instance);
     hot_spare_set_.insert(instance);
-  } else {
+  } else if (pending.is_spot) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolCapacityIndex);
-    CapacityIndex(pending.market, pending.is_spot).insert(instance);
+    spot_index_[pending.market].insert(instance);
     ProfileAdd(ctx_->profiler, ProfileStat::kIndexInserts);
     RefreshPlaceable(host_ref);
   }
@@ -295,13 +288,12 @@ void HostPoolManager::MaybeReleaseHost(InstanceId instance) {
   if (native != nullptr && native->state != InstanceState::kTerminated) {
     ctx_->cloud->TerminateInstance(instance);
   }
-  {
+  if (host->is_spot()) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolCapacityIndex);
-    ProfileAdd(
-        ctx_->profiler, ProfileStat::kIndexErases,
-        static_cast<int64_t>(
-            CapacityIndex(host->market(), host->is_spot()).erase(instance) +
-            PlaceableIndex(host->market(), host->is_spot()).erase(instance)));
+    ProfileAdd(ctx_->profiler, ProfileStat::kIndexErases,
+               static_cast<int64_t>(
+                   spot_index_[host->market()].erase(instance) +
+                   placeable_spot_index_[host->market()].erase(instance)));
   }
   total_capacity_mb_ -= host->capacity_mb();
   total_used_mb_ -= host->used_mb();
@@ -326,12 +318,6 @@ HostVm* HostPoolManager::PromoteHotSpare(InstanceId instance) {
   hot_spare_order_.erase(
       std::remove(hot_spare_order_.begin(), hot_spare_order_.end(), instance),
       hot_spare_order_.end());
-  {
-    ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolCapacityIndex);
-    CapacityIndex(host->market(), host->is_spot()).insert(instance);
-    ProfileAdd(ctx_->profiler, ProfileStat::kIndexInserts);
-  }
-  RefreshPlaceable(*host);
   return host;
 }
 
@@ -353,15 +339,12 @@ void HostPoolManager::RegisterTelemetry(TimeSeriesRecorder& ts) {
     }
     return static_cast<double>(n);
   };
-  ts.AddSeries("pool.index.capacity_entries", [this, entries] {
-    return entries(spot_index_) + entries(ondemand_index_);
-  });
-  ts.AddSeries("pool.index.placeable_entries", [this, entries] {
-    return entries(placeable_spot_index_) + entries(placeable_ondemand_index_);
-  });
-  ts.AddSeries("pool.index.pending_entries", [this, entries] {
-    return entries(pending_spot_index_) + entries(joinable_spot_index_);
-  });
+  ts.AddSeries("pool.index.capacity_entries",
+               [this, entries] { return entries(spot_index_); });
+  ts.AddSeries("pool.index.placeable_entries",
+               [this, entries] { return entries(placeable_spot_index_); });
+  ts.AddSeries("pool.index.pending_entries",
+               [this, entries] { return entries(joinable_spot_index_); });
 }
 
 std::string HostPoolManager::DumpHosts() const {
@@ -417,25 +400,24 @@ bool HostPoolManager::ValidateInvariants(std::string* error) const {
     if (host.used_mb() > host.capacity_mb() + 1e-6) {
       return fail(instance.ToString() + " is over capacity");
     }
-    // Index consistency: every host is either a hot spare or indexed for
-    // placement under its own market, never both.
-    const auto& index = host.is_spot() ? spot_index_ : ondemand_index_;
-    const auto bucket = index.find(host.market());
-    const bool indexed =
-        bucket != index.end() && bucket->second.contains(instance);
-    if (indexed == hot_spare_set_.contains(instance)) {
-      return fail(instance.ToString() +
-                  (indexed ? " indexed while a hot spare"
-                           : " missing from its capacity index"));
+    // Index consistency: hot spares are on-demand, and every spot host is
+    // indexed under its own market.
+    if (!host.is_spot()) {
+      return;
     }
-    // The placeable sub-index holds exactly the indexed hosts with at
-    // least one standard nested slot free.
-    const auto& pindex =
-        host.is_spot() ? placeable_spot_index_ : placeable_ondemand_index_;
-    const auto pbucket = pindex.find(host.market());
-    const bool placeable =
-        pbucket != pindex.end() && pbucket->second.contains(instance);
-    if (placeable != (indexed && host.free_mb() >= threshold)) {
+    if (hot_spare_set_.contains(instance)) {
+      return fail(instance.ToString() + " is a spot hot spare");
+    }
+    const auto bucket = spot_index_.find(host.market());
+    if (bucket == spot_index_.end() || !bucket->second.contains(instance)) {
+      return fail(instance.ToString() + " missing from its capacity index");
+    }
+    // The placeable sub-index holds exactly the spot hosts with at least
+    // one standard nested slot free.
+    const auto pbucket = placeable_spot_index_.find(host.market());
+    const bool placeable = pbucket != placeable_spot_index_.end() &&
+                           pbucket->second.contains(instance);
+    if (placeable != (host.free_mb() >= threshold)) {
       return fail(instance.ToString() +
                   (placeable ? " placeable without a free standard slot"
                              : " missing from the placeable sub-index"));
@@ -443,50 +425,40 @@ bool HostPoolManager::ValidateInvariants(std::string* error) const {
   });
   if (failure.empty()) {
     // No index entry may outlive its host record.
-    for (const auto* index : {&spot_index_, &ondemand_index_,
-                              &placeable_spot_index_,
-                              &placeable_ondemand_index_}) {
+    for (const auto* index : {&spot_index_, &placeable_spot_index_}) {
       for (const auto& [market, bucket] : *index) {
         for (InstanceId instance : bucket) {
           const HostVm* host = hosts_.Find(instance);
-          if (host == nullptr || !(host->market() == market)) {
+          if (host == nullptr || !host->is_spot() ||
+              !(host->market() == market)) {
             fail("capacity index holds stale host " + instance.ToString() +
                  " for " + market.ToString());
           }
         }
       }
     }
-    for (const auto& [market, bucket] : pending_spot_index_) {
-      const int slots = SpotSlots(market);
-      const auto jbucket = joinable_spot_index_.find(market);
-      for (InstanceId instance : bucket) {
-        const auto pit = pending_hosts_.find(instance);
-        if (pit == pending_hosts_.end()) {
-          fail("pending-spot index holds stale host " + instance.ToString() +
-               " for " + market.ToString());
-          continue;
-        }
-        // The joinable subset mirrors room: in iff a nested slot is free.
-        const bool has_room =
-            static_cast<int>(pit->second.waiting.size()) < slots;
-        const bool joinable = jbucket != joinable_spot_index_.end() &&
-                              jbucket->second.contains(instance);
-        if (has_room != joinable) {
-          fail(instance.ToString() +
-               (joinable ? " joinable while full"
-                         : " has room but is not joinable"));
-        }
+    // A launch is joinable exactly when it is a pending, non-spare spot
+    // launch with a free nested slot; counting those catches stale entries.
+    size_t joinable = 0;
+    for (const auto& [instance, pending] : pending_hosts_) {
+      const bool has_room =
+          pending.is_spot && !pending.is_hot_spare &&
+          static_cast<int>(pending.waiting.size()) < SpotSlots(pending.market);
+      const auto jbucket = joinable_spot_index_.find(pending.market);
+      const bool indexed = jbucket != joinable_spot_index_.end() &&
+                           jbucket->second.contains(instance);
+      if (has_room != indexed) {
+        fail(instance.ToString() + (indexed ? " joinable while full"
+                                            : " has room but is not joinable"));
       }
+      joinable += has_room ? 1 : 0;
     }
+    size_t joinable_entries = 0;
     for (const auto& [market, bucket] : joinable_spot_index_) {
-      const auto pit = pending_spot_index_.find(market);
-      for (InstanceId instance : bucket) {
-        if (pit == pending_spot_index_.end() ||
-            !pit->second.contains(instance)) {
-          fail("joinable-spot index holds stale host " + instance.ToString() +
-               " for " + market.ToString());
-        }
-      }
+      joinable_entries += bucket.size();
+    }
+    if (joinable_entries != joinable) {
+      fail("joinable-spot index holds a stale host");
     }
     if (hot_spare_set_.size() != hot_spare_order_.size()) {
       fail("hot-spare set and order list drifted");

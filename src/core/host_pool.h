@@ -1,34 +1,37 @@
 // Host pool management: the controller component that owns every running
 // and pending host, hot spares, and the indexes behind placement lookups.
 //
-// The pool keeps two families of per-MarketKey indexes so the placement hot
-// path never scans the whole fleet:
+// The pool keeps three per-MarketKey indexes of spot hosts so the
+// placement hot path never scans the whole fleet. Only spot hosts are
+// indexed: placement and repatriation look for room on spot hosts, while
+// on-demand hosts are filled by the waiters they were launched for.
 //
-//   * capacity indexes (one for spot, one for on-demand): the InstanceIds of
-//     every placeable host of a market, ordered by id. Hot spares are
-//     excluded until promoted. Because InstanceIds are allocated
-//     monotonically at acquisition, id order IS acquisition order -- and,
-//     critically, it equals the iteration order of the old whole-fleet
-//     std::map scan, so FindHostWithCapacity selects bit-identically to the
-//     pre-index controller. (A readiness-ordered list would NOT: launch
-//     latencies reorder readiness relative to acquisition.)
+//   * the capacity index: the InstanceIds of every spot host of a market,
+//     ordered by id. Because InstanceIds are allocated monotonically at
+//     acquisition, id order IS acquisition order -- and, critically, it
+//     equals the iteration order of the old whole-fleet std::map scan, so
+//     FindHostWithCapacity selects bit-identically to the pre-index
+//     controller. (A readiness-ordered list would NOT: launch latencies
+//     reorder readiness relative to acquisition.)
 //
-//   * placeable sub-indexes (spot and on-demand): the subset of each
-//     capacity index with at least one standard nested slot free, kept in
-//     sync by a HostOccupancyListener hook on every AddVm/RemoveVm. The
-//     placement hot path walks this subset, so a market full of packed
-//     hosts costs O(1) instead of O(hosts of the market). Exact for specs
-//     at least one slot large (the common case: every acceptable host is
-//     in the subset, re-checked with CanHost in the same id order);
-//     smaller bespoke specs fall back to the full capacity index.
+//   * the placeable sub-index: the subset of the capacity index with at
+//     least one standard nested slot free, kept in sync by a
+//     HostOccupancyListener hook on every AddVm/RemoveVm. The placement hot
+//     path walks this subset, so a market full of packed hosts costs O(1)
+//     instead of O(hosts of the market). Exact for specs at least one slot
+//     large (the common case: every acceptable host is in the subset,
+//     re-checked with CanHost in the same id order); smaller bespoke specs
+//     fall back to the full capacity index.
 //
-//   * a pending-spot index plus its joinable subset: non-hot-spare spot
-//     launches per market, and the ones that still have a free nested
-//     slot, so QueueOrAcquireSpot joins an in-flight host (the slicing
-//     arbitrage) in O(log n) instead of scanning every pending
-//     acquisition. Waiters never leave a pending host before it resolves,
-//     so fullness is monotone and the joinable subset's minimum id is
+//   * the joinable index: non-hot-spare spot launches per market that still
+//     have a free nested slot, so QueueOrAcquireSpot joins an in-flight
+//     host (the slicing arbitrage) in O(log n) instead of scanning every
+//     pending acquisition. Waiters never leave a pending host before it
+//     resolves, so fullness is monotone and the index's minimum id is
 //     exactly the host the old first-with-room scan picked.
+//
+// Hot spares are on-demand hosts, so no index holds them; promoting one
+// only takes it out of the reserve.
 //
 // Aggregate accounting (host count, fleet capacity/used MB, queued
 // waiters) is maintained incrementally at the same mutation sites and
@@ -99,10 +102,10 @@ class HostPoolManager : public HostOccupancyListener {
 
   // --- Placement lookups --------------------------------------------------
 
-  // First host of `market` (spot or on-demand side) that can take `spec`,
-  // in acquisition order; skips hot spares and non-running natives. O(hosts
-  // of that one market), not O(all hosts).
-  HostVm* FindHostWithCapacity(const MarketKey& market, bool spot,
+  // First spot host of `market` that can take `spec`, in acquisition
+  // order; skips non-running natives. O(hosts of that one market), not
+  // O(all hosts).
+  HostVm* FindHostWithCapacity(const MarketKey& market,
                                const NestedVmSpec& spec);
   // Spot hosts of `market` in acquisition order (snapshot; callers mutate
   // residency while iterating).
@@ -134,8 +137,8 @@ class HostPoolManager : public HostOccupancyListener {
   const std::vector<InstanceId>& hot_spare_hosts() const {
     return hot_spare_order_;
   }
-  // Turns a spare into a regular placeable host (it joins the capacity
-  // index); returns the host, or null when unknown.
+  // Turns a spare into a regular on-demand host; returns the host, or null
+  // when unknown.
   HostVm* PromoteHotSpare(InstanceId instance);
 
   // --- Introspection ------------------------------------------------------
@@ -171,17 +174,11 @@ class HostPoolManager : public HostOccupancyListener {
   // HostOccupancyListener: keeps total_used_mb_ and the placeable
   // sub-index in step with every AddVm/RemoveVm on a pooled host.
   void OnHostOccupancyChanged(HostVm& host, double used_delta_mb) override;
-  std::set<InstanceId>& CapacityIndex(const MarketKey& market, bool spot) {
-    return (spot ? spot_index_ : ondemand_index_)[market];
-  }
-  std::set<InstanceId>& PlaceableIndex(const MarketKey& market, bool spot) {
-    return (spot ? placeable_spot_index_ : placeable_ondemand_index_)[market];
-  }
   // Memory of one standard nested slot (config.nested_type); the placeable
   // sub-index admits hosts with at least this much free.
   double PlaceableThresholdMb() const;
-  // Recomputes `host`'s membership in the placeable sub-index (in iff
-  // capacity-indexed, i.e. not a hot spare, with a standard slot free).
+  // Recomputes `host`'s membership in the placeable sub-index (in iff a
+  // spot host with a standard slot free).
   void RefreshPlaceable(const HostVm& host);
   int SpotSlots(const MarketKey& market) const;
 
@@ -190,15 +187,11 @@ class HostPoolManager : public HostOccupancyListener {
   // handed to the components), O(1) id lookups, id-order iteration.
   FleetTable<InstanceTag, HostVm> hosts_;
   std::map<InstanceId, PendingHost> pending_hosts_;
-  // Per-market capacity indexes (see file comment); hot spares excluded.
+  // Per-market spot host indexes (see file comment).
   std::map<MarketKey, std::set<InstanceId>> spot_index_;
-  std::map<MarketKey, std::set<InstanceId>> ondemand_index_;
-  // The placeable subset of each capacity index (standard slot free).
+  // The placeable subset of spot_index_ (standard slot free).
   std::map<MarketKey, std::set<InstanceId>> placeable_spot_index_;
-  std::map<MarketKey, std::set<InstanceId>> placeable_ondemand_index_;
-  // Non-hot-spare spot launches per market, for QueueOrAcquireSpot...
-  std::map<MarketKey, std::set<InstanceId>> pending_spot_index_;
-  // ...and the subset that still has a free nested slot to join.
+  // Pending non-hot-spare spot launches with a free nested slot to join.
   std::map<MarketKey, std::set<InstanceId>> joinable_spot_index_;
   // Hot spares: readiness-ordered pick list + O(log n) membership.
   std::vector<InstanceId> hot_spare_order_;

@@ -10,7 +10,6 @@
 #include "src/core/event_log.h"
 #include "src/core/host_pool.h"
 #include "src/net/connection_tracker.h"
-#include "src/net/nat_table.h"
 #include "src/net/vpc.h"
 #include "src/policy/registry.h"
 #include "src/virt/activity_log.h"
@@ -52,8 +51,7 @@ void PlacementEngine::PlaceVm(NestedVm& vm) {
     placing_spans_[vm.id()] = span;
   }
   const ScopedTraceParent trace_parent(ctx_->tracer, span);
-  if (HostVm* host =
-          ctx_->pool->FindHostWithCapacity(pool, /*spot=*/true, vm.spec())) {
+  if (HostVm* host = ctx_->pool->FindHostWithCapacity(pool, vm.spec())) {
     AttachVmToHost(vm, *host);
     return;
   }
@@ -97,7 +95,7 @@ void PlacementEngine::AttachVmToHost(NestedVm& vm, HostVm& host) {
     // the customer's first VM becomes the public head of its subnet.
     const auto ip = ctx_->vpc->AssignPrivateIp(vm.customer(), vm.id());
     if (ip.has_value()) {
-      ctx_->network->MoveAddress(*ip, host.instance(), vm.id());
+      ctx_->vpc->MoveAddress(vm.id(), host.instance());
       if (!ctx_->vpc->PublicHead(vm.customer()).has_value()) {
         ctx_->vpc->SetPublicHead(vm.customer(), vm.id());
       }
@@ -157,10 +155,8 @@ void PlacementEngine::DetachVmFromCurrentHost(NestedVm& vm) {
 }
 
 void PlacementEngine::RebindNetwork(NestedVm& vm, SimDuration outage) {
-  const auto ip = ctx_->vpc->IpOf(vm.id());
-  const HostVm* host = ctx_->pool->GetHost(vm.host());
-  if (ip.has_value() && host != nullptr) {
-    ctx_->network->MoveAddress(*ip, host->instance(), vm.id());
+  if (ctx_->pool->GetHost(vm.host()) != nullptr) {
+    ctx_->vpc->MoveAddress(vm.id(), vm.host());
   }
   ctx_->connections->ApplyOutage(vm.id(), outage);
 }

@@ -115,8 +115,7 @@ void RepatriationScheduler::TryRepatriate(const MarketKey& key) {
     if (current != nullptr && current->is_spot()) {
       continue;  // already back on spot
     }
-    HostVm* host = ctx_->pool->FindHostWithCapacity(key, /*spot=*/true,
-                                                    vm.spec());
+    HostVm* host = ctx_->pool->FindHostWithCapacity(key, vm.spec());
     if (host != nullptr && !host->AddVm(vm.id(), vm.spec())) {
       host = nullptr;  // lost the capacity race; fall back to a fresh host
     }

@@ -1,13 +1,16 @@
-// HostPoolManager component tests: the per-market capacity indexes, the
-// pending-spot join index, hot-spare reservation/promotion, and host
-// lifecycle -- exercised against a hand-wired ControllerContext instead of
-// the full SpotCheckController facade.
+// HostPoolManager component tests: the per-market spot capacity indexes
+// (checked against a naive scan), the joinable index of pending launches,
+// hot-spare reservation/promotion, and host lifecycle -- exercised against
+// a hand-wired ControllerContext instead of the full SpotCheckController
+// facade.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <random>
 #include <utility>
+#include <vector>
 
 #include "src/backup/backup_pool.h"
 #include "src/cloud/native_cloud.h"
@@ -21,7 +24,6 @@
 #include "src/core/storm_tracker.h"
 #include "src/market/spot_market.h"
 #include "src/net/connection_tracker.h"
-#include "src/net/nat_table.h"
 #include "src/net/vpc.h"
 #include "src/policy/policy_spec.h"
 #include "src/policy/registry.h"
@@ -56,7 +58,6 @@ struct PoolHarness {
     ctx.backup_pool = &backup_pool;
     ctx.storms = &storms;
     ctx.vpc = &vpc;
-    ctx.network = &network;
     ctx.connections = &connections;
     ctx.vms = &vms;
     bid = CreateBidStrategyOrDie(PolicySpec{}.bid);
@@ -80,9 +81,11 @@ struct PoolHarness {
   }
 
   NestedVm& NewVm() {
+    return NewVm(MakeVmSpec(config.nested_type, config.workload));
+  }
+  NestedVm& NewVm(const NestedVmSpec& spec) {
     const NestedVmId id = vm_ids.Next();
-    return vms.Emplace(id, id, customer,
-                       MakeVmSpec(config.nested_type, config.workload));
+    return vms.Emplace(id, id, customer, spec);
   }
 
   // Launches one host in `market` and returns it once it is up. The launch
@@ -127,7 +130,6 @@ struct PoolHarness {
   BackupPool backup_pool;
   RevocationStormTracker storms;
   VirtualPrivateCloud vpc;
-  HostNetworkPlane network;
   ConnectionTracker connections;
   FleetTable<NestedVmTag, NestedVm> vms;
   std::unique_ptr<BidStrategy> bid;
@@ -150,7 +152,7 @@ TEST(HostPoolTest, CapacityIndexFindsHostsInAcquisitionOrder) {
 
   const InstanceId first = h.pool->Hosts().front()->instance();
   const NestedVmSpec spec = MakeVmSpec(h.config.nested_type, h.config.workload);
-  HostVm* found = h.pool->FindHostWithCapacity(kLargePool, /*spot=*/true, spec);
+  HostVm* found = h.pool->FindHostWithCapacity(kLargePool, spec);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->instance(), first);  // earliest acquisition wins
 
@@ -161,15 +163,12 @@ TEST(HostPoolTest, CapacityIndexFindsHostsInAcquisitionOrder) {
   for (int i = 0; i < slots; ++i) {
     h.Settle(h.NewVm(), *found);
   }
-  HostVm* next = h.pool->FindHostWithCapacity(kLargePool, /*spot=*/true, spec);
+  HostVm* next = h.pool->FindHostWithCapacity(kLargePool, spec);
   ASSERT_NE(next, nullptr);
   EXPECT_NE(next->instance(), first);
 
-  // Wrong side / wrong market buckets stay empty.
-  EXPECT_EQ(h.pool->FindHostWithCapacity(kLargePool, /*spot=*/false, spec),
-            nullptr);
-  EXPECT_EQ(h.pool->FindHostWithCapacity(kHomePool, /*spot=*/true, spec),
-            nullptr);
+  // Another market's bucket stays empty.
+  EXPECT_EQ(h.pool->FindHostWithCapacity(kHomePool, spec), nullptr);
 
   std::string error;
   EXPECT_TRUE(h.pool->ValidateInvariants(&error)) << error;
@@ -215,19 +214,14 @@ TEST(HostPoolTest, HotSparesAreReservedUntilPromoted) {
 
   const InstanceId spare = h.pool->hot_spare_hosts().front();
   EXPECT_TRUE(h.pool->IsHotSpare(spare));
-  // Idle spares survive release sweeps and are invisible to placement.
+  // Idle spares survive release sweeps.
   h.pool->MaybeReleaseHost(spare);
   EXPECT_NE(h.pool->GetHost(spare), nullptr);
-  const NestedVmSpec spec = MakeVmSpec(h.config.nested_type, h.config.workload);
-  EXPECT_EQ(h.pool->FindHostWithCapacity(kHomePool, /*spot=*/false, spec),
-            nullptr);
 
   HostVm* promoted = h.pool->PromoteHotSpare(spare);
   ASSERT_NE(promoted, nullptr);
   EXPECT_FALSE(h.pool->IsHotSpare(spare));
   EXPECT_EQ(h.pool->hot_spare_hosts().size(), 1u);
-  EXPECT_EQ(h.pool->FindHostWithCapacity(kHomePool, /*spot=*/false, spec),
-            promoted);
 
   // Replenishment tops the spare set back up to the configured level.
   h.pool->ReplenishHotSpares();
@@ -254,8 +248,7 @@ TEST(HostPoolTest, EmptyHostsAreTerminatedAndUnindexed) {
   h.pool->MaybeReleaseHost(instance);
   EXPECT_EQ(h.pool->GetHost(instance), nullptr);
   const NestedVmSpec spec = MakeVmSpec(h.config.nested_type, h.config.workload);
-  EXPECT_EQ(h.pool->FindHostWithCapacity(kHomePool, /*spot=*/true, spec),
-            nullptr);
+  EXPECT_EQ(h.pool->FindHostWithCapacity(kHomePool, spec), nullptr);
   const Instance* native = h.cloud.GetInstance(instance);
   ASSERT_NE(native, nullptr);
   EXPECT_EQ(native->state, InstanceState::kTerminated);
@@ -279,6 +272,89 @@ TEST(HostPoolTest, InvariantsFlagLeakedDeadResident) {
   vm.set_state(NestedVmState::kFailed);
   EXPECT_FALSE(h.pool->ValidateInvariants(&error));
   EXPECT_NE(error.find("retains dead VM"), std::string::npos) << error;
+}
+
+// Naive reference for FindHostWithCapacity: the first host, in id order,
+// that is spot, in `market`, has a running native instance and can take
+// `spec`.
+const HostVm* ScanForHost(const PoolHarness& h, const MarketKey& market,
+                          const NestedVmSpec& spec) {
+  for (const HostVm* host : h.pool->Hosts()) {
+    if (!host->is_spot() || !(host->market() == market) ||
+        !host->CanHost(spec)) {
+      continue;
+    }
+    const Instance* native = h.cloud.GetInstance(host->instance());
+    if (native != nullptr && native->state == InstanceState::kRunning) {
+      return host;
+    }
+  }
+  return nullptr;
+}
+
+TEST(HostPoolTest, PlacementMatchesNaiveScanReferenceModel) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    PoolHarness h;
+    h.config.hot_spares = 2;  // on-demand spares in the home market
+    h.pool->ReplenishHotSpares();
+    h.sim.RunUntil(SimTime::FromSeconds(600));
+    const NestedVmSpec standard =
+        MakeVmSpec(h.config.nested_type, h.config.workload);
+    NestedVmSpec half = standard;  // leaves sub-slot headroom behind
+    half.memory_mb = standard.memory_mb / 2;
+    const NestedVmSpec* const specs[] = {&standard, &half};
+    std::mt19937_64 rng(seed);
+    std::vector<NestedVm*> settled;
+    int picks = 0;          // lookups that found a host
+    int sub_slot_only = 0;  // only the sub-slot spec fits anywhere
+    for (int step = 0; step < 400; ++step) {
+      const uint64_t op = rng() % 10;
+      const std::vector<const HostVm*> hosts = h.pool->Hosts();
+      if (op < 1 || hosts.empty()) {
+        h.LaunchHost(rng() % 2 == 0 ? kHomePool : kLargePool,
+                     /*is_spot=*/rng() % 4 != 0);
+      } else if (op < 6) {
+        const NestedVmSpec& spec = rng() % 3 == 0 ? half : standard;
+        HostVm* host = h.pool->GetMutableHost(
+            hosts[rng() % hosts.size()]->instance());
+        if (!h.pool->IsHotSpare(host->instance()) && host->CanHost(spec)) {
+          NestedVm& vm = h.NewVm(spec);
+          h.Settle(vm, *host);
+          settled.push_back(&vm);
+        }
+      } else if (op < 9) {
+        if (!settled.empty()) {
+          const size_t victim = rng() % settled.size();
+          NestedVm& vm = *settled[victim];
+          h.pool->GetMutableHost(vm.host())->RemoveVm(vm.id(), vm.spec());
+          vm.set_state(NestedVmState::kTerminated);
+          vm.set_host(InstanceId());
+          settled[victim] = settled.back();
+          settled.pop_back();
+        }
+      } else {
+        h.pool->MaybeReleaseHost(hosts[rng() % hosts.size()]->instance());
+      }
+      for (const MarketKey& market : {kHomePool, kLargePool}) {
+        for (const NestedVmSpec* spec : specs) {
+          const HostVm* expected = ScanForHost(h, market, *spec);
+          ASSERT_EQ(h.pool->FindHostWithCapacity(market, *spec), expected)
+              << "step " << step << " market " << market.ToString()
+              << " memory " << spec->memory_mb;
+          picks += expected != nullptr ? 1 : 0;
+        }
+        sub_slot_only += ScanForHost(h, market, standard) == nullptr &&
+                         ScanForHost(h, market, half) != nullptr;
+      }
+      if (step % 50 == 0) {
+        std::string error;
+        ASSERT_TRUE(h.pool->ValidateInvariants(&error)) << error;
+      }
+    }
+    EXPECT_GT(picks, 0);
+    EXPECT_GT(sub_slot_only, 0);
+  }
 }
 
 }  // namespace

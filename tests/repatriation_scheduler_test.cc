@@ -21,7 +21,6 @@
 #include "src/core/storm_tracker.h"
 #include "src/market/spot_market.h"
 #include "src/net/connection_tracker.h"
-#include "src/net/nat_table.h"
 #include "src/net/vpc.h"
 #include "src/policy/policy_spec.h"
 #include "src/policy/registry.h"
@@ -54,7 +53,6 @@ struct SchedulerHarness {
     ctx.backup_pool = &backup_pool;
     ctx.storms = &storms;
     ctx.vpc = &vpc;
-    ctx.network = &network;
     ctx.connections = &connections;
     ctx.vms = &vms;
     SetBid(PolicySpec{}.bid);
@@ -133,7 +131,6 @@ struct SchedulerHarness {
   BackupPool backup_pool;
   RevocationStormTracker storms;
   VirtualPrivateCloud vpc;
-  HostNetworkPlane network;
   ConnectionTracker connections;
   FleetTable<NestedVmTag, NestedVm> vms;
   std::unique_ptr<BidStrategy> bid;
