@@ -26,9 +26,9 @@
 #include "src/core/storm_tracker.h"
 #include "src/market/spot_price_process.h"
 #include "src/market/trace_catalog.h"
-#include "src/net/connection_tracker.h"
 #include "src/net/vpc.h"
 #include "src/policy/policy_spec.h"
+#include "src/policy/registry.h"
 #include "src/sim/simulator.h"
 #include "src/virt/migration_engine.h"
 #include "src/virt/migration_models.h"
@@ -142,7 +142,6 @@ void BM_PlacementFindHostAt1kHosts(benchmark::State& state) {
   BackupPool backup_pool;
   RevocationStormTracker storms;
   VirtualPrivateCloud vpc;
-  ConnectionTracker connections;
   FleetTable<NestedVmTag, NestedVm> vms;
   ControllerContext ctx;
   ctx.sim = &sim;
@@ -155,8 +154,10 @@ void BM_PlacementFindHostAt1kHosts(benchmark::State& state) {
   ctx.backup_pool = &backup_pool;
   ctx.storms = &storms;
   ctx.vpc = &vpc;
-  ctx.connections = &connections;
   ctx.vms = &vms;
+  const std::unique_ptr<BidStrategy> bid =
+      CreateBidStrategyOrDie(PolicySpec{}.bid);
+  ctx.bid = bid.get();
   HostPoolManager pool(&ctx);
   ctx.pool = &pool;
   PlacementEngine placement(&ctx);

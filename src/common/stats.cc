@@ -108,22 +108,6 @@ std::vector<EmpiricalDistribution::CdfPoint> EmpiricalDistribution::CdfSeries(
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-void Histogram::Add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<int64_t>((x - lo_) / width);
-  bin = std::clamp<int64_t>(bin, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::BinCenter(size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * width;
-}
-
 double PearsonCorrelation(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() != ys.size() || xs.size() < 2) {
     return 0.0;

@@ -73,25 +73,6 @@ class EmpiricalDistribution {
   mutable bool sorted_ = true;
 };
 
-// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double x);
-  int64_t bin_count(size_t bin) const { return counts_[bin]; }
-  size_t num_bins() const { return counts_.size(); }
-  int64_t total() const { return total_; }
-  double BinCenter(size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
-
 // Pearson correlation coefficient of two equal-length series.
 // Returns 0 when either series has zero variance or lengths mismatch.
 double PearsonCorrelation(std::span<const double> xs, std::span<const double> ys);

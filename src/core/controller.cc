@@ -37,7 +37,6 @@ SpotCheckController::SpotCheckController(Simulator* sim, NativeCloud* cloud,
   ctx_.backup_pool = &backup_pool_;
   ctx_.storms = &storms_;
   ctx_.vpc = &vpc_;
-  ctx_.connections = &connections_;
   ctx_.vms = &vms_;
   // Own the bid strategy every component consults through ctx_.bid.
   policy_spec_ = config_.policy_spec.value_or(PolicySpec{});

@@ -49,7 +49,6 @@
 #include "src/core/placement.h"
 #include "src/core/repatriation.h"
 #include "src/core/storm_tracker.h"
-#include "src/net/connection_tracker.h"
 #include "src/net/vpc.h"
 #include "src/policy/policy_spec.h"
 #include "src/policy/strategy.h"
@@ -103,11 +102,8 @@ class SpotCheckController {
   const PolicySpec& policy_spec() const { return policy_spec_; }
   const BidStrategy& bid_strategy() const { return *bid_strategy_; }
   // Network state: each nested VM keeps one stable private address whose
-  // NAT binding follows it from host to host (Fig. 4); client connections
-  // survive any outage shorter than their timeout.
+  // NAT binding follows it from host to host (Fig. 4).
   const VirtualPrivateCloud& vpc() const { return vpc_; }
-  ConnectionTracker& connections() { return connections_; }
-  const ConnectionTracker& connections() const { return connections_; }
 
   struct CostReport {
     double native_cost = 0.0;   // spot + on-demand instance spend ($)
@@ -179,7 +175,6 @@ class SpotCheckController {
   BackupPool backup_pool_;
   RevocationStormTracker storms_;
   VirtualPrivateCloud vpc_;
-  ConnectionTracker connections_;
 
   IdGenerator<CustomerTag> customer_ids_;
   IdGenerator<NestedVmTag> vm_ids_;

@@ -44,7 +44,6 @@ class MigrationEngine;
 class BackupPool;
 class RevocationStormTracker;
 class VirtualPrivateCloud;
-class ConnectionTracker;
 class HostPoolManager;
 class PlacementEngine;
 class EvacuationCoordinator;
@@ -76,7 +75,6 @@ struct ControllerContext {
   BackupPool* backup_pool = nullptr;
   RevocationStormTracker* storms = nullptr;
   VirtualPrivateCloud* vpc = nullptr;
-  ConnectionTracker* connections = nullptr;
   // Fleet-scale VM table: arena-stored records with stable references (the
   // components capture NestedVm& in event lambdas) and O(1) id lookups.
   FleetTable<NestedVmTag, NestedVm>* vms = nullptr;

@@ -405,7 +405,7 @@ void EvacuationCoordinator::FinalizeEvacuation(NestedVm& vm,
     ctx_->cloud->AttachVolume(vm.root_volume(), dest->instance());
     ctx_->cloud->AssignAddress(vm.address(), dest->instance());
   }
-  ctx_->placement->RebindNetwork(vm, outcome.downtime);
+  ctx_->placement->RebindNetwork(vm);
   TraceAttrNum(ctx_->tracer, evac.span, "downtime_s",
                outcome.downtime.seconds());
   TraceAttrNum(ctx_->tracer, evac.span, "degraded_s",

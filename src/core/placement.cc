@@ -9,7 +9,6 @@
 #include "src/core/controller_config.h"
 #include "src/core/event_log.h"
 #include "src/core/host_pool.h"
-#include "src/net/connection_tracker.h"
 #include "src/net/vpc.h"
 #include "src/policy/registry.h"
 #include "src/virt/activity_log.h"
@@ -141,9 +140,7 @@ void PlacementEngine::MoveVmToHost(NestedVm& vm, HostVm& destination) {
   AssignBackup(vm);
   ctx_->cloud->AttachVolume(vm.root_volume(), destination.instance());
   ctx_->cloud->AssignAddress(vm.address(), destination.instance());
-  // Live migrations pause for well under any TCP timeout; rebinding the
-  // address keeps established connections alive.
-  RebindNetwork(vm, SimDuration::Millis(200));
+  RebindNetwork(vm);
   ctx_->pool->MaybeReleaseHost(old_host_id);
 }
 
@@ -154,11 +151,10 @@ void PlacementEngine::DetachVmFromCurrentHost(NestedVm& vm) {
   vm.set_host(InstanceId());
 }
 
-void PlacementEngine::RebindNetwork(NestedVm& vm, SimDuration outage) {
+void PlacementEngine::RebindNetwork(NestedVm& vm) {
   if (ctx_->pool->GetHost(vm.host()) != nullptr) {
     ctx_->vpc->MoveAddress(vm.id(), vm.host());
   }
-  ctx_->connections->ApplyOutage(vm.id(), outage);
 }
 
 HostVm* PlacementEngine::PickSpareDestination(const NestedVmSpec& spec) {

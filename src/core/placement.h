@@ -50,9 +50,8 @@ class PlacementEngine {
   // volume/address/NAT to `destination`, releases the old host when empty.
   void MoveVmToHost(NestedVm& vm, HostVm& destination);
   void DetachVmFromCurrentHost(NestedVm& vm);
-  // Re-binds the VM's private address to its current host and charges the
-  // migration outage to its client connections.
-  void RebindNetwork(NestedVm& vm, SimDuration outage);
+  // Re-binds the VM's private address to its current host.
+  void RebindNetwork(NestedVm& vm);
 
   // First ready hot spare that fits `spec`; promotes it to a regular host.
   HostVm* PickSpareDestination(const NestedVmSpec& spec);

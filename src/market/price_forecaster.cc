@@ -1,32 +1,14 @@
 #include "src/market/price_forecaster.h"
 
-#include <cmath>
-
 namespace spotcheck {
-
-std::string_view PriceRegimeName(PriceRegime regime) {
-  switch (regime) {
-    case PriceRegime::kCalm:
-      return "calm";
-    case PriceRegime::kElevated:
-      return "elevated";
-    case PriceRegime::kSpike:
-      return "spike";
-  }
-  return "unknown";
-}
 
 void PriceForecaster::Observe(SimTime t, double price) {
   (void)t;  // EWMAs are per-observation, like RevocationPredictor's.
   if (!primed_) {
     mean_ = price;
-    var_ = 0.0;
     primed_ = true;
   } else {
-    const double deviation = price - mean_;
-    mean_ += config_.mean_alpha * deviation;
-    var_ = config_.var_alpha * deviation * deviation +
-           (1.0 - config_.var_alpha) * var_;
+    mean_ += config_.mean_alpha * (price - mean_);
   }
   last_price_ = price;
 }
@@ -43,12 +25,6 @@ size_t PriceForecaster::ObserveTrace(const PriceTrace& trace, size_t from_index,
   }
   return i;
 }
-
-double PriceForecaster::volatility() const {
-  return var_ > 0.0 ? std::sqrt(var_) : 0.0;
-}
-
-double PriceForecaster::Upper(double z) const { return mean_ + z * volatility(); }
 
 PriceRegime PriceForecaster::regime() const {
   if (!primed_ || mean_ <= 0.0) {

@@ -3,10 +3,9 @@
 // The index-tracking allocator (ROADMAP item 3, after Shastri & Irwin's
 // "Cloud Index Tracking") needs a per-market estimate of the near-future
 // price, not just the last observation: allocation weights computed from raw
-// change points whipsaw on every spike. PriceForecaster keeps two EWMAs per
-// market -- the smoothed price level and the smoothed squared deviation --
-// and classifies the instantaneous price against the smoothed level into
-// three regimes:
+// change points whipsaw on every spike. PriceForecaster keeps an EWMA of the
+// price level per market and classifies the instantaneous price against it
+// into three regimes:
 //
 //   kCalm      price near or below the smoothed level: trust the forecast
 //   kElevated  price noticeably above it: a spike may be starting
@@ -24,7 +23,6 @@
 #define SRC_MARKET_PRICE_FORECASTER_H_
 
 #include <cstddef>
-#include <string_view>
 
 #include "src/common/time.h"
 #include "src/market/price_trace.h"
@@ -37,12 +35,9 @@ enum class PriceRegime : int {
   kSpike = 2,
 };
 
-std::string_view PriceRegimeName(PriceRegime regime);
-
 struct PriceForecasterConfig {
-  // EWMA smoothing per observation for the level and the variance proxy.
+  // EWMA smoothing per observation for the level.
   double mean_alpha = 0.2;
-  double var_alpha = 0.2;
   // price / smoothed-level ratios that promote the regime.
   double elevated_ratio = 1.25;
   double spike_ratio = 2.0;
@@ -66,11 +61,6 @@ class PriceForecaster {
   // The forecast price level ($/hr): the EWMA mean. 0 before any
   // observation.
   double forecast() const { return mean_; }
-  // Smoothed standard deviation of observations around the mean.
-  double volatility() const;
-  // forecast + z * volatility: a conservative cost estimate for allocators
-  // that want to penalize jittery markets.
-  double Upper(double z) const;
   // Regime of the most recent observation relative to the smoothed level.
   PriceRegime regime() const;
 
@@ -78,7 +68,6 @@ class PriceForecaster {
   PriceForecasterConfig config_;
   bool primed_ = false;
   double mean_ = 0.0;
-  double var_ = 0.0;
   double last_price_ = 0.0;
 };
 

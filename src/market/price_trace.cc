@@ -1,11 +1,23 @@
 #include "src/market/price_trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "src/common/csv.h"
 
 namespace spotcheck {
+namespace {
+
+// The whole field must be one finite number.
+bool ParseFinite(const std::string& field, double* out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
+}  // namespace
 
 PriceTrace::PriceTrace(std::vector<PricePoint> points) {
   times_us_.reserve(points.size());
@@ -13,14 +25,6 @@ PriceTrace::PriceTrace(std::vector<PricePoint> points) {
   for (const PricePoint& p : points) {
     Append(p.time, p.price);
   }
-}
-
-SimTime PriceTrace::start() const {
-  return empty() ? SimTime() : SimTime::FromMicros(times_us_.front());
-}
-
-SimTime PriceTrace::end() const {
-  return empty() ? SimTime() : SimTime::FromMicros(times_us_.back());
 }
 
 size_t PriceTrace::UpperBound(int64_t t_us) const {
@@ -211,12 +215,18 @@ PriceTrace PriceTrace::FromCsv(const std::string& text) {
   const CsvReader reader = CsvReader::FromString(text, /*has_header=*/false);
   std::vector<PricePoint> points;
   points.reserve(reader.rows().size());
+  // 2^63: the first microsecond count SimTime cannot hold.
+  constexpr double kMicrosLimit =
+      static_cast<double>(std::numeric_limits<int64_t>::max());
   for (const auto& row : reader.rows()) {
-    if (row.size() < 2) {
-      continue;
+    double seconds = 0.0;
+    double price = 0.0;
+    if (row.size() != 2 || !ParseFinite(row[0], &seconds) ||
+        !ParseFinite(row[1], &price) || seconds < 0.0 ||
+        seconds * 1e6 >= kMicrosLimit) {
+      return PriceTrace();
     }
-    points.push_back(
-        {SimTime::FromSeconds(std::stod(row[0])), std::stod(row[1])});
+    points.push_back({SimTime::FromSeconds(seconds), price});
   }
   std::sort(points.begin(), points.end(),
             [](const PricePoint& a, const PricePoint& b) { return a.time < b.time; });

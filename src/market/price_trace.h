@@ -38,8 +38,6 @@ class PriceTrace {
 
   bool empty() const { return times_us_.empty(); }
   size_t size() const { return times_us_.size(); }
-  SimTime start() const;
-  SimTime end() const;
 
   // Column access (structure-of-arrays), plus per-point accessors.
   const std::vector<int64_t>& times_us() const { return times_us_; }
@@ -102,7 +100,9 @@ class PriceTrace {
   };
   JumpSeries HourlyJumps(SimTime from, SimTime to) const;
 
-  // CSV round-trip; format: "seconds,price" per line, no header.
+  // CSV round-trip; format: "seconds,price" per line, no header. FromCsv
+  // returns an empty trace unless every row is exactly two finite numbers
+  // with a non-negative time that SimTime can represent.
   std::string ToCsv() const;
   static PriceTrace FromCsv(const std::string& text);
 

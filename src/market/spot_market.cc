@@ -49,13 +49,9 @@ void SpotMarket::set_metrics(MetricsRegistry* metrics) {
   price_changes_metric_ = &metrics->Counter("market.price_changes_fired");
 }
 
-int64_t SpotMarket::Subscribe(PriceListener listener) {
-  const int64_t id = next_listener_id_++;
-  listeners_[id] = std::move(listener);
-  return id;
+void SpotMarket::Subscribe(PriceListener listener) {
+  listeners_.push_back(std::move(listener));
 }
-
-void SpotMarket::Unsubscribe(int64_t id) { listeners_.erase(id); }
 
 void SpotMarket::Attach(Simulator* sim) {
   sim_ = sim;
@@ -86,20 +82,11 @@ void SpotMarket::FireListeners(double price) {
     return;
   }
   MetricInc(price_changes_metric_);
-  // Snapshot ids, not functions: listeners may subscribe during dispatch
-  // (they see the next change, same as before), and looking each id back
-  // up skips any listener unsubscribed mid-dispatch. Millions of fires per
-  // cell make per-fire std::function copies (a heap allocation apiece) the
-  // wrong trade. The id buffer is reused across fires.
-  dispatch_ids_.clear();
-  for (const auto& [id, listener] : listeners_) {
-    dispatch_ids_.push_back(id);
-  }
-  for (const int64_t id : dispatch_ids_) {
-    const auto it = listeners_.find(id);
-    if (it != listeners_.end()) {
-      it->second(*this, price);
-    }
+  // Only the listeners present when the fire began: one subscribed by a
+  // listener below hears the next change.
+  const size_t count = listeners_.size();
+  for (size_t i = 0; i < count; ++i) {
+    listeners_[i](*this, price);
   }
 }
 

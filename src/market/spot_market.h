@@ -9,6 +9,7 @@
 #define SRC_MARKET_SPOT_MARKET_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -54,9 +55,9 @@ class SpotMarket {
   void ClearPriceOverride();
   bool HasPriceOverride() const { return override_active_; }
 
-  // Registers a listener; returns an id usable with Unsubscribe.
-  int64_t Subscribe(PriceListener listener);
-  void Unsubscribe(int64_t id);
+  // Registers a listener for every later change, after those already
+  // registered. A listener registered during a fire hears the next change.
+  void Subscribe(PriceListener listener);
   size_t num_listeners() const { return listeners_.size(); }
 
   // Schedules the replay of all future price change points on `sim`.
@@ -77,9 +78,9 @@ class SpotMarket {
   mutable PriceTrace::Cursor now_cursor_;
   bool override_active_ = false;
   double override_price_ = 0.0;
-  int64_t next_listener_id_ = 0;
-  std::map<int64_t, PriceListener> listeners_;
-  std::vector<int64_t> dispatch_ids_;  // reused FireListeners scratch
+  // In subscription order. A deque, so a Subscribe during a fire never
+  // moves the listener that is running.
+  std::deque<PriceListener> listeners_;
   MetricCounter* price_lookups_metric_ = nullptr;
   MetricCounter* price_changes_metric_ = nullptr;
 };

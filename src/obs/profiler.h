@@ -43,8 +43,9 @@ class JsonWriter;
 // own event taxonomy (callbacks carry no type info beyond this).
 enum class ProfileCategory : uint8_t {
   kDispatchStream = 0,   // replay-stream fire (price-trace points)
-  kDispatchCallback,     // one-shot scheduled callback
-  kDispatchPeriodic,     // periodic tick
+  kDispatchCallback,     // scheduled callback
+  kDispatchPeriodic,     // nothing records it: the kernel has no periodic
+                         // events; kept because perfbench reads it
   kLadderMerge,          // SortTail: overflow-ladder tail merge
   kCalendarWrap,         // Wrap(): window advance + ladder drain + retune
   kLazyBucketSort,       // FindEarliest: sort a bucket's tail, merge it in

@@ -131,7 +131,6 @@ IndexTrackingPool::IndexTrackingPool(StrategySpec spec,
                             init.rng),
       spec_(std::move(spec)) {
   forecaster_config_.mean_alpha = alpha;
-  forecaster_config_.var_alpha = alpha;
   forecasters_.assign(candidates_.size(), PriceForecaster(forecaster_config_));
   next_point_.assign(candidates_.size(), 0);
   placements_.assign(candidates_.size(), 0);

@@ -48,7 +48,6 @@ Simulator::Simulator(MetricsRegistry* metrics, SpanTracer* tracer,
   if (metrics != nullptr) {
     events_scheduled_metric_ = &metrics->Counter("sim.events_scheduled");
     events_fired_metric_ = &metrics->Counter("sim.events_fired");
-    events_cancelled_metric_ = &metrics->Counter("sim.events_cancelled");
     calendar_wraps_metric_ = &metrics->Counter("sim.calendar.wraps");
     heap_depth_metric_ = &metrics->Gauge("sim.heap_depth");
   }
@@ -59,31 +58,14 @@ Simulator::Simulator(MetricsRegistry* metrics, SpanTracer* tracer,
 }
 
 uint32_t Simulator::AllocSlot(EventCallback callback) {
-  uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slots_.emplace_back();
-    slot = static_cast<uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.push_back(std::move(callback));
+    return static_cast<uint32_t>(slots_.size());
   }
-  Slot& s = slots_[slot - 1];
-  s.callback = std::move(callback);
-  s.period = SimDuration::Zero();
-  s.live = true;
-  s.cancelled = false;
-  s.periodic = false;
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot - 1] = std::move(callback);
   return slot;
-}
-
-void Simulator::ReleaseSlot(uint32_t slot) {
-  Slot& s = slots_[slot - 1];
-  ++s.generation;  // Invalidate every handle issued under the old generation.
-  s.callback = EventCallback();
-  s.live = false;
-  s.cancelled = false;
-  s.periodic = false;
-  free_slots_.push_back(slot);
 }
 
 void Simulator::OverflowAppend(const QueuedEvent& ev) {
@@ -318,8 +300,8 @@ Simulator::QueuedEvent Simulator::PopEarliest() {
   return ev;
 }
 
-void Simulator::PushEvent(SimTime when, uint32_t slot, uint32_t generation) {
-  InsertEvent(QueuedEvent{when, next_seq_++, slot, generation});
+void Simulator::PushEvent(SimTime when, uint32_t slot, uint32_t index) {
+  InsertEvent(QueuedEvent{when, next_seq_++, slot, index});
   MetricInc(events_scheduled_metric_);
   MetricSet(heap_depth_metric_, static_cast<double>(queued_count()));
 }
@@ -337,81 +319,20 @@ void Simulator::ScheduleStreamEvent(SimTime when, uint32_t stream,
   PushEvent(when, kStreamBit | stream, index);
 }
 
-EventHandle Simulator::ScheduleAt(SimTime when, EventCallback callback) {
+void Simulator::ScheduleAt(SimTime when, EventCallback callback) {
   if (when < now_) {
     when = now_;
   }
-  const uint32_t slot = AllocSlot(std::move(callback));
-  const uint32_t generation = slots_[slot - 1].generation;
-  PushEvent(when, slot, generation);
-  return EventHandle(slot, generation);
+  PushEvent(when, AllocSlot(std::move(callback)), 0);
 }
 
-EventHandle Simulator::ScheduleAfter(SimDuration delay, EventCallback callback) {
-  return ScheduleAt(now_ + delay, std::move(callback));
-}
-
-EventHandle Simulator::SchedulePeriodic(SimDuration period, EventCallback callback) {
-  // A periodic task keeps its slot (and callback) alive across pops; RunOne
-  // re-arms the next tick under the same slot and generation, so the single
-  // returned handle cancels all future ticks.
-  const uint32_t slot = AllocSlot(std::move(callback));
-  Slot& s = slots_[slot - 1];
-  s.period = period;
-  s.periodic = true;
-  const uint32_t generation = s.generation;
-  PushEvent(now_ + period, slot, generation);
-  return EventHandle(slot, generation);
-}
-
-void Simulator::Cancel(EventHandle handle) {
-  if (!handle.valid() || handle.slot_ > slots_.size()) {
-    return;
-  }
-  Slot& s = slots_[handle.slot_ - 1];
-  // A stale handle (event already ran -> generation bumped) or a double
-  // cancel is an exact no-op, so queued_count() - cancelled_pending_ stays
-  // truthful.
-  if (!s.live || s.generation != handle.generation_ || s.cancelled) {
-    return;
-  }
-  s.cancelled = true;
-  ++cancelled_pending_;
-  MetricInc(events_cancelled_metric_);
+void Simulator::ScheduleAfter(SimDuration delay, EventCallback callback) {
+  ScheduleAt(now_ + delay, std::move(callback));
 }
 
 void Simulator::RunOne() {
   FindEarliest();  // positions scan_abs_ (O(1) if RunUntil just peeked)
   const QueuedEvent ev = PopEarliest();
-  if (ev.slot & kStreamBit) {
-    // Stream events have no slot and cannot be cancelled; the fire is
-    // derived from (stream, point index).
-    now_ = ev.when;
-    ++events_executed_;
-    MetricInc(events_fired_metric_);
-    if (tracer_ != nullptr && dispatch_sample_interval_ > 0 &&
-        events_executed_ % dispatch_sample_interval_ == 0) {
-      const SpanId mark =
-          tracer_->Instant(now_, "sim.dispatch", "sim", sim_track_);
-      tracer_->AttrNum(mark, "events_executed",
-                       static_cast<double>(events_executed_));
-    }
-    {
-      ProfileScope scope(profiler_, ProfileCategory::kDispatchStream);
-      const ReplayStream& stream = streams_[ev.slot & ~kStreamBit];
-      stream.fire(stream.ctx, ev.generation);
-    }
-    if (timeseries_ != nullptr) {
-      timeseries_->SampleIfDue(now_);
-    }
-    return;
-  }
-  Slot& s = slots_[ev.slot - 1];
-  if (s.cancelled) {
-    --cancelled_pending_;
-    ReleaseSlot(ev.slot);
-    return;
-  }
   now_ = ev.when;
   ++events_executed_;
   MetricInc(events_fired_metric_);
@@ -422,20 +343,18 @@ void Simulator::RunOne() {
     tracer_->AttrNum(mark, "events_executed",
                      static_cast<double>(events_executed_));
   }
-  // The callback is moved out before invocation: it may schedule new events
-  // (growing or reusing the slot pool, which would invalidate in-place
-  // storage) or Cancel() its own now-stale handle (a no-op).
-  EventCallback callback = std::move(s.callback);
-  if (s.periodic) {
-    ProfileScope scope(profiler_, ProfileCategory::kDispatchPeriodic);
-    PushEvent(ev.when + s.period, ev.slot, ev.generation);
-    callback();
-    // Re-lookup: the pool may have reallocated during the callback. The slot
-    // is still this task's (its tick is queued), even if just cancelled.
-    slots_[ev.slot - 1].callback = std::move(callback);
+  if (ev.slot & kStreamBit) {
+    // Stream events have no slot; the fire is derived from (stream, point
+    // index).
+    ProfileScope scope(profiler_, ProfileCategory::kDispatchStream);
+    const ReplayStream& stream = streams_[ev.slot & ~kStreamBit];
+    stream.fire(stream.ctx, ev.index);
   } else {
+    // The callback is moved out and its slot freed before invocation: it
+    // may schedule new events, growing or reusing the slot pool.
     ProfileScope scope(profiler_, ProfileCategory::kDispatchCallback);
-    ReleaseSlot(ev.slot);
+    EventCallback callback = std::move(slots_[ev.slot - 1]);
+    free_slots_.push_back(ev.slot);
     callback();
   }
   // Sampled AFTER the event fully executed (and outside the profile scope):
@@ -447,35 +366,31 @@ void Simulator::RunOne() {
 }
 
 int64_t Simulator::Run() {
-  int64_t ran = 0;
+  const int64_t before = events_executed_;
   while (queued_count() > 0) {
-    const int64_t before = events_executed_;
     RunOne();
-    ran += events_executed_ - before;
   }
-  return ran;
+  return events_executed_ - before;
 }
 
 int64_t Simulator::RunUntil(SimTime deadline) {
-  int64_t ran = 0;
+  const int64_t before = events_executed_;
   while (true) {
     const QueuedEvent* next = FindEarliest();
     if (next == nullptr || next->when > deadline) {
       break;
     }
-    const int64_t before = events_executed_;
     RunOne();
-    ran += events_executed_ - before;
   }
   if (now_ < deadline) {
     now_ = deadline;
   }
-  return ran;
+  return events_executed_ - before;
 }
 
 void Simulator::RegisterTelemetry(TimeSeriesRecorder& ts) {
   ts.AddSeries("sim.queue_depth",
-               [this] { return static_cast<double>(pending_events()); });
+               [this] { return static_cast<double>(queued_count()); });
   ts.AddSeries("sim.ring_events",
                [this] { return static_cast<double>(ring_count_); });
   ts.AddSeries("sim.ladder_events",
@@ -485,14 +400,11 @@ void Simulator::RegisterTelemetry(TimeSeriesRecorder& ts) {
 }
 
 bool Simulator::Step() {
-  while (queued_count() > 0) {
-    const int64_t before = events_executed_;
-    RunOne();
-    if (events_executed_ > before) {
-      return true;
-    }
+  if (queued_count() == 0) {
+    return false;
   }
-  return false;
+  RunOne();
+  return true;
 }
 
 }  // namespace spotcheck

@@ -2,16 +2,16 @@
 //
 // The Simulator owns a virtual clock and an event queue. Components schedule
 // callbacks at absolute or relative simulated times; Run()/RunUntil()/RunFor()
-// drain the queue in timestamp order (FIFO among equal timestamps). Events
-// can be cancelled via the handle returned at scheduling time. Everything is
-// single-threaded and deterministic.
+// drain the queue in timestamp order (FIFO among equal timestamps). Every
+// queued callback runs exactly once. Everything is single-threaded and
+// deterministic.
 //
 // Hot-path design (this kernel executes tens of millions of events per
 // six-month evaluation):
-//   - Callbacks are UniqueCallback (move-only, 48-byte inline storage), so
+//   - Callbacks are UniqueCallback (move-only, 32-byte inline storage), so
 //     typical simulation closures never touch the heap.
 //   - Event records are pooled: the callback lives in a reusable slot, and
-//     the queue holds only a 24-byte {time, seq, slot, generation} record.
+//     the queue holds only a 24-byte {time, seq, slot, index} record.
 //   - The queue is a calendar queue (Brown 1988) with an overflow ladder
 //     instead of a heap: a power-of-two ring of time buckets covers a
 //     sliding window of simulated time, so the near-future churn that
@@ -31,11 +31,6 @@
 //   - Pop order is exactly ascending (time, seq) -- identical to the
 //     previous heap -- so results are bit-identical: the calendar layout
 //     affects performance only, never ordering.
-//   - Cancellation is O(1) via generation-tagged slots: a handle names a
-//     slot index plus the generation it was issued under, and Cancel() just
-//     flips a bit after validating the generation. No hash probe per pop,
-//     and stale handles (event already ran, double cancel) are rejected
-//     exactly, so pending_events() accounting can never drift.
 //   - All queue storage allocates from an optional std::pmr resource, so a
 //     grid worker can hand each cell a private arena and keep allocator
 //     traffic off the process-wide malloc locks.
@@ -61,27 +56,10 @@ class TimeSeriesRecorder;
 
 using EventCallback = UniqueCallback;
 
-// Identifies a scheduled event for cancellation. Default-constructed handles
-// are invalid and safe to Cancel(). Handles are cheap value types; a handle
-// outliving its event is harmless (the generation tag makes it a no-op).
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  bool valid() const { return slot_ != 0; }
-
- private:
-  friend class Simulator;
-  EventHandle(uint32_t slot, uint32_t generation)
-      : slot_(slot), generation_(generation) {}
-  uint32_t slot_ = 0;  // 1-based slot index; 0 means invalid.
-  uint32_t generation_ = 0;
-};
-
 class Simulator {
  public:
   // `metrics`, when non-null, receives the kernel's counters
-  // (sim.events_scheduled / fired / cancelled, sim.calendar.wraps) and the
+  // (sim.events_scheduled / fired, sim.calendar.wraps) and the
   // queue depth gauge (sim.heap_depth). `tracer`, when non-null, gets a
   // sampled "sim.dispatch" instant every
   // TraceConfig::sim_event_sample_interval executed events (a heartbeat
@@ -100,17 +78,8 @@ class Simulator {
 
   // Schedules `callback` to run at absolute time `when`. Scheduling in the
   // past (before Now()) runs the callback at Now().
-  EventHandle ScheduleAt(SimTime when, EventCallback callback);
-  EventHandle ScheduleAfter(SimDuration delay, EventCallback callback);
-
-  // Schedules `callback` every `period`, starting one period from now. The
-  // returned handle cancels the whole periodic task. `callback` receives no
-  // arguments; query Now() for the tick time.
-  EventHandle SchedulePeriodic(SimDuration period, EventCallback callback);
-
-  // Cancels a pending event; no-op if the event already ran, was already
-  // cancelled, or the handle is invalid.
-  void Cancel(EventHandle handle);
+  void ScheduleAt(SimTime when, EventCallback callback);
+  void ScheduleAfter(SimDuration delay, EventCallback callback);
 
   // --- Replay streams ------------------------------------------------------
   // A replay stream is a pre-known schedule of fires (e.g. a price trace
@@ -118,8 +87,7 @@ class Simulator {
   // queue holds no per-event callback or slot. Stream events share the
   // sequence counter with regular events -- same-timestamp interleaving is
   // exactly as if each point had been ScheduleAt()ed in the same program
-  // order -- but cannot be cancelled (no handle is issued). `ctx` must stay
-  // valid while stream events are pending.
+  // order. `ctx` must stay valid while stream events are pending.
   using StreamFireFn = void (*)(void* ctx, uint32_t index);
   uint32_t RegisterReplayStream(StreamFireFn fire, void* ctx);
   // Schedules stream point `index` at `when` (clamped to Now(), like
@@ -135,8 +103,8 @@ class Simulator {
   // Executes exactly one event if available; returns false on empty queue.
   bool Step();
 
-  bool empty() const { return queued_count() == cancelled_pending_; }
-  size_t pending_events() const { return queued_count() - cancelled_pending_; }
+  bool empty() const { return queued_count() == 0; }
+  size_t pending_events() const { return queued_count(); }
   int64_t events_executed() const { return events_executed_; }
 
   // --- flight recorder (both purely observational, both nullable) ----------
@@ -168,13 +136,13 @@ class Simulator {
   static constexpr int kInitialWidthLog2 = 20;  // ~1.05 s (window ~72 min)
 
   // The queue element: deliberately tiny (24 bytes) so bucket sorts and
-  // ladder moves touch cheap PODs. The callback itself stays in the slot
-  // pool.
+  // ladder moves touch cheap PODs. A callback event's callback stays in the
+  // slot pool; a stream event carries its point index instead.
   struct QueuedEvent {
     SimTime when;
     uint64_t seq;  // Tie-break: FIFO among equal timestamps.
     uint32_t slot;
-    uint32_t generation;
+    uint32_t index;  // stream point index; 0 for a callback event
   };
   // True iff `a` must run before `b`: earlier time, FIFO among equals.
   static bool Earlier(const QueuedEvent& a, const QueuedEvent& b) {
@@ -183,18 +151,6 @@ class Simulator {
     }
     return a.seq < b.seq;
   }
-  // One pooled record per live event (plus a free list of reusable ones).
-  // `generation` advances every time the slot is released, invalidating
-  // handles issued under earlier generations.
-  struct Slot {
-    EventCallback callback;
-    SimDuration period;      // re-arm interval; meaningful iff periodic
-    uint32_t generation = 0;
-    bool live = false;       // a queued event currently references this slot
-    bool cancelled = false;  // the queued event should be skipped when popped
-    bool periodic = false;   // slot survives pops (re-armed on execution)
-  };
-
   using Bucket = std::pmr::vector<QueuedEvent>;
 
   size_t queued_count() const { return ring_count_ + overflow_.size(); }
@@ -204,9 +160,7 @@ class Simulator {
 
   // Allocates a slot (1-based index) holding `callback`.
   uint32_t AllocSlot(EventCallback callback);
-  // Releases `slot` for reuse, invalidating outstanding handles.
-  void ReleaseSlot(uint32_t slot);
-  void PushEvent(SimTime when, uint32_t slot, uint32_t generation);
+  void PushEvent(SimTime when, uint32_t slot, uint32_t index);
 
   // Calendar-queue primitives (see the .cc for the invariants).
   void InsertEvent(const QueuedEvent& ev);
@@ -221,14 +175,12 @@ class Simulator {
   void Wrap();
   // Points scan_abs_ at the bucket holding the earliest queued event
   // (wrapping the window forward if the ring is empty) and returns that
-  // event, or nullptr if nothing is queued. Includes cancelled events --
-  // they are discarded at pop, exactly like the old heap's top.
+  // event, or nullptr if nothing is queued.
   const QueuedEvent* FindEarliest();
   // Removes the event FindEarliest() just returned.
   QueuedEvent PopEarliest();
 
-  // Pops and runs the earliest event, skipping it if cancelled.
-  // Precondition: queued_count() > 0.
+  // Pops and runs the earliest event. Precondition: queued_count() > 0.
   void RunOne();
 
   SimTime now_;
@@ -247,7 +199,7 @@ class Simulator {
   int width_log2_ = kInitialWidthLog2;
   int64_t ring_base_abs_ = 0;  // absolute bucket index of the window start
   int64_t scan_abs_ = 0;       // no queued ring event lives below this bucket
-  size_t ring_count_ = 0;      // events in the ring (including cancelled)
+  size_t ring_count_ = 0;      // events in the ring
 
   // --- overflow ladder ---
   // Events beyond the window. The first overflow_sorted_n_ entries are
@@ -257,14 +209,15 @@ class Simulator {
   size_t overflow_sorted_n_ = 0;
   QueuedEvent overflow_min_{};  // valid iff !overflow_.empty()
 
-  std::pmr::vector<Slot> slots_;
+  // One pooled callback per queued callback event, plus a free list of
+  // reusable slots.
+  std::pmr::vector<EventCallback> slots_;
   std::pmr::vector<uint32_t> free_slots_;
-  size_t cancelled_pending_ = 0;  // cancelled events still queued
 
   // --- replay streams ---
   // A queued stream event is tagged by kStreamBit in its slot field (real
   // slot indices are small positive integers, so no collision) and carries
-  // the point index in the generation field.
+  // the point index in its index field.
   static constexpr uint32_t kStreamBit = 0x8000'0000u;
   struct ReplayStream {
     StreamFireFn fire = nullptr;
@@ -275,7 +228,6 @@ class Simulator {
   // Observability instruments; all null when built without a registry.
   MetricCounter* events_scheduled_metric_ = nullptr;
   MetricCounter* events_fired_metric_ = nullptr;
-  MetricCounter* events_cancelled_metric_ = nullptr;
   MetricCounter* calendar_wraps_metric_ = nullptr;
   MetricGauge* heap_depth_metric_ = nullptr;
 

@@ -67,31 +67,9 @@ double ActivityLog::MeanFraction(ActivityKind kind, SimTime from, SimTime to) co
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
-int64_t ActivityLog::CountIntervals(ActivityKind kind, SimTime from,
-                                    SimTime to) const {
-  int64_t count = 0;
-  for (const auto& [vm, record] : vms_) {
-    for (const ActivityInterval& interval : record.intervals) {
-      if (interval.kind == kind && interval.start < to && interval.end > from) {
-        ++count;
-      }
-    }
-  }
-  return count;
-}
-
 const std::vector<ActivityInterval>* ActivityLog::IntervalsFor(NestedVmId vm) const {
   const auto it = vms_.find(vm);
   return it == vms_.end() ? nullptr : &it->second.intervals;
-}
-
-std::vector<NestedVmId> ActivityLog::KnownVms() const {
-  std::vector<NestedVmId> ids;
-  ids.reserve(vms_.size());
-  for (const auto& [vm, record] : vms_) {
-    ids.push_back(vm);
-  }
-  return ids;
 }
 
 }  // namespace spotcheck

@@ -45,11 +45,8 @@ class ActivityLog {
   // Mean over all VMs of (time of `kind` / lifetime), in [0, 1].
   double MeanFraction(ActivityKind kind, SimTime from, SimTime to) const;
 
-  // Number of recorded intervals of `kind` across all VMs in the window.
-  int64_t CountIntervals(ActivityKind kind, SimTime from, SimTime to) const;
-
+  // The VM's recorded intervals, in recording order; null for an unknown VM.
   const std::vector<ActivityInterval>* IntervalsFor(NestedVmId vm) const;
-  std::vector<NestedVmId> KnownVms() const;
 
  private:
   struct VmRecord {

@@ -111,19 +111,6 @@ TEST(EmpiricalDistributionTest, EmptyIsSafe) {
   EXPECT_TRUE(d.CdfSeries(10).empty());
 }
 
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);   // bin 0
-  h.Add(9.5);   // bin 9
-  h.Add(-5.0);  // clamps to bin 0
-  h.Add(50.0);  // clamps to bin 9
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(9), 2);
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_DOUBLE_EQ(h.BinCenter(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.BinCenter(9), 9.5);
-}
-
 TEST(PearsonCorrelationTest, PerfectAndAnti) {
   std::vector<double> x = {1, 2, 3, 4, 5};
   std::vector<double> y = {2, 4, 6, 8, 10};

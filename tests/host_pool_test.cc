@@ -23,7 +23,6 @@
 #include "src/core/repatriation.h"
 #include "src/core/storm_tracker.h"
 #include "src/market/spot_market.h"
-#include "src/net/connection_tracker.h"
 #include "src/net/vpc.h"
 #include "src/policy/policy_spec.h"
 #include "src/policy/registry.h"
@@ -58,7 +57,6 @@ struct PoolHarness {
     ctx.backup_pool = &backup_pool;
     ctx.storms = &storms;
     ctx.vpc = &vpc;
-    ctx.connections = &connections;
     ctx.vms = &vms;
     bid = CreateBidStrategyOrDie(PolicySpec{}.bid);
     ctx.bid = bid.get();
@@ -130,7 +128,6 @@ struct PoolHarness {
   BackupPool backup_pool;
   RevocationStormTracker storms;
   VirtualPrivateCloud vpc;
-  ConnectionTracker connections;
   FleetTable<NestedVmTag, NestedVm> vms;
   std::unique_ptr<BidStrategy> bid;
   ControllerContext ctx;

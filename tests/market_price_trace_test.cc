@@ -90,6 +90,25 @@ TEST(PriceTraceTest, CsvRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed.PriceAt(SimTime::FromSeconds(150)), 0.10);
 }
 
+TEST(PriceTraceTest, FromCsvRejectsTheWholeTraceOnAnyBadRow) {
+  const char* kBad[] = {
+      "time_s,price\n0,0.02\n",       // header row
+      "0,0.02\n100\n",                // one field
+      "0,0.02\n100,0.10,x\n",         // three fields
+      "0,0.02\n100x,0.10\n",          // trailing garbage
+      "0,nan\n",                       // non-finite price
+      "inf,0.02\n",                    // non-finite time
+      "-1,0.02\n",                     // negative time
+      "1e300,0.02\n",                  // beyond SimTime
+      "9223372036854.775807,0.02\n",   // rounds to 2^63 us
+  };
+  for (const char* text : kBad) {
+    EXPECT_TRUE(PriceTrace::FromCsv(text).empty()) << "'" << text << "'";
+  }
+  // The largest whole second SimTime can hold still loads.
+  EXPECT_EQ(PriceTrace::FromCsv("9223372036854,0.02\n").size(), 1u);
+}
+
 TEST(PriceTraceTest, FromCsvSortsRows) {
   const PriceTrace parsed =
       PriceTrace::FromCsv("200,0.02\n0,0.02\n100,0.10\n");

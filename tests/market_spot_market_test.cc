@@ -42,33 +42,31 @@ TEST(SpotMarketTest, ListenersFireAtChangePoints) {
   EXPECT_EQ(seen[2], std::make_pair(200.0, 0.02));
 }
 
-TEST(SpotMarketTest, UnsubscribeStopsDelivery) {
+TEST(SpotMarketTest, ListenerSubscribedDuringFireHearsTheNextChange) {
   Simulator sim;
   SpotMarket market(MarketKey{InstanceType::kM3Medium, AvailabilityZone{0}},
                     MakeStepTrace());
-  int calls = 0;
-  const int64_t id = market.Subscribe([&](const SpotMarket&, double) { ++calls; });
-  market.Attach(&sim);
-  sim.RunUntil(SimTime::FromSeconds(50));
-  EXPECT_EQ(calls, 1);
-  market.Unsubscribe(id);
-  sim.Run();
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(SpotMarketTest, ListenerMayUnsubscribeDuringDispatch) {
-  Simulator sim;
-  SpotMarket market(MarketKey{InstanceType::kM3Medium, AvailabilityZone{0}},
-                    MakeStepTrace());
-  int calls = 0;
-  int64_t id = -1;
-  id = market.Subscribe([&](const SpotMarket& m, double) {
-    ++calls;
-    const_cast<SpotMarket&>(m).Unsubscribe(id);
+  // The first fire subscribes enough listeners to grow the list by many
+  // blocks while the subscribing listener is still running.
+  constexpr int kLate = 200;
+  std::vector<double> first_seen;
+  std::vector<int> late_calls(kLate, 0);
+  market.Subscribe([&](const SpotMarket&, double) {
+    if (first_seen.empty()) {
+      for (int i = 0; i < kLate; ++i) {
+        market.Subscribe(
+            [&late_calls, i](const SpotMarket&, double) { ++late_calls[i]; });
+      }
+    }
+    first_seen.push_back(sim.Now().seconds());
   });
   market.Attach(&sim);
   sim.Run();
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(first_seen, (std::vector<double>{0.0, 100.0, 200.0}));
+  EXPECT_EQ(market.num_listeners(), 1u + kLate);
+  // Subscribed during the fire at t = 0: they hear the changes at 100 and
+  // 200 only.
+  EXPECT_EQ(late_calls, std::vector<int>(kLate, 2));
 }
 
 TEST(SpotMarketTest, OnDemandPriceFromCatalog) {

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/sim/simulator.h"
+#include "tests/text_mutator.h"
 
 namespace spotcheck {
 namespace {
@@ -75,12 +79,54 @@ TEST_F(TraceCatalogTest, SkipsGarbageFiles) {
   std::ofstream(dir_ + "/not-a-market.csv") << "0,0.01\n";
   std::ofstream(dir_ + "/m3.medium@zone-0.txt") << "ignored extension\n";
   std::ofstream(dir_ + "/m3.large@zone-1.csv") << "";  // empty -> skipped
+  // A header row is not a price point: the file is skipped, not loaded.
+  std::ofstream(dir_ + "/m3.medium@zone-0.csv")
+      << "time_s,price\n0,0.02\n3600,0.05\n";
   Simulator sim;
   MarketPlace markets(&sim);
   const TraceLoadReport report = LoadTraceDirectory(markets, dir_);
   EXPECT_TRUE(report.loaded.empty());
-  // The .txt file is ignored outright; the two bad .csv files are reported.
-  EXPECT_EQ(report.skipped.size(), 2u);
+  // The .txt file is ignored outright; the three bad .csv files are reported.
+  EXPECT_EQ(report.skipped.size(), 3u);
+}
+
+// Hostile trace files: seeded mutants of a valid headerless trace are each
+// either skipped or loaded as finite points at representable, non-negative
+// times. None may throw.
+TEST_F(TraceCatalogTest, MutatedCsvIsSkippedOrLoadedNeverThrows) {
+  const std::string valid = "0,0.02\n3600,0.05\n7200,0.02\n";
+  TextMutator mutator(20261017, {"nan", "inf", "-1", "1e300", "1e-320",
+                                 "9223372036854.775807", "0x10", "time_s,price",
+                                 ",", "\n", " ", "."});
+  const MarketKey key{InstanceType::kM3Medium, AvailabilityZone{0}};
+  int loaded = 0;
+  int skipped = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = mutator.Mutate(valid);
+    std::ofstream(dir_ + "/m3.medium@zone-0.csv", std::ios::trunc) << text;
+    Simulator sim;
+    MarketPlace markets(&sim);
+    TraceLoadReport report;
+    try {
+      report = LoadTraceDirectory(markets, dir_);
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << i << " threw " << e.what() << ": '" << text << "'";
+    }
+    if (report.loaded.empty()) {
+      ASSERT_EQ(report.skipped.size(), 1u) << "'" << text << "'";
+      ++skipped;
+      continue;
+    }
+    ++loaded;
+    const PriceTrace& trace = markets.Find(key)->trace();
+    ASSERT_FALSE(trace.empty()) << "'" << text << "'";
+    for (size_t p = 0; p < trace.size(); ++p) {
+      ASSERT_GE(trace.time(p).micros(), 0) << "'" << text << "'";
+      ASSERT_TRUE(std::isfinite(trace.price(p))) << "'" << text << "'";
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(skipped, 0);
 }
 
 TEST_F(TraceCatalogTest, MissingDirectoryYieldsEmptyReport) {

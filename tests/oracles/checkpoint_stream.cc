@@ -1,4 +1,4 @@
-#include "src/virt/checkpoint_stream.h"
+#include "tests/oracles/checkpoint_stream.h"
 
 #include <algorithm>
 
@@ -33,20 +33,20 @@ void CheckpointStream::Start() {
 
 void CheckpointStream::Stop() {
   running_ = false;
-  sim_->Cancel(pending_);
-  pending_ = EventHandle();
+  ++run_;
 }
 
 void CheckpointStream::EnterRampMode() { ramping_ = true; }
 
 void CheckpointStream::Arm() {
-  pending_ = sim_->ScheduleAfter(interval_, [this]() { Tick(); });
+  sim_->ScheduleAfter(interval_, [this, run = run_] {
+    if (run == run_) {
+      Tick();
+    }
+  });
 }
 
 void CheckpointStream::Tick() {
-  if (!running_) {
-    return;
-  }
   const SimDuration dt = sim_->Now() - last_tick_;
   last_tick_ = sim_->Now();
   ++epochs_;

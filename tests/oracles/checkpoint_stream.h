@@ -9,18 +9,19 @@
 // remain to commit while the VM is paused.
 //
 // CheckpointStream is the event-driven counterpart of PlanBoundedTime(): it
-// runs real flush epochs on the simulation clock. Tests use it to validate
-// the analytic plan (the stale high-water mark never exceeds the threshold;
-// the ramp shrinks the final commit by orders of magnitude).
+// runs real flush epochs on the simulation clock. It is a test oracle: no
+// shipped binary runs it. Tests use it to validate the analytic plan (the
+// stale high-water mark never exceeds the threshold; the ramp shrinks the
+// final commit by orders of magnitude).
 
-#ifndef SRC_VIRT_CHECKPOINT_STREAM_H_
-#define SRC_VIRT_CHECKPOINT_STREAM_H_
+#ifndef TESTS_ORACLES_CHECKPOINT_STREAM_H_
+#define TESTS_ORACLES_CHECKPOINT_STREAM_H_
 
 #include <cstdint>
 
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
-#include "src/virt/memory_image.h"
+#include "tests/oracles/memory_image.h"
 
 namespace spotcheck {
 
@@ -48,6 +49,9 @@ class CheckpointStream {
 
   // Begins periodic flush epochs (idempotent).
   void Start();
+  // Ends the flush epochs. The tick already queued still fires, as a no-op,
+  // so a Start() right after never runs two tick chains, and the stream
+  // must outlive the simulator's next run.
   void Stop();
 
   // Revocation warning received: each subsequent epoch halves the flush
@@ -84,7 +88,8 @@ class CheckpointStream {
   SimTime last_tick_;
   bool running_ = false;
   bool ramping_ = false;
-  EventHandle pending_;
+  // Bumped by Stop(); an armed tick runs only if it was armed in this run.
+  uint64_t run_ = 0;
   double stale_mb_ = 0.0;
   double max_stale_mb_ = 0.0;
   double shipped_mb_ = 0.0;
@@ -93,4 +98,4 @@ class CheckpointStream {
 
 }  // namespace spotcheck
 
-#endif  // SRC_VIRT_CHECKPOINT_STREAM_H_
+#endif  // TESTS_ORACLES_CHECKPOINT_STREAM_H_

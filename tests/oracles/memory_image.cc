@@ -1,7 +1,6 @@
-#include "src/virt/memory_image.h"
+#include "tests/oracles/memory_image.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace spotcheck {
 
@@ -66,61 +65,6 @@ uint64_t MemoryImage::Digest() const {
     digest ^= x * 0x94d049bb133111ebULL;
   }
   return digest;
-}
-
-RestoreSequencer::RestoreSequencer(int64_t total_pages, int64_t skeleton_pages,
-                                   double fault_share, Rng rng)
-    : resident_(static_cast<size_t>(std::max<int64_t>(total_pages, 1)), false),
-      remaining_(std::max<int64_t>(total_pages, 1)),
-      fault_share_(std::clamp(fault_share, 0.0, 1.0)),
-      rng_(rng) {
-  skeleton_pages = std::clamp<int64_t>(skeleton_pages, 0, remaining_);
-  skeleton_.reserve(static_cast<size_t>(skeleton_pages));
-  // Page tables and vCPU state live at the front of the image.
-  for (int64_t page = 0; page < skeleton_pages; ++page) {
-    skeleton_.push_back(page);
-    resident_[page] = true;
-    --remaining_;
-  }
-}
-
-int64_t RestoreSequencer::Next() {
-  if (remaining_ == 0) {
-    return -1;
-  }
-  const int64_t total = static_cast<int64_t>(resident_.size());
-  if (rng_.Bernoulli(fault_share_)) {
-    // Demand fault: the guest touches a random non-resident page. Probe a
-    // few times, then fall back to the prefetcher (the fault was for an
-    // already-resident page -- a hit, nothing to fetch).
-    for (int probe = 0; probe < 8; ++probe) {
-      const int64_t page = rng_.UniformInt(0, total - 1);
-      if (!resident_[page]) {
-        resident_[page] = true;
-        --remaining_;
-        ++faults_served_;
-        return page;
-      }
-    }
-  }
-  // Background prefetcher: next non-resident page in sequential order.
-  while (cursor_ < total && resident_[cursor_]) {
-    ++cursor_;
-  }
-  if (cursor_ >= total) {
-    // Wrap once: stragglers behind the cursor (faults filled gaps unevenly).
-    cursor_ = 0;
-    while (cursor_ < total && resident_[cursor_]) {
-      ++cursor_;
-    }
-    if (cursor_ >= total) {
-      return -1;
-    }
-  }
-  resident_[cursor_] = true;
-  --remaining_;
-  ++prefetched_;
-  return cursor_;
 }
 
 }  // namespace spotcheck

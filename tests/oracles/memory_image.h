@@ -2,16 +2,14 @@
 //
 // The analytic migration models (migration_models.h) treat memory as a fluid
 // with a dirty rate; this module is the discrete substrate underneath them:
-// an image of 4 KB pages with a working-set-localized dirtying process, the
-// dirty-page tracking that continuous checkpointing marks and cleans, and
-// the page-in sequence a lazy restore performs (skeleton first, then faults
-// and background prefetch). Tests use it to validate the fluid models:
-// dirty-set growth matches the configured rate until the working set
-// saturates, checkpoint epochs bound the stale set, and a lazy restore
-// touches every page exactly once.
+// an image of 4 KB pages with a working-set-localized dirtying process and the
+// dirty-page tracking that continuous checkpointing marks and cleans. It is
+// a test oracle: no shipped binary runs it. Tests use it to validate the
+// fluid models: dirty-set growth matches the configured rate until the
+// working set saturates, and checkpoint epochs bound the stale set.
 
-#ifndef SRC_VIRT_MEMORY_IMAGE_H_
-#define SRC_VIRT_MEMORY_IMAGE_H_
+#ifndef TESTS_ORACLES_MEMORY_IMAGE_H_
+#define TESTS_ORACLES_MEMORY_IMAGE_H_
 
 #include <cstdint>
 #include <vector>
@@ -71,36 +69,6 @@ class MemoryImage {
   Rng rng_;
 };
 
-// Replays the page-in order of a restore for an image of `total_pages`:
-// `skeleton_pages` first (synchronously, before the VM resumes), then a
-// deterministic interleaving of demand faults (random access, `fault_share`
-// of the stream) and the sequential background prefetcher. Guarantees every
-// page is fetched exactly once.
-class RestoreSequencer {
- public:
-  RestoreSequencer(int64_t total_pages, int64_t skeleton_pages, double fault_share,
-                   Rng rng);
-
-  // Pages fetched before the VM can resume.
-  const std::vector<int64_t>& skeleton() const { return skeleton_; }
-  // Next page to fetch after resume; -1 once the image is fully resident.
-  int64_t Next();
-  int64_t remaining() const { return remaining_; }
-  bool done() const { return remaining_ == 0; }
-  int64_t faults_served() const { return faults_served_; }
-  int64_t prefetched() const { return prefetched_; }
-
- private:
-  std::vector<int64_t> skeleton_;
-  std::vector<bool> resident_;
-  int64_t remaining_;
-  int64_t cursor_ = 0;  // background prefetcher position
-  double fault_share_;
-  int64_t faults_served_ = 0;
-  int64_t prefetched_ = 0;
-  Rng rng_;
-};
-
 }  // namespace spotcheck
 
-#endif  // SRC_VIRT_MEMORY_IMAGE_H_
+#endif  // TESTS_ORACLES_MEMORY_IMAGE_H_

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/policy/registry.h"
+#include "tests/text_mutator.h"
 
 namespace spotcheck {
 namespace {
@@ -154,6 +156,44 @@ TEST(PolicySpecTest, MalformedSpecsFailWithDiagnostic) {
     EXPECT_FALSE(PolicySpec::Parse(text, &error).has_value());
     EXPECT_FALSE(error.empty()) << "rejection must carry a diagnostic";
   }
+}
+
+// Hostile specs: seeded mutants of every registered strategy's valid spec
+// never throw; each one either fails with a diagnostic or parses to a spec
+// that round-trips through ToString().
+TEST(PolicySpecTest, MutatedSpecsNeverThrowAndRoundTrip) {
+  const PolicyRegistry& registry = PolicyRegistry::Instance();
+  std::vector<std::string> valid;
+  for (const std::string& name : registry.BidNames()) {
+    valid.push_back(PolicySpec{ValidBidSpec(name), {"1p-m", {}}}.ToString());
+  }
+  for (const std::string& name : registry.PoolNames()) {
+    valid.push_back(
+        PolicySpec{{"multiple", {1.5}}, ValidPoolSpec(name)}.ToString());
+  }
+  TextMutator mutator(20261017,
+                      {"bid=", "map=", ",", ":", "=", "-0", "1e308", "1e-320",
+                       "0x1p3", "nan", "inf", " ", "multiple", "4p-ed"});
+  int parsed = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const std::string text = mutator.Mutate(valid[i % valid.size()]);
+    std::optional<PolicySpec> spec;
+    std::string error;
+    try {
+      spec = PolicySpec::Parse(text, &error);
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << i << " threw " << e.what() << ": '" << text << "'";
+    }
+    if (!spec.has_value()) {
+      EXPECT_FALSE(error.empty()) << "'" << text << "'";
+      continue;
+    }
+    ++parsed;
+    const std::optional<PolicySpec> again = PolicySpec::Parse(spec->ToString());
+    ASSERT_TRUE(again.has_value()) << "'" << text << "'";
+    EXPECT_EQ(*again, *spec) << "'" << text << "'";
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 TEST(PolicySpecDeathTest, OrExitExitsWithCode2OnBadSpec) {

@@ -5,9 +5,9 @@
 
 #include <tuple>
 
-#include "src/core/cost_model.h"
 #include "src/market/market_analytics.h"
 #include "src/market/spot_price_process.h"
+#include "tests/oracles/cost_model.h"
 
 namespace spotcheck {
 namespace {

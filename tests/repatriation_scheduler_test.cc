@@ -20,7 +20,6 @@
 #include "src/core/repatriation.h"
 #include "src/core/storm_tracker.h"
 #include "src/market/spot_market.h"
-#include "src/net/connection_tracker.h"
 #include "src/net/vpc.h"
 #include "src/policy/policy_spec.h"
 #include "src/policy/registry.h"
@@ -53,7 +52,6 @@ struct SchedulerHarness {
     ctx.backup_pool = &backup_pool;
     ctx.storms = &storms;
     ctx.vpc = &vpc;
-    ctx.connections = &connections;
     ctx.vms = &vms;
     SetBid(PolicySpec{}.bid);
     pool = std::make_unique<HostPoolManager>(&ctx);
@@ -131,7 +129,6 @@ struct SchedulerHarness {
   BackupPool backup_pool;
   RevocationStormTracker storms;
   VirtualPrivateCloud vpc;
-  ConnectionTracker connections;
   FleetTable<NestedVmTag, NestedVm> vms;
   std::unique_ptr<BidStrategy> bid;
   ControllerContext ctx;

@@ -2,12 +2,11 @@
 //
 // The queue replaced a binary heap and must preserve its observable
 // contract exactly: pop order is ascending (time, seq) with FIFO among
-// equal timestamps, cancellation is precise (stale generation-tagged
-// handles never touch a reused slot), and none of this may depend on how
-// events are distributed across ring buckets, the overflow ladder, or
-// bucket-width retunes. The main test drives the Simulator and a
-// std::priority_queue reference model through one deterministic script of
-// interleaved schedule / cancel / reschedule / RunUntil operations --
+// equal timestamps, every queued event fires exactly once, and none of this
+// may depend on how events are distributed across ring buckets, the
+// overflow ladder, or bucket-width retunes. The main test drives the
+// Simulator and a std::priority_queue reference model through one
+// deterministic script of interleaved schedule / RunUntil operations --
 // including callback-driven scheduling, which inserts at the scan point
 // mid-drain -- and requires identical fire sequences.
 
@@ -35,23 +34,18 @@ struct RefEvent {
   int64_t when_us = 0;
   uint64_t seq = 0;   // schedule order; FIFO tie-break
   int id = 0;         // test-assigned identity, echoed into the fire log
-  bool cancelled = false;
 };
 
 class ReferenceScheduler {
  public:
-  // Returns an index usable with Cancel (mirrors EventHandle).
-  size_t Schedule(int64_t when_us, int id) {
+  void Schedule(int64_t when_us, int id) {
     RefEvent ev;
     ev.when_us = std::max(when_us, now_us_);  // past schedules run at Now()
     ev.seq = next_seq_++;
     ev.id = id;
     events_.push_back(ev);
     queue_.push(events_.size() - 1);
-    return events_.size() - 1;
   }
-
-  void Cancel(size_t handle) { events_[handle].cancelled = true; }
 
   // Pops events with when <= deadline in (when, seq) order; `on_fire` may
   // schedule more. Clock then advances to the deadline.
@@ -60,9 +54,6 @@ class ReferenceScheduler {
     while (!queue_.empty() && events_[queue_.top()].when_us <= deadline_us) {
       const RefEvent ev = events_[queue_.top()];
       queue_.pop();
-      if (ev.cancelled) {
-        continue;
-      }
       now_us_ = ev.when_us;
       fired_.push_back(ev.id);
       on_fire(ev.id);
@@ -122,8 +113,6 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
   ReferenceScheduler ref;
 
   std::vector<int> sim_fired;
-  std::vector<EventHandle> sim_handles;
-  std::vector<size_t> ref_handles;
   // One id counter per side. Identical fire sequences (asserted each
   // round) imply identical child-spawn order, so the counters stay in
   // lockstep without the sides sharing state.
@@ -135,16 +124,14 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
     sim_fired.push_back(id);
     if (SpawnsChild(id) && sim_next_id < kMaxIds) {
       const int child = sim_next_id++;
-      sim_handles.push_back(
-          sim.ScheduleAt(sim.Now() + SimDuration::Micros(ChildOffsetUs(id)),
-                         [&sim_fire, child] { sim_fire(child); }));
+      sim.ScheduleAt(sim.Now() + SimDuration::Micros(ChildOffsetUs(id)),
+                     [&sim_fire, child] { sim_fire(child); });
     }
   };
   const std::function<void(int)> ref_fire = [&](int id) {
     if (SpawnsChild(id) && ref_next_id < kMaxIds) {
       const int child = ref_next_id++;
-      ref_handles.push_back(
-          ref.Schedule(ref.now_us() + ChildOffsetUs(id), child));
+      ref.Schedule(ref.now_us() + ChildOffsetUs(id), child);
     }
   };
 
@@ -167,34 +154,9 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
       const int id = sim_next_id++;
       ref_next_id++;
       const int64_t when_us = sim.Now().micros() + offset_us;
-      sim_handles.push_back(sim.ScheduleAt(SimTime::FromMicros(when_us),
-                                           [&sim_fire, id] { sim_fire(id); }));
-      ref_handles.push_back(ref.Schedule(when_us, id));
-    }
-
-    // Cancel a handful of random handles -- live, already fired (stale
-    // generation; the slot may have been reused by a later event), or
-    // already cancelled. Both sides must agree on which are no-ops.
-    const int cancels = static_cast<int>(rng() % 30);
-    for (int i = 0; i < cancels; ++i) {
-      const size_t victim = rng() % sim_handles.size();
-      sim.Cancel(sim_handles[victim]);
-      ref.Cancel(ref_handles[victim]);
-    }
-
-    // Reschedule: cancel + schedule a fresh event at a new time.
-    const int reschedules = static_cast<int>(rng() % 10);
-    for (int i = 0; i < reschedules; ++i) {
-      const size_t victim = rng() % sim_handles.size();
-      sim.Cancel(sim_handles[victim]);
-      ref.Cancel(ref_handles[victim]);
-      const int id = sim_next_id++;
-      ref_next_id++;
-      const int64_t when_us =
-          sim.Now().micros() + static_cast<int64_t>(rng() % 600'000'000);
-      sim_handles.push_back(sim.ScheduleAt(SimTime::FromMicros(when_us),
-                                           [&sim_fire, id] { sim_fire(id); }));
-      ref_handles.push_back(ref.Schedule(when_us, id));
+      sim.ScheduleAt(SimTime::FromMicros(when_us),
+                     [&sim_fire, id] { sim_fire(id); });
+      ref.Schedule(when_us, id);
     }
 
     // Advance both clocks by the same step. Occasionally jump far ahead so
@@ -404,37 +366,6 @@ TEST(CalendarQueueStressTest, RebaseEvictedBucketSortsItsRefill) {
     twin.Schedule(refill + s * 1'000'000);
   }
   twin.DrainAndCompare();
-}
-
-// A handle from a completed event must never cancel the event that later
-// reuses its slot: the slot's generation advances on release, and Cancel
-// validates the generation before flipping anything.
-TEST(CalendarQueueStressTest, StaleHandleCannotCancelReusedSlot) {
-  Simulator sim;
-  bool first_ran = false;
-  const EventHandle stale =
-      sim.ScheduleAt(SimTime::FromSeconds(1), [&] { first_ran = true; });
-  sim.Run();
-  ASSERT_TRUE(first_ran);
-
-  // The freed slot is the only one in the pool, so this reuses it.
-  bool second_ran = false;
-  sim.ScheduleAt(SimTime::FromSeconds(2), [&] { second_ran = true; });
-  sim.Cancel(stale);  // stale generation: must be a no-op
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.Run();
-  EXPECT_TRUE(second_ran);
-
-  // Double-cancel through the same reuse path: cancelling twice (second
-  // time stale) must not corrupt the pending count.
-  bool third_ran = false;
-  const EventHandle live =
-      sim.ScheduleAt(SimTime::FromSeconds(3), [&] { third_ran = true; });
-  sim.Cancel(live);
-  sim.Cancel(live);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  sim.Run();
-  EXPECT_FALSE(third_ran);
 }
 
 }  // namespace

@@ -56,24 +56,6 @@ TEST(SimulatorTest, SchedulingInPastRunsNow) {
   EXPECT_EQ(fired, SimTime::FromSeconds(10));
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
-  bool ran = false;
-  EventHandle handle = sim.ScheduleAt(SimTime::FromSeconds(1), [&] { ran = true; });
-  sim.Cancel(handle);
-  sim.Run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, CancelInvalidHandleIsNoop) {
-  Simulator sim;
-  sim.Cancel(EventHandle{});
-  bool ran = false;
-  sim.ScheduleAt(SimTime::FromSeconds(1), [&] { ran = true; });
-  sim.Run();
-  EXPECT_TRUE(ran);
-}
-
 TEST(SimulatorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
   Simulator sim;
   int count = 0;
@@ -112,27 +94,6 @@ TEST(SimulatorTest, StepExecutesOneEvent) {
   EXPECT_FALSE(sim.Step());
 }
 
-TEST(SimulatorTest, PeriodicFiresRepeatedly) {
-  Simulator sim;
-  std::vector<double> times;
-  sim.SchedulePeriodic(SimDuration::Seconds(10),
-                       [&] { times.push_back(sim.Now().seconds()); });
-  sim.RunUntil(SimTime::FromSeconds(35));
-  EXPECT_EQ(times, (std::vector<double>{10, 20, 30}));
-}
-
-TEST(SimulatorTest, PeriodicCancelStopsFutureTicks) {
-  Simulator sim;
-  int ticks = 0;
-  EventHandle handle =
-      sim.SchedulePeriodic(SimDuration::Seconds(10), [&] { ++ticks; });
-  sim.RunUntil(SimTime::FromSeconds(25));
-  EXPECT_EQ(ticks, 2);
-  sim.Cancel(handle);
-  sim.RunUntil(SimTime::FromSeconds(100));
-  EXPECT_EQ(ticks, 2);
-}
-
 TEST(SimulatorTest, EventsScheduledDuringRunExecute) {
   Simulator sim;
   int depth = 0;
@@ -145,92 +106,6 @@ TEST(SimulatorTest, EventsScheduledDuringRunExecute) {
   sim.Run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.Now(), SimTime::FromSeconds(5));
-}
-
-// Regression: cancelling a handle whose event already ran must be an exact
-// no-op. The old unordered_set bookkeeping recorded such stale cancels,
-// letting queue_.size() - cancelled_.size() drift (empty() reported false on
-// an empty queue, pending_events() underflowed) once events were re-scheduled.
-TEST(SimulatorTest, CancelAfterRunThenRescheduleKeepsAccountingExact) {
-  Simulator sim;
-  int ran = 0;
-  EventHandle handle = sim.ScheduleAt(SimTime::FromSeconds(1), [&] { ++ran; });
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.Run();
-  EXPECT_EQ(ran, 1);
-  EXPECT_TRUE(sim.empty());
-
-  // Stale cancel: the event already popped and executed.
-  sim.Cancel(handle);
-  EXPECT_TRUE(sim.empty());
-  EXPECT_EQ(sim.pending_events(), 0u);
-
-  // Re-scheduling must show exactly one pending event, and it must run.
-  sim.ScheduleAfter(SimDuration::Seconds(1), [&] { ++ran; });
-  EXPECT_FALSE(sim.empty());
-  EXPECT_EQ(sim.pending_events(), 1u);
-  EXPECT_EQ(sim.Run(), 1);
-  EXPECT_EQ(ran, 2);
-  EXPECT_TRUE(sim.empty());
-  EXPECT_EQ(sim.pending_events(), 0u);
-}
-
-TEST(SimulatorTest, DoubleCancelCountsOnce) {
-  Simulator sim;
-  bool ran = false;
-  EventHandle handle = sim.ScheduleAt(SimTime::FromSeconds(1), [&] { ran = true; });
-  sim.ScheduleAt(SimTime::FromSeconds(2), [] {});
-  sim.Cancel(handle);
-  sim.Cancel(handle);  // second cancel must not double-count
-  EXPECT_EQ(sim.pending_events(), 1u);
-  EXPECT_EQ(sim.Run(), 1);
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(sim.empty());
-}
-
-// A handle from a completed event must not cancel a later event that happens
-// to reuse the same internal slot (the generation tag rejects it).
-TEST(SimulatorTest, StaleHandleCannotCancelRecycledSlot) {
-  Simulator sim;
-  EventHandle old_handle = sim.ScheduleAt(SimTime::FromSeconds(1), [] {});
-  sim.Run();
-  bool ran = false;
-  sim.ScheduleAt(SimTime::FromSeconds(2), [&] { ran = true; });
-  sim.Cancel(old_handle);  // must not hit the recycled slot
-  sim.Run();
-  EXPECT_TRUE(ran);
-}
-
-TEST(SimulatorTest, CancelOwnHandleFromInsideCallbackIsNoop) {
-  Simulator sim;
-  EventHandle handle;
-  int ran = 0;
-  handle = sim.ScheduleAt(SimTime::FromSeconds(1), [&] {
-    ++ran;
-    sim.Cancel(handle);  // our own event: already executing, must be a no-op
-  });
-  sim.ScheduleAt(SimTime::FromSeconds(2), [&] { ++ran; });
-  EXPECT_EQ(sim.Run(), 2);
-  EXPECT_EQ(ran, 2);
-  EXPECT_TRUE(sim.empty());
-  EXPECT_EQ(sim.pending_events(), 0u);
-}
-
-TEST(SimulatorTest, CancelledPeriodicAccountingStaysExact) {
-  Simulator sim;
-  int ticks = 0;
-  EventHandle handle =
-      sim.SchedulePeriodic(SimDuration::Seconds(10), [&] { ++ticks; });
-  sim.RunUntil(SimTime::FromSeconds(15));
-  EXPECT_EQ(ticks, 1);
-  EXPECT_EQ(sim.pending_events(), 1u);  // the re-armed tick
-  sim.Cancel(handle);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  sim.Cancel(handle);  // double cancel of the periodic task
-  EXPECT_EQ(sim.pending_events(), 0u);
-  sim.RunUntil(SimTime::FromSeconds(100));
-  EXPECT_EQ(ticks, 1);
-  EXPECT_TRUE(sim.empty());
 }
 
 // The event queue accepts move-only callbacks (std::function could not).

@@ -67,30 +67,12 @@ TEST(ActivityLogTest, MeanFractionSkipsUnbornVms) {
               1e-12);
 }
 
-TEST(ActivityLogTest, CountIntervalsInWindow) {
-  ActivityLog log;
-  log.MarkBirth(kVm1, At(0));
-  log.Record(kVm1, At(10), At(20), ActivityKind::kDowntime);
-  log.Record(kVm1, At(50), At(60), ActivityKind::kDowntime);
-  log.Record(kVm1, At(70), At(80), ActivityKind::kDegraded);
-  EXPECT_EQ(log.CountIntervals(ActivityKind::kDowntime, At(0), At(100)), 2);
-  EXPECT_EQ(log.CountIntervals(ActivityKind::kDowntime, At(0), At(30)), 1);
-  EXPECT_EQ(log.CountIntervals(ActivityKind::kDegraded, At(0), At(100)), 1);
-}
-
 TEST(ActivityLogTest, UnknownVmIsEmpty) {
   ActivityLog log;
   EXPECT_EQ(log.Total(kVm1, ActivityKind::kDowntime, At(0), At(10)),
             SimDuration::Zero());
   EXPECT_EQ(log.Lifetime(kVm1, At(0), At(10)), SimDuration::Zero());
   EXPECT_EQ(log.IntervalsFor(kVm1), nullptr);
-}
-
-TEST(ActivityLogTest, KnownVmsLists) {
-  ActivityLog log;
-  log.MarkBirth(kVm1, At(0));
-  log.MarkBirth(kVm2, At(0));
-  EXPECT_EQ(log.KnownVms().size(), 2u);
 }
 
 }  // namespace

