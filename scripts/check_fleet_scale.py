@@ -8,9 +8,14 @@ on the 10k-VM tier (always present, even in the CI smoke run):
     * events/s      >= --min-events-per-sec (throughput floor)
     * invariants_ok is true                 (the controller validated)
 
-and, when the 100k tier is present (full runs), that its bytes/VM stays
-within --max-growth of the 10k tier's: per-VM cost must be flat in fleet
-size, or the storage layer has re-grown a per-VM overhead.
+and, when the 100k tier is present, two growth checks against the 10k
+tier:
+
+    * bytes/VM  <= --max-growth x the 10k tier's (per-VM memory must be
+      flat in fleet size, or the storage layer has re-grown a per-VM
+      overhead)
+    * events/s  >= MIN_EVENTS_GROWTH (0.2) x the 10k tier's (per-event
+      cost must not grow with fleet size; a cost linear in it reads ~0.1)
 
 At every tier that carries an event-cost profile (the "profile" section),
 the gate also checks two exact counts, so these rules cannot flake:
@@ -46,6 +51,9 @@ import bench_gate
 
 BASE_TIER = "tiers/10000"
 SCALE_TIER = "tiers/100000"
+# Required events/s ratio of the 100k tier over the 10k tier. Measured
+# ratios read 0.5-0.9; a per-event cost linear in fleet size reads ~0.1.
+MIN_EVENTS_GROWTH = 0.2
 
 fail_parse = functools.partial(bench_gate.fail_parse, "check_fleet_scale")
 load_bench = functools.partial(bench_gate.load_bench, "check_fleet_scale")
@@ -228,7 +236,7 @@ def main(argv=None):
     scale = bench.get(SCALE_TIER)
     if scale is None:
         print(
-            "check_fleet_scale: 100k tier absent (smoke run); growth check "
+            "check_fleet_scale: 100k tier absent (smoke run); growth checks "
             "skipped"
         )
     else:
@@ -236,10 +244,15 @@ def main(argv=None):
             fail_parse(f"{args.bench_json}: '{SCALE_TIER}' is not an object")
         scale_bytes = positive_number(scale, SCALE_TIER, "bytes_per_vm",
                                       args.bench_json)
+        scale_events = positive_number(scale, SCALE_TIER, "events_per_second",
+                                       args.bench_json)
         growth = scale_bytes / base_bytes
+        events_growth = scale_events / base_events
         print(
             f"check_fleet_scale: 100k tier: {scale_bytes:.1f} bytes/VM, "
-            f"{growth:.2f}x the 10k tier (allowed {args.max_growth:.2f}x)"
+            f"{growth:.2f}x the 10k tier (allowed {args.max_growth:.2f}x); "
+            f"{scale_events:.0f} events/s, {events_growth:.2f}x the 10k "
+            f"tier (required {MIN_EVENTS_GROWTH:.2f}x)"
         )
         if scale.get("invariants_ok") is not True:
             print(
@@ -253,6 +266,15 @@ def main(argv=None):
                 f"check_fleet_scale: FAILED: bytes/VM grew {growth:.2f}x "
                 f"from 10k to 100k VMs (allowed {args.max_growth:.2f}x) -- "
                 f"per-VM memory is no longer flat in fleet size",
+                file=sys.stderr,
+            )
+            failed = True
+        if events_growth < MIN_EVENTS_GROWTH:
+            print(
+                f"check_fleet_scale: FAILED: events/s fell to "
+                f"{events_growth:.2f}x from 10k to 100k VMs (required "
+                f"{MIN_EVENTS_GROWTH:.2f}x) -- per-event cost grows "
+                f"with fleet size",
                 file=sys.stderr,
             )
             failed = True

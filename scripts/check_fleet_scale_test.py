@@ -2,11 +2,12 @@
 """Unit tests for scripts/check_fleet_scale.py (the CI fleet-scale gate).
 
 Covers the parse/judge path end to end via subprocess: the bytes/VM budget
-and events/s floor at the 10k tier, the flat-memory growth check against
-the 100k tier, the smoke-run case (100k absent skips growth, never the
-budget), the exact count rules at every profiled tier (one backup probe
-per assignment; each calendar event sorted at most once unless the ring
-was rebased), and every malformed-input mode as a distinct exit 2.
+and events/s floor at the 10k tier, the flat-memory and events/s growth
+checks against the 100k tier, the smoke-run case (100k absent skips both
+growth checks, never the budget), the exact count rules at every profiled
+tier (one backup probe per assignment; each calendar event sorted at most
+once unless the ring was rebased), and every malformed-input mode as a
+distinct exit 2.
 """
 
 import json
@@ -50,13 +51,13 @@ def profile(assignments=10000, probes=10000, sorted_events=30000,
 
 
 def bench_json(base_bytes=2000.0, base_events=100000.0, scale_bytes=2050.0,
-               include_scale=True):
+               scale_events=60000.0, include_scale=True):
     doc = {
         "_context": {"hardware_concurrency": 4},
         "tiers/10000": tier(10000, base_bytes, base_events),
     }
     if include_scale:
-        doc["tiers/100000"] = tier(100000, scale_bytes, base_events)
+        doc["tiers/100000"] = tier(100000, scale_bytes, scale_events)
     return doc
 
 
@@ -108,6 +109,34 @@ class GateTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("growth check", proc.stdout)
         self.assertIn("skipped", proc.stdout)
+
+    def test_events_per_second_holding_up_at_100k_passes(self):
+        # 100k -> 60k events/s is 0.60x, over the required 0.2x.
+        proc = run_gate(json.dumps(bench_json()))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("0.60x the 10k tier (required 0.20x)", proc.stdout)
+
+    def test_fails_when_events_per_second_collapse_with_fleet_size(self):
+        # 100k -> 10k events/s is 0.10x: what a per-event cost linear in
+        # fleet size reads from 10k to 100k VMs.
+        proc = run_gate(json.dumps(bench_json(scale_events=10000.0)))
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("per-event cost grows", proc.stderr)
+
+    def test_absent_100k_tier_skips_the_events_growth_check_loudly(self):
+        proc = run_gate(json.dumps(bench_json(include_scale=False)))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("growth checks skipped", proc.stdout)
+
+    def test_non_positive_100k_events_is_a_parse_error(self):
+        for events in (0, -5.0):
+            proc = run_gate(json.dumps(bench_json(scale_events=events)))
+            self.assertEqual(proc.returncode, 2, events)
+            self.assertIn("tiers/100000", proc.stderr)
+        doc = bench_json()
+        del doc["tiers/100000"]["events_per_second"]
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 2)
 
     def test_smoke_run_still_enforces_the_budget(self):
         proc = run_gate(

@@ -58,7 +58,11 @@ BackupServer& BackupPool::Assign(NestedVmId vm, double demand_mbps, SimTime now)
   if (server.full()) {
     open_servers_.erase(index);
   }
-  assignment_[vm] = index;
+  if (vm.value() >= assignment_.size()) {
+    assignment_.resize(vm.value() + 1, kUnassigned);
+  }
+  assignment_[vm.value()] = index;
+  ++num_assigned_;
   RecordAssignment(server);
   TraceAssign(tracer_, server, vm, now);
   return server;
@@ -66,33 +70,34 @@ BackupServer& BackupPool::Assign(NestedVmId vm, double demand_mbps, SimTime now)
 
 void BackupPool::RecordAssignment(const BackupServer& server) {
   MetricInc(assignments_metric_);
-  MetricSet(assigned_vms_metric_, static_cast<double>(assignment_.size()));
+  MetricSet(assigned_vms_metric_, static_cast<double>(num_assigned_));
   MetricObserve(checkpoint_load_metric_, server.CheckpointLoadFactor());
 }
 
 void BackupPool::Release(NestedVmId vm) {
-  const auto it = assignment_.find(vm);
-  if (it == assignment_.end()) {
+  const uint32_t index = IndexOf(vm);
+  if (index == kUnassigned) {
     return;
   }
-  BackupServer& server = *servers_[it->second];
+  BackupServer& server = *servers_[index];
   server.RemoveStream(vm);
   if (!server.full()) {
-    open_servers_.insert(it->second);
+    open_servers_.insert(index);
   }
-  assignment_.erase(it);
+  assignment_[vm.value()] = kUnassigned;
+  --num_assigned_;
   MetricInc(releases_metric_);
-  MetricSet(assigned_vms_metric_, static_cast<double>(assignment_.size()));
+  MetricSet(assigned_vms_metric_, static_cast<double>(num_assigned_));
 }
 
 BackupServer* BackupPool::ServerFor(NestedVmId vm) {
-  const auto it = assignment_.find(vm);
-  return it == assignment_.end() ? nullptr : servers_[it->second].get();
+  const uint32_t index = IndexOf(vm);
+  return index == kUnassigned ? nullptr : servers_[index].get();
 }
 
 const BackupServer* BackupPool::ServerFor(NestedVmId vm) const {
-  const auto it = assignment_.find(vm);
-  return it == assignment_.end() ? nullptr : servers_[it->second].get();
+  const uint32_t index = IndexOf(vm);
+  return index == kUnassigned ? nullptr : servers_[index].get();
 }
 
 double BackupPool::TotalHourlyCost() const {

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/backup/backup_server.h"
@@ -69,7 +68,7 @@ class BackupPool {
   const BackupServer* ServerFor(NestedVmId vm) const;
 
   int num_servers() const { return static_cast<int>(servers_.size()); }
-  int num_assigned() const { return static_cast<int>(assignment_.size()); }
+  int num_assigned() const { return num_assigned_; }
   const std::vector<std::unique_ptr<BackupServer>>& servers() const {
     return servers_;
   }
@@ -93,14 +92,24 @@ class BackupPool {
   double restore_bandwidth_scale() const { return restore_bandwidth_scale_; }
 
  private:
+  static constexpr uint32_t kUnassigned = UINT32_MAX;
+
   void Provision(SimTime now);
   void RecordAssignment(const BackupServer& server);
+  // Index of the server backing `vm`, or kUnassigned.
+  uint32_t IndexOf(NestedVmId vm) const {
+    return vm.value() < assignment_.size() ? assignment_[vm.value()]
+                                           : kUnassigned;
+  }
 
   BackupPoolConfig config_;
   IdGenerator<BackupServerTag> ids_;
   std::vector<std::unique_ptr<BackupServer>> servers_;
   std::vector<SimTime> provisioned_at_;  // parallel to servers_
-  std::unordered_map<NestedVmId, uint32_t> assignment_;  // VM -> server index
+  // VM id -> server index (kUnassigned when none); grows with the
+  // largest VM id assigned.
+  std::vector<uint32_t> assignment_;
+  int num_assigned_ = 0;
   // Indices of servers with room, ordered so Assign can take the first one
   // at or after rr_cursor_.
   std::set<uint32_t> open_servers_;

@@ -8,22 +8,34 @@ BackupServer::BackupServer(BackupServerId id, InstanceType type,
                            BackupServerPerf perf, int max_vms)
     : id_(id), type_(type), perf_(perf), max_vms_(max_vms) {}
 
+size_t BackupServer::IndexOf(NestedVmId vm) const {
+  size_t i = 0;
+  while (i < streams_.size() && streams_[i].vm != vm) {
+    ++i;
+  }
+  return i;
+}
+
 bool BackupServer::AddStream(NestedVmId vm, double demand_mbps) {
-  if (full() || streams_.contains(vm)) {
+  if (full() || HasStream(vm)) {
     return false;
   }
-  streams_[vm] = demand_mbps;
+  if (streams_.empty()) {
+    streams_.reserve(static_cast<size_t>(max_vms_));
+  }
+  streams_.push_back({vm, demand_mbps});
   demand_mbps_ += demand_mbps;
   return true;
 }
 
 void BackupServer::RemoveStream(NestedVmId vm) {
-  const auto it = streams_.find(vm);
-  if (it == streams_.end()) {
+  const size_t i = IndexOf(vm);
+  if (i == streams_.size()) {
     return;
   }
-  demand_mbps_ -= it->second;
-  streams_.erase(it);
+  demand_mbps_ -= streams_[i].demand_mbps;
+  streams_[i] = streams_.back();
+  streams_.pop_back();
 }
 
 double BackupServer::CheckpointLoadFactor() const {

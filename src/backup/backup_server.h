@@ -19,7 +19,8 @@
 #ifndef SRC_BACKUP_BACKUP_SERVER_H_
 #define SRC_BACKUP_BACKUP_SERVER_H_
 
-#include <map>
+#include <cstddef>
+#include <vector>
 
 #include "src/common/ids.h"
 #include "src/market/instance_types.h"
@@ -66,7 +67,7 @@ class BackupServer : public RestoreBandwidthSource {
   // when the server is at capacity or the VM is already registered.
   bool AddStream(NestedVmId vm, double demand_mbps);
   void RemoveStream(NestedVmId vm);
-  bool HasStream(NestedVmId vm) const { return streams_.contains(vm); }
+  bool HasStream(NestedVmId vm) const { return IndexOf(vm) < streams_.size(); }
   int num_streams() const { return static_cast<int>(streams_.size()); }
   bool full() const { return num_streams() >= max_vms_; }
   double checkpoint_demand_mbps() const { return demand_mbps_; }
@@ -101,11 +102,20 @@ class BackupServer : public RestoreBandwidthSource {
   const BackupServerPerf& perf() const { return perf_; }
 
  private:
+  struct Stream {
+    NestedVmId vm;
+    double demand_mbps;
+  };
+  // Position of `vm`'s stream; streams_.size() when it has none.
+  size_t IndexOf(NestedVmId vm) const;
+
   BackupServerId id_;
   InstanceType type_;
   BackupServerPerf perf_;
   int max_vms_;
-  std::map<NestedVmId, double> streams_;
+  // At most max_vms_ streams, unordered: a flat scan beats a tree at this
+  // size, and removal moves the last stream into the gap.
+  std::vector<Stream> streams_;
   double demand_mbps_ = 0.0;
   int active_restores_ = 0;
   double restore_bandwidth_scale_ = 1.0;

@@ -68,9 +68,10 @@ InstanceId NativeCloud::RequestSpotInstance(MarketKey market, double bid,
   const SimDuration delay = OperationDelay(CloudOperation::kStartSpotInstance);
   TraceAttrStr(config_.tracer, TraceOp("cloud.launch_spot", id, delay),
                "market", market.ToString());
-  sim_->ScheduleAfter(delay, [this, id, ready = std::move(ready)]() mutable {
-    OnInstanceStarted(id, std::move(ready));
-  });
+  if (ready) {
+    launch_ready_.Emplace(id, std::move(ready));
+  }
+  sim_->ScheduleAfter(delay, [this, id]() { OnInstanceStarted(id); });
   return id;
 }
 
@@ -83,43 +84,47 @@ InstanceId NativeCloud::RequestOnDemandInstance(MarketKey market,
   instance.mode = BillingMode::kOnDemand;
   instance.requested_at = sim_->Now();
   MetricInc(launch_requests_metric_);
-  if (rng_.Bernoulli(config_.on_demand_unavailable_probability)) {
-    // Out of capacity: fail after the request latency.
-    const SimDuration delay =
-        OperationDelay(CloudOperation::kStartOnDemandInstance);
-    TraceAttrStr(config_.tracer, TraceOp("cloud.launch_ondemand", id, delay),
-                 "market", market.ToString());
-    sim_->ScheduleAfter(delay, [this, id, ready = std::move(ready)]() {
-      Instance& failed = instances_.At(id);
-      failed.state = InstanceState::kTerminated;
-      failed.terminated_at = sim_->Now();
-      MetricInc(launch_failures_metric_);
-      if (ready) {
-        ready(id, false);
-      }
-    });
-    return id;
-  }
+  const bool out_of_capacity =
+      rng_.Bernoulli(config_.on_demand_unavailable_probability);
   const SimDuration delay =
       OperationDelay(CloudOperation::kStartOnDemandInstance);
   TraceAttrStr(config_.tracer, TraceOp("cloud.launch_ondemand", id, delay),
                "market", market.ToString());
-  sim_->ScheduleAfter(delay, [this, id, ready = std::move(ready)]() mutable {
-    OnInstanceStarted(id, std::move(ready));
-  });
+  if (ready) {
+    launch_ready_.Emplace(id, std::move(ready));
+  }
+  if (out_of_capacity) {
+    // Out of capacity: fail after the request latency.
+    sim_->ScheduleAfter(delay, [this, id]() { FailLaunch(instances_.At(id)); });
+  } else {
+    sim_->ScheduleAfter(delay, [this, id]() { OnInstanceStarted(id); });
+  }
   return id;
 }
 
-void NativeCloud::OnInstanceStarted(InstanceId id, InstanceReadyCallback ready) {
+void NativeCloud::FailLaunch(Instance& instance) {
+  instance.state = InstanceState::kTerminated;
+  instance.terminated_at = sim_->Now();
+  MetricInc(launch_failures_metric_);
+  ResolveLaunch(instance.id, false);
+}
+
+void NativeCloud::ResolveLaunch(InstanceId id, bool ok) {
+  InstanceReadyCallback* stored = launch_ready_.Find(id);
+  if (stored == nullptr) {
+    return;
+  }
+  // Out of the table before it runs: the callback may launch again.
+  InstanceReadyCallback ready = std::move(*stored);
+  launch_ready_.Erase(id);
+  ready(id, ok);
+}
+
+void NativeCloud::OnInstanceStarted(InstanceId id) {
   Instance& instance = instances_.At(id);
   if (instance.state == InstanceState::kTerminated || !ZoneAvailable(instance.market.zone)) {
     // Terminated while still pending, or the zone went down.
-    instance.state = InstanceState::kTerminated;
-    instance.terminated_at = sim_->Now();
-    MetricInc(launch_failures_metric_);
-    if (ready) {
-      ready(id, false);
-    }
+    FailLaunch(instance);
     return;
   }
   SpotMarket& market = MarketFor(instance.market);
@@ -128,12 +133,7 @@ void NativeCloud::OnInstanceStarted(InstanceId id, InstanceReadyCallback ready) 
         (spot_launch_fault_hook_ && spot_launch_fault_hook_(instance))) {
       // Bid is already out of the money (or an injected capacity shortage
       // swallowed the request): the launch fails.
-      instance.state = InstanceState::kTerminated;
-      instance.terminated_at = sim_->Now();
-      MetricInc(launch_failures_metric_);
-      if (ready) {
-        ready(id, false);
-      }
+      FailLaunch(instance);
       return;
     }
     // Monitor this market for revocations (one subscription per market).
@@ -155,9 +155,7 @@ void NativeCloud::OnInstanceStarted(InstanceId id, InstanceReadyCallback ready) 
   instance.running_since = sim_->Now();
   ++launches_;
   MetricInc(launches_metric_);
-  if (ready) {
-    ready(id, true);
-  }
+  ResolveLaunch(id, true);
 }
 
 void NativeCloud::OnMarketPriceChange(MarketKey key, double price) {
@@ -415,6 +413,26 @@ std::vector<const Instance*> NativeCloud::Instances(InstanceState state) const {
   return result;
 }
 
+template <typename Finish>
+void NativeCloud::ScheduleOp(SimDuration delay, Finish finish,
+                             std::function<void(bool)> done) {
+  if (!done) {
+    sim_->ScheduleAfter(delay, std::move(finish));
+    return;
+  }
+  sim_->ScheduleAfter(delay, [finish = std::move(finish),
+                              done = std::move(done)]() mutable {
+    done(finish());
+  });
+}
+
+void NativeCloud::Refuse(std::function<void(bool)> done) {
+  if (done) {
+    sim_->ScheduleAfter(SimDuration::Zero(),
+                        [done = std::move(done)]() { done(false); });
+  }
+}
+
 VolumeId NativeCloud::CreateVolume(double size_gb) {
   const VolumeId id = volume_ids_.Next();
   volumes_.Emplace(id).size_gb = size_gb;
@@ -430,28 +448,26 @@ void NativeCloud::AttachVolume(VolumeId volume, InstanceId instance,
                      (target->state == InstanceState::kRunning ||
                       target->state == InstanceState::kWarned);
   if (!valid) {
-    if (done) {
-      sim_->ScheduleAfter(SimDuration::Zero(), [done]() { done(false); });
-    }
+    Refuse(std::move(done));
     return;
   }
   record->busy = true;
   const SimDuration delay = OperationDelay(CloudOperation::kAttachVolume);
   TraceOp("cloud.ebs_attach", instance, delay);
-  sim_->ScheduleAfter(delay,
-                      [this, volume, instance, done = std::move(done)]() {
-                        VolumeRecord& entry = volumes_.At(volume);
-                        entry.busy = false;
-                        const Instance* target2 = GetInstance(instance);
-                        const bool ok = target2 != nullptr &&
-                                        target2->state != InstanceState::kTerminated;
-                        if (ok) {
-                          LinkVolume(volume, entry, instance);
-                        }
-                        if (done) {
-                          done(ok);
-                        }
-                      });
+  ScheduleOp(
+      delay,
+      [this, volume, instance]() {
+        VolumeRecord& entry = volumes_.At(volume);
+        entry.busy = false;
+        const Instance* target2 = GetInstance(instance);
+        const bool ok =
+            target2 != nullptr && target2->state != InstanceState::kTerminated;
+        if (ok) {
+          LinkVolume(volume, entry, instance);
+        }
+        return ok;
+      },
+      std::move(done));
 }
 
 void NativeCloud::DetachVolume(VolumeId volume, std::function<void(bool)> done) {
@@ -459,22 +475,21 @@ void NativeCloud::DetachVolume(VolumeId volume, std::function<void(bool)> done) 
   const bool valid =
       record != nullptr && !record->busy && record->attached_to.valid();
   if (!valid) {
-    if (done) {
-      sim_->ScheduleAfter(SimDuration::Zero(), [done]() { done(false); });
-    }
+    Refuse(std::move(done));
     return;
   }
   record->busy = true;
   const SimDuration delay = OperationDelay(CloudOperation::kDetachVolume);
   TraceOp("cloud.ebs_detach", record->attached_to, delay);
-  sim_->ScheduleAfter(delay, [this, volume, done = std::move(done)]() {
-                        VolumeRecord& entry = volumes_.At(volume);
-                        entry.busy = false;
-                        UnlinkVolume(volume, entry);
-                        if (done) {
-                          done(true);
-                        }
-                      });
+  ScheduleOp(
+      delay,
+      [this, volume]() {
+        VolumeRecord& entry = volumes_.At(volume);
+        entry.busy = false;
+        UnlinkVolume(volume, entry);
+        return true;
+      },
+      std::move(done));
 }
 
 InstanceId NativeCloud::VolumeAttachment(VolumeId volume) const {
@@ -497,28 +512,26 @@ void NativeCloud::AssignAddress(AddressId address, InstanceId instance,
                      (target->state == InstanceState::kRunning ||
                       target->state == InstanceState::kWarned);
   if (!valid) {
-    if (done) {
-      sim_->ScheduleAfter(SimDuration::Zero(), [done]() { done(false); });
-    }
+    Refuse(std::move(done));
     return;
   }
   record->busy = true;
   const SimDuration delay = OperationDelay(CloudOperation::kAttachInterface);
   TraceOp("cloud.eni_assign", instance, delay);
-  sim_->ScheduleAfter(delay,
-                      [this, address, instance, done = std::move(done)]() {
-                        AddressRecord& entry = addresses_.At(address);
-                        entry.busy = false;
-                        const Instance* target2 = GetInstance(instance);
-                        const bool ok = target2 != nullptr &&
-                                        target2->state != InstanceState::kTerminated;
-                        if (ok) {
-                          LinkAddress(address, entry, instance);
-                        }
-                        if (done) {
-                          done(ok);
-                        }
-                      });
+  ScheduleOp(
+      delay,
+      [this, address, instance]() {
+        AddressRecord& entry = addresses_.At(address);
+        entry.busy = false;
+        const Instance* target2 = GetInstance(instance);
+        const bool ok =
+            target2 != nullptr && target2->state != InstanceState::kTerminated;
+        if (ok) {
+          LinkAddress(address, entry, instance);
+        }
+        return ok;
+      },
+      std::move(done));
 }
 
 void NativeCloud::UnassignAddress(AddressId address, std::function<void(bool)> done) {
@@ -526,22 +539,21 @@ void NativeCloud::UnassignAddress(AddressId address, std::function<void(bool)> d
   const bool valid =
       record != nullptr && !record->busy && record->assigned_to.valid();
   if (!valid) {
-    if (done) {
-      sim_->ScheduleAfter(SimDuration::Zero(), [done]() { done(false); });
-    }
+    Refuse(std::move(done));
     return;
   }
   record->busy = true;
   const SimDuration delay = OperationDelay(CloudOperation::kDetachInterface);
   TraceOp("cloud.eni_unassign", record->assigned_to, delay);
-  sim_->ScheduleAfter(delay, [this, address, done = std::move(done)]() {
-                        AddressRecord& entry = addresses_.At(address);
-                        entry.busy = false;
-                        UnlinkAddress(address, entry);
-                        if (done) {
-                          done(true);
-                        }
-                      });
+  ScheduleOp(
+      delay,
+      [this, address]() {
+        AddressRecord& entry = addresses_.At(address);
+        entry.busy = false;
+        UnlinkAddress(address, entry);
+        return true;
+      },
+      std::move(done));
 }
 
 InstanceId NativeCloud::AddressAssignment(AddressId address) const {

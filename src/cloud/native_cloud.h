@@ -197,7 +197,19 @@ class NativeCloud {
   // Records an operation span [Now, Now + delay) on `instance`'s host track,
   // adopting the ambient trace parent; 0 when tracing is off.
   SpanId TraceOp(std::string_view name, InstanceId instance, SimDuration delay);
-  void OnInstanceStarted(InstanceId id, InstanceReadyCallback ready);
+  void OnInstanceStarted(InstanceId id);
+  // A launch that will never run: terminates it, counts the failure and
+  // reports it.
+  void FailLaunch(Instance& instance);
+  // Takes the launch's ready callback, if any, and fires it.
+  void ResolveLaunch(InstanceId id, bool ok);
+  // Attach/assign/detach/unassign plumbing: schedules `finish` after
+  // `delay` and reports its result to `done` when set; a refused call
+  // reports false at once. Without `done` the event holds only `finish`.
+  template <typename Finish>
+  void ScheduleOp(SimDuration delay, Finish finish,
+                  std::function<void(bool)> done);
+  void Refuse(std::function<void(bool)> done);
   void OnMarketPriceChange(MarketKey key, double price);
   // Flips the instance to kWarned, counts the revocation, and fires the
   // revocation handler. Does NOT schedule the termination: the sweep in
@@ -232,6 +244,9 @@ class NativeCloud {
   // id-order iteration. Instances, volumes, and addresses are never erased
   // within a simulation, matching the old map semantics.
   FleetTable<InstanceTag, Instance> instances_;
+  // Ready callbacks of unresolved launches. Kept here rather than in the
+  // start event, so that event fits UniqueCallback's inline buffer.
+  FleetTable<InstanceTag, InstanceReadyCallback> launch_ready_;
   // Running spot instances per market, so price changes only touch the
   // affected market's instances (terminated ids are compacted lazily).
   // `min_bid` is a conservative lower bound over the listed instances

@@ -48,12 +48,12 @@ void HostPoolManager::RefreshPlaceable(const HostVm& host) {
     return;
   }
   ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolPlaceableIndex);
-  std::set<InstanceId>& bucket = placeable_spot_index_[host.market()];
+  IdSet<InstanceTag>& bucket = placeable_spot_index_[host.market()];
   if (host.free_mb() >= PlaceableThresholdMb()) {
-    if (bucket.insert(host.instance()).second) {
+    if (bucket.Insert(host.instance())) {
       ProfileAdd(ctx_->profiler, ProfileStat::kIndexInserts);
     }
-  } else if (bucket.erase(host.instance()) > 0) {
+  } else if (bucket.Erase(host.instance())) {
     ProfileAdd(ctx_->profiler, ProfileStat::kIndexErases);
   }
 }
@@ -83,17 +83,14 @@ HostVm* HostPoolManager::FindHostWithCapacity(const MarketKey& market,
   if (bucket == index.end()) {
     return nullptr;
   }
-  for (InstanceId instance : bucket->second) {
-    HostVm& host = hosts_.At(instance);
-    if (!host.CanHost(spec)) {
-      continue;
+  const InstanceId found = bucket->second.FindFirst([&](InstanceId instance) {
+    if (!hosts_.At(instance).CanHost(spec)) {
+      return false;
     }
     const Instance* native = ctx_->cloud->GetInstance(instance);
-    if (native != nullptr && native->state == InstanceState::kRunning) {
-      return &host;
-    }
-  }
-  return nullptr;
+    return native != nullptr && native->state == InstanceState::kRunning;
+  });
+  return hosts_.Find(found);
 }
 
 std::vector<InstanceId> HostPoolManager::SpotHostsIn(
@@ -102,7 +99,11 @@ std::vector<InstanceId> HostPoolManager::SpotHostsIn(
   if (bucket == spot_index_.end()) {
     return {};
   }
-  return {bucket->second.begin(), bucket->second.end()};
+  std::vector<InstanceId> hosts;
+  hosts.reserve(bucket->second.size());
+  bucket->second.ForEach(
+      [&](InstanceId instance) { hosts.push_back(instance); });
+  return hosts;
 }
 
 void HostPoolManager::AcquireHost(MarketKey market, bool is_spot,
@@ -116,7 +117,7 @@ void HostPoolManager::AcquireHost(MarketKey market, bool is_spot,
     instance = ctx_->cloud->RequestOnDemandInstance(
         market, [this](InstanceId id, bool ok) { OnHostReady(id, ok); });
   }
-  PendingHost& pending = pending_hosts_[instance];
+  PendingHost& pending = pending_hosts_.Emplace(instance);
   pending.market = market;
   pending.is_spot = is_spot;
   pending.is_hot_spare = hot_spare;
@@ -140,7 +141,7 @@ void HostPoolManager::AcquireHost(MarketKey market, bool is_spot,
   if (is_spot && !hot_spare &&
       static_cast<int>(pending.waiting.size()) < SpotSlots(market)) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolPendingJoin);
-    joinable_spot_index_[market].insert(instance);
+    joinable_spot_index_[market].Insert(instance);
     ProfileAdd(ctx_->profiler, ProfileStat::kIndexInserts);
   }
   if (hot_spare) {
@@ -158,12 +159,12 @@ void HostPoolManager::QueueOrAcquireSpot(const MarketKey& market,
   const auto bucket = joinable_spot_index_.find(market);
   if (bucket != joinable_spot_index_.end() && !bucket->second.empty()) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolPendingJoin);
-    const InstanceId instance = *bucket->second.begin();
-    PendingHost& pending = pending_hosts_.at(instance);
+    const InstanceId instance = bucket->second.Min();
+    PendingHost& pending = pending_hosts_.At(instance);
     pending.waiting.push_back(waiter);
     ++num_waiting_vms_;
     if (static_cast<int>(pending.waiting.size()) >= SpotSlots(market)) {
-      bucket->second.erase(bucket->second.begin());
+      bucket->second.Erase(instance);
       ProfileAdd(ctx_->profiler, ProfileStat::kIndexErases);
     }
     return;
@@ -172,18 +173,17 @@ void HostPoolManager::QueueOrAcquireSpot(const MarketKey& market,
 }
 
 void HostPoolManager::OnHostReady(InstanceId instance, bool ok) {
-  const auto it = pending_hosts_.find(instance);
-  if (it == pending_hosts_.end()) {
+  PendingHost* found = pending_hosts_.Find(instance);
+  if (found == nullptr) {
     return;
   }
-  PendingHost pending = std::move(it->second);
-  pending_hosts_.erase(it);
+  PendingHost pending = std::move(*found);
+  pending_hosts_.Erase(instance);
   num_waiting_vms_ -= pending.waiting.size();
   if (pending.is_spot && !pending.is_hot_spare) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolPendingJoin);
     ProfileAdd(ctx_->profiler, ProfileStat::kIndexErases,
-               static_cast<int64_t>(
-                   joinable_spot_index_[pending.market].erase(instance)));
+               joinable_spot_index_[pending.market].Erase(instance) ? 1 : 0);
   }
   if (pending.is_hot_spare) {
     --pending_hot_spares_;
@@ -246,7 +246,7 @@ void HostPoolManager::OnHostReady(InstanceId instance, bool ok) {
     hot_spare_set_.insert(instance);
   } else if (pending.is_spot) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolCapacityIndex);
-    spot_index_[pending.market].insert(instance);
+    spot_index_[pending.market].Insert(instance);
     ProfileAdd(ctx_->profiler, ProfileStat::kIndexInserts);
     RefreshPlaceable(host_ref);
   }
@@ -290,10 +290,11 @@ void HostPoolManager::MaybeReleaseHost(InstanceId instance) {
   }
   if (host->is_spot()) {
     ProfileScope scope(ctx_->profiler, ProfileCategory::kPoolCapacityIndex);
+    const MarketKey& market = host->market();
+    const bool indexed = spot_index_[market].Erase(instance);
+    const bool placeable = placeable_spot_index_[market].Erase(instance);
     ProfileAdd(ctx_->profiler, ProfileStat::kIndexErases,
-               static_cast<int64_t>(
-                   spot_index_[host->market()].erase(instance) +
-                   placeable_spot_index_[host->market()].erase(instance)));
+               (indexed ? 1 : 0) + (placeable ? 1 : 0));
   }
   total_capacity_mb_ -= host->capacity_mb();
   total_used_mb_ -= host->used_mb();
@@ -332,7 +333,7 @@ void HostPoolManager::RegisterTelemetry(TimeSeriesRecorder& ts) {
                [this] { return static_cast<double>(num_waiting_vms_); });
   // Index entry totals: the fleet-scale suspects. Each sampler sums one
   // index family across markets (market count is small and fixed).
-  const auto entries = [](const std::map<MarketKey, std::set<InstanceId>>& m) {
+  const auto entries = [](const std::map<MarketKey, IdSet<InstanceTag>>& m) {
     size_t n = 0;
     for (const auto& [market, bucket] : m) {
       n += bucket.size();
@@ -409,14 +410,14 @@ bool HostPoolManager::ValidateInvariants(std::string* error) const {
       return fail(instance.ToString() + " is a spot hot spare");
     }
     const auto bucket = spot_index_.find(host.market());
-    if (bucket == spot_index_.end() || !bucket->second.contains(instance)) {
+    if (bucket == spot_index_.end() || !bucket->second.Contains(instance)) {
       return fail(instance.ToString() + " missing from its capacity index");
     }
     // The placeable sub-index holds exactly the spot hosts with at least
     // one standard nested slot free.
     const auto pbucket = placeable_spot_index_.find(host.market());
     const bool placeable = pbucket != placeable_spot_index_.end() &&
-                           pbucket->second.contains(instance);
+                           pbucket->second.Contains(instance);
     if (placeable != (host.free_mb() >= threshold)) {
       return fail(instance.ToString() +
                   (placeable ? " placeable without a free standard slot"
@@ -427,32 +428,33 @@ bool HostPoolManager::ValidateInvariants(std::string* error) const {
     // No index entry may outlive its host record.
     for (const auto* index : {&spot_index_, &placeable_spot_index_}) {
       for (const auto& [market, bucket] : *index) {
-        for (InstanceId instance : bucket) {
+        bucket.ForEach([&](InstanceId instance) {
           const HostVm* host = hosts_.Find(instance);
           if (host == nullptr || !host->is_spot() ||
               !(host->market() == market)) {
             fail("capacity index holds stale host " + instance.ToString() +
                  " for " + market.ToString());
           }
-        }
+        });
       }
     }
     // A launch is joinable exactly when it is a pending, non-spare spot
     // launch with a free nested slot; counting those catches stale entries.
     size_t joinable = 0;
-    for (const auto& [instance, pending] : pending_hosts_) {
+    pending_hosts_.ForEach([&](InstanceId instance,
+                               const PendingHost& pending) {
       const bool has_room =
           pending.is_spot && !pending.is_hot_spare &&
           static_cast<int>(pending.waiting.size()) < SpotSlots(pending.market);
       const auto jbucket = joinable_spot_index_.find(pending.market);
       const bool indexed = jbucket != joinable_spot_index_.end() &&
-                           jbucket->second.contains(instance);
+                           jbucket->second.Contains(instance);
       if (has_room != indexed) {
         fail(instance.ToString() + (indexed ? " joinable while full"
                                             : " has room but is not joinable"));
       }
       joinable += has_room ? 1 : 0;
-    }
+    });
     size_t joinable_entries = 0;
     for (const auto& [market, bucket] : joinable_spot_index_) {
       joinable_entries += bucket.size();
@@ -476,9 +478,9 @@ bool HostPoolManager::ValidateInvariants(std::string* error) const {
       fail("fleet used-memory aggregate drifted from a full scan");
     }
     size_t waiting = 0;
-    for (const auto& [instance, pending] : pending_hosts_) {
+    pending_hosts_.ForEach([&](InstanceId, const PendingHost& pending) {
       waiting += pending.waiting.size();
-    }
+    });
     if (waiting != num_waiting_vms_) {
       fail("waiter aggregate drifted from a full scan");
     }

@@ -25,10 +25,13 @@
 //
 //   * the joinable index: non-hot-spare spot launches per market that still
 //     have a free nested slot, so QueueOrAcquireSpot joins an in-flight
-//     host (the slicing arbitrage) in O(log n) instead of scanning every
-//     pending acquisition. Waiters never leave a pending host before it
-//     resolves, so fullness is monotone and the index's minimum id is
-//     exactly the host the old first-with-room scan picked.
+//     host (the slicing arbitrage) without scanning every pending
+//     acquisition. Waiters never leave a pending host before it resolves,
+//     so fullness is monotone and the index's minimum id is exactly the
+//     host the old first-with-room scan picked.
+//
+// Each index is an IdSet (one bit per instance id), walked in ascending id
+// order; pending launches live in a FleetTable keyed by instance id.
 //
 // Hot spares are on-demand hosts, so no index holds them; promoting one
 // only takes it out of the reserve.
@@ -45,13 +48,13 @@
 #define SRC_CORE_HOST_POOL_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/fleet_store.h"
+#include "src/common/id_set.h"
 #include "src/common/ids.h"
 #include "src/core/controller_context.h"
 #include "src/market/instance_types.h"
@@ -164,7 +167,7 @@ class HostPoolManager : public HostOccupancyListener {
     MarketKey market;
     bool is_spot = true;
     bool is_hot_spare = false;
-    std::deque<Waiter> waiting;  // VMs to place when the host is up
+    std::vector<Waiter> waiting;  // VMs to place when the host is up
     // Open "pool.acquire" span covering request -> ready/failed (0 when
     // tracing is off).
     SpanId span = 0;
@@ -186,13 +189,13 @@ class HostPoolManager : public HostOccupancyListener {
   // Fleet-scale host storage: arena records (stable for the HostVm&
   // handed to the components), O(1) id lookups, id-order iteration.
   FleetTable<InstanceTag, HostVm> hosts_;
-  std::map<InstanceId, PendingHost> pending_hosts_;
+  FleetTable<InstanceTag, PendingHost> pending_hosts_;
   // Per-market spot host indexes (see file comment).
-  std::map<MarketKey, std::set<InstanceId>> spot_index_;
+  std::map<MarketKey, IdSet<InstanceTag>> spot_index_;
   // The placeable subset of spot_index_ (standard slot free).
-  std::map<MarketKey, std::set<InstanceId>> placeable_spot_index_;
+  std::map<MarketKey, IdSet<InstanceTag>> placeable_spot_index_;
   // Pending non-hot-spare spot launches with a free nested slot to join.
-  std::map<MarketKey, std::set<InstanceId>> joinable_spot_index_;
+  std::map<MarketKey, IdSet<InstanceTag>> joinable_spot_index_;
   // Hot spares: readiness-ordered pick list + O(log n) membership.
   std::vector<InstanceId> hot_spare_order_;
   std::set<InstanceId> hot_spare_set_;

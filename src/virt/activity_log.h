@@ -5,14 +5,20 @@
 // performance (during checkpoint-frequency ramps and lazy restores). The
 // ActivityLog records labelled intervals per VM and answers aggregate
 // queries over an observation window.
+//
+// Records live in a FleetTable keyed by VM id: O(1) lookups, and
+// MeanFraction sums in ascending id order, the order its pinned outputs
+// were computed in. A VM is known only once it has been recorded, born or
+// killed: a default record (birth 0, never dead) would count as alive for
+// the whole window.
 
 #ifndef SRC_VIRT_ACTIVITY_LOG_H_
 #define SRC_VIRT_ACTIVITY_LOG_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "src/common/fleet_store.h"
 #include "src/common/ids.h"
 #include "src/common/time.h"
 
@@ -54,7 +60,10 @@ class ActivityLog {
     SimTime death = SimTime::Max();
     std::vector<ActivityInterval> intervals;
   };
-  std::map<NestedVmId, VmRecord> vms_;
+  // The VM's record, created empty on first use.
+  VmRecord& RecordFor(NestedVmId vm);
+
+  FleetTable<NestedVmTag, VmRecord> vms_;
 };
 
 }  // namespace spotcheck

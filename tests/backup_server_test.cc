@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -151,48 +152,81 @@ TEST(BackupPoolTest, AccruedCostIntegratesProvisionTime) {
 }
 
 // Reference model: the cyclic probe loop BackupPool::Assign ran before it
-// indexed the servers with room. Servers are plain stream counts.
+// indexed the servers with room, over the ordered maps the pool and its
+// servers kept before they became flat vectors: VM -> server index, and
+// per server VM -> checkpoint demand with the demand total kept in call
+// order.
 class ProbeLoopModel {
  public:
+  static constexpr size_t kNone = SIZE_MAX;
+
   explicit ProbeLoopModel(int max_vms) : max_vms_(max_vms) {}
 
   // Returns the index of the server `vm` lands on.
-  size_t Assign(int vm) {
+  size_t Assign(int vm, double demand_mbps) {
     if (const auto it = assignment_.find(vm); it != assignment_.end()) {
       return it->second;
     }
-    for (size_t probe = 0; probe < streams_.size(); ++probe) {
-      const size_t candidate = rr_cursor_ % streams_.size();
-      rr_cursor_ = (rr_cursor_ + 1) % streams_.size();
-      if (streams_[candidate] < max_vms_) {
-        ++streams_[candidate];
-        return assignment_[vm] = candidate;
+    for (size_t probe = 0; probe < servers_.size(); ++probe) {
+      const size_t candidate = rr_cursor_ % servers_.size();
+      rr_cursor_ = (rr_cursor_ + 1) % servers_.size();
+      if (static_cast<int>(servers_[candidate].streams.size()) < max_vms_) {
+        return Add(candidate, vm, demand_mbps);
       }
     }
-    streams_.push_back(1);
-    return assignment_[vm] = streams_.size() - 1;
+    servers_.emplace_back();
+    return Add(servers_.size() - 1, vm, demand_mbps);
   }
 
   void Release(int vm) {
     if (const auto it = assignment_.find(vm); it != assignment_.end()) {
-      --streams_[it->second];
+      Server& server = servers_[it->second];
+      server.demand_mbps -= server.streams.at(vm);
+      server.streams.erase(vm);
       assignment_.erase(it);
     }
   }
 
-  size_t num_servers() const { return streams_.size(); }
+  size_t num_servers() const { return servers_.size(); }
+  size_t num_assigned() const { return assignment_.size(); }
+  size_t ServerOf(int vm) const {
+    const auto it = assignment_.find(vm);
+    return it == assignment_.end() ? kNone : it->second;
+  }
+  size_t num_streams(size_t server) const {
+    return servers_[server].streams.size();
+  }
+  double demand_mbps(size_t server) const {
+    return servers_[server].demand_mbps;
+  }
 
  private:
+  struct Server {
+    std::map<int, double> streams;
+    double demand_mbps = 0.0;
+  };
+
+  size_t Add(size_t server, int vm, double demand_mbps) {
+    servers_[server].streams[vm] = demand_mbps;
+    servers_[server].demand_mbps += demand_mbps;
+    return assignment_[vm] = server;
+  }
+
   int max_vms_;
-  std::vector<int> streams_;
+  std::vector<Server> servers_;
   std::map<int, size_t> assignment_;
   size_t rr_cursor_ = 0;
 };
 
-// Differential check of the open-server index: seeded random Assign /
-// Release sequences (re-assigning live VMs and releasing unknown ones
-// included) must pick the probe loop's server at every step, and each new
-// assignment must cost exactly one probe.
+// Differential check of the open-server index and the flat tables behind
+// it: seeded random Assign / Release sequences (re-assigning live VMs and
+// releasing unknown ones included) must pick the probe loop's server at
+// every step, and each new assignment must cost exactly one probe. After
+// every operation the touched VM's server (ServerFor and HasStream on
+// every server), num_assigned, and every server's stream count and
+// checkpoint demand (exactly: the same additions and subtractions in the
+// same order) must match the map model; every 1,000 steps, so must every
+// VM's server.
 TEST(BackupPoolTest, IndexMatchesProbeLoopReferenceModel) {
   for (const int max_vms : {1, 2, 3, 40}) {
     for (const uint64_t seed : {1u, 2u, 3u}) {
@@ -207,36 +241,72 @@ TEST(BackupPoolTest, IndexMatchesProbeLoopReferenceModel) {
       std::vector<int> live;
       int next_vm = 1;
       int64_t assignments = 0;
+      const auto expect_vm = [&](int vm, int step) {
+        const size_t expected = model.ServerOf(vm);
+        const BackupServer* got = pool.ServerFor(NestedVmId(vm));
+        if (expected == ProbeLoopModel::kNone) {
+          ASSERT_EQ(got, nullptr) << "vm " << vm << " step " << step;
+        } else {
+          ASSERT_EQ(got, pool.servers()[expected].get())
+              << "vm " << vm << " step " << step;
+        }
+        for (size_t i = 0; i < pool.servers().size(); ++i) {
+          ASSERT_EQ(pool.servers()[i]->HasStream(NestedVmId(vm)), i == expected)
+              << "vm " << vm << " server " << i << " step " << step;
+        }
+      };
       for (int step = 0; step < 5'000; ++step) {
         const uint64_t op = rng() % 20;
+        const double demand = 0.5 + static_cast<double>(rng() % 997) / 100.0;
+        int touched;
         if (op < 11 || live.empty()) {
           const int vm = next_vm++;
-          const size_t expected = model.Assign(vm);
-          const BackupServer& got = pool.Assign(NestedVmId(vm), 3.0);
+          const size_t expected = model.Assign(vm, demand);
+          const BackupServer& got = pool.Assign(NestedVmId(vm), demand);
           ASSERT_LT(expected, pool.servers().size()) << "step " << step;
           ASSERT_EQ(got.id().ToString(),
                     pool.servers()[expected]->id().ToString())
               << "step " << step;
           live.push_back(vm);
           ++assignments;
+          touched = vm;
         } else if (op < 19) {
           const size_t victim = rng() % live.size();
-          model.Release(live[victim]);
-          pool.Release(NestedVmId(live[victim]));
+          touched = live[victim];
+          model.Release(touched);
+          pool.Release(NestedVmId(touched));
           live[victim] = live.back();
           live.pop_back();
         } else {
           // Re-assigning a live VM returns its server; releasing an unknown
           // VM is a no-op. Neither is an assignment.
-          const int vm = live[rng() % live.size()];
-          const size_t expected = model.Assign(vm);
-          ASSERT_EQ(pool.Assign(NestedVmId(vm), 3.0).id().ToString(),
+          touched = live[rng() % live.size()];
+          const size_t expected = model.Assign(touched, demand);
+          ASSERT_EQ(pool.Assign(NestedVmId(touched), demand).id().ToString(),
                     pool.servers()[expected]->id().ToString())
               << "step " << step;
           pool.Release(NestedVmId(next_vm + 1'000'000));
+          expect_vm(next_vm + 1'000'000, step);
         }
         ASSERT_EQ(static_cast<size_t>(pool.num_servers()), model.num_servers())
             << "step " << step;
+        ASSERT_EQ(static_cast<size_t>(pool.num_assigned()),
+                  model.num_assigned())
+            << "step " << step;
+        expect_vm(touched, step);
+        for (size_t i = 0; i < model.num_servers(); ++i) {
+          const BackupServer& server = *pool.servers()[i];
+          ASSERT_EQ(static_cast<size_t>(server.num_streams()),
+                    model.num_streams(i))
+              << "server " << i << " step " << step;
+          ASSERT_EQ(server.checkpoint_demand_mbps(), model.demand_mbps(i))
+              << "server " << i << " step " << step;
+        }
+        if (step % 1'000 == 999) {
+          for (int vm = 1; vm < next_vm; ++vm) {
+            expect_vm(vm, step);
+          }
+        }
       }
       EXPECT_EQ(pool.num_assigned(), static_cast<int>(live.size()));
       EXPECT_EQ(profiler.stats(ProfileCategory::kBackupAssign).count,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 namespace spotcheck {
@@ -223,6 +225,133 @@ TEST_F(NativeCloudTest, InstancesQueryFiltersByState) {
   sim_.RunUntil(SimTime::FromSeconds(1200));
   EXPECT_EQ(cloud_->Instances(InstanceState::kRunning).size(), 1u);
   EXPECT_EQ(cloud_->Instances(InstanceState::kTerminated).size(), 1u);
+}
+
+// The launch contract the host pool relies on: every launch resolves its
+// ready callback exactly once, with ok == true only when the instance
+// runs, on every path a launch can take. A callback that launches again
+// from inside itself gets its own callback too.
+TEST_F(NativeCloudTest, EveryLaunchPathFiresReadyExactlyOnce) {
+  const MarketKey other_zone{InstanceType::kM3Medium, AvailabilityZone{1}};
+  PriceTrace flat;
+  flat.Append(SimTime(), 0.01);
+  markets_.AddWithTrace(other_zone, std::move(flat));
+  std::map<InstanceId, std::vector<bool>> calls;
+  const auto record = [&calls](InstanceId id, bool ok) {
+    calls[id].push_back(ok);
+  };
+
+  const InstanceId spot = cloud_->RequestSpotInstance(kMedium, 0.070, record);
+  const InstanceId on_demand = cloud_->RequestOnDemandInstance(kMedium, record);
+  const InstanceId terminated =
+      cloud_->RequestSpotInstance(kMedium, 0.070, record);
+  cloud_->TerminateInstance(terminated);  // while still pending
+  InstanceId relaunched;
+  const InstanceId relauncher = cloud_->RequestOnDemandInstance(
+      kMedium, [&](InstanceId id, bool ok) {
+        record(id, ok);
+        relaunched = cloud_->RequestOnDemandInstance(kMedium, record);
+      });
+  // Zone 1 goes down at t=10, before either launch into it starts.
+  cloud_->ScheduleZoneOutage(AvailabilityZone{1}, SimTime::FromSeconds(10),
+                             SimTime::FromSeconds(2000));
+  const InstanceId zone_spot =
+      cloud_->RequestSpotInstance(other_zone, 0.070, record);
+  const InstanceId zone_on_demand =
+      cloud_->RequestOnDemandInstance(other_zone, record);
+  const InstanceId silent = cloud_->RequestSpotInstance(kMedium, 0.070);
+  // Requested at t=900, the spot launch starts at t=1127 inside the spike.
+  sim_.RunUntil(SimTime::FromSeconds(900));
+  const InstanceId priced_out =
+      cloud_->RequestSpotInstance(kMedium, 0.070, record);
+  NativeCloudConfig full_config;
+  full_config.sample_latencies = false;
+  full_config.on_demand_unavailable_probability = 1.0;
+  NativeCloud full(&sim_, &markets_, full_config);
+  std::vector<bool> full_calls;
+  full.RequestOnDemandInstance(
+      kMedium, [&](InstanceId, bool ok) { full_calls.push_back(ok); });
+  sim_.RunUntil(SimTime::FromSeconds(6000));
+
+  const std::map<InstanceId, std::vector<bool>> expected = {
+      {spot, {true}},           {on_demand, {true}},
+      {terminated, {false}},    {relauncher, {true}},
+      {relaunched, {true}},     {zone_spot, {false}},
+      {zone_on_demand, {false}}, {priced_out, {false}},
+  };
+  EXPECT_EQ(calls, expected);
+  EXPECT_EQ(full_calls, std::vector<bool>{false});
+  // A launch without a callback runs all the same.
+  EXPECT_NE(cloud_->GetInstance(silent)->state, InstanceState::kPending);
+  // spot, on_demand, relauncher, relaunched and silent.
+  EXPECT_EQ(cloud_->launches(), 5);
+}
+
+// AttachVolume and AssignAddress report through `done`: success after the
+// operation's latency, and false for each refusal -- an unknown id, an
+// operation already in flight, an attachment that already exists, a target
+// that is not running, and a target that dies while the operation runs.
+TEST_F(NativeCloudTest, AttachAndAssignReportSuccessAndEachRefusal) {
+  const InstanceId host = cloud_->RequestOnDemandInstance(kMedium);
+  const InstanceId doomed = cloud_->RequestOnDemandInstance(kMedium);
+  const InstanceId pending = cloud_->RequestSpotInstance(kMedium, 0.070);
+  sim_.RunUntil(SimTime::FromSeconds(62));
+  ASSERT_EQ(cloud_->GetInstance(pending)->state, InstanceState::kPending);
+
+  std::map<std::string, std::vector<bool>> attach;
+  std::map<std::string, std::vector<bool>> assign;
+  const auto into = [](std::vector<bool>& out) {
+    return [&out](bool ok) { out.push_back(ok); };
+  };
+  const VolumeId volume = cloud_->CreateVolume(8.0);
+  const VolumeId spare_volume = cloud_->CreateVolume(8.0);
+  const VolumeId dying_volume = cloud_->CreateVolume(8.0);
+  const VolumeId quiet_volume = cloud_->CreateVolume(8.0);
+  cloud_->AttachVolume(volume, host, into(attach["ok"]));
+  cloud_->AttachVolume(volume, host, into(attach["busy"]));
+  cloud_->AttachVolume(VolumeId(999), host, into(attach["unknown volume"]));
+  cloud_->AttachVolume(spare_volume, InstanceId(999),
+                       into(attach["unknown instance"]));
+  cloud_->AttachVolume(spare_volume, pending, into(attach["pending"]));
+  cloud_->AttachVolume(dying_volume, doomed, into(attach["died"]));
+  cloud_->AttachVolume(quiet_volume, host);
+
+  const AddressId address = cloud_->AllocateAddress();
+  const AddressId spare_address = cloud_->AllocateAddress();
+  const AddressId dying_address = cloud_->AllocateAddress();
+  const AddressId quiet_address = cloud_->AllocateAddress();
+  cloud_->AssignAddress(address, host, into(assign["ok"]));
+  cloud_->AssignAddress(address, host, into(assign["busy"]));
+  cloud_->AssignAddress(AddressId(999), host, into(assign["unknown address"]));
+  cloud_->AssignAddress(spare_address, InstanceId(999),
+                        into(assign["unknown instance"]));
+  cloud_->AssignAddress(spare_address, pending, into(assign["pending"]));
+  cloud_->AssignAddress(dying_address, doomed, into(assign["died"]));
+  cloud_->AssignAddress(quiet_address, host);
+  cloud_->TerminateInstance(doomed);
+  sim_.RunUntil(SimTime::FromSeconds(100));
+  cloud_->AttachVolume(volume, host, into(attach["attached"]));
+  cloud_->AssignAddress(address, host, into(assign["attached"]));
+  sim_.RunUntil(SimTime::FromSeconds(200));
+
+  const std::map<std::string, std::vector<bool>> expected_attach = {
+      {"ok", {true}},       {"busy", {false}},    {"unknown volume", {false}},
+      {"unknown instance", {false}}, {"pending", {false}},
+      {"died", {false}},    {"attached", {false}},
+  };
+  const std::map<std::string, std::vector<bool>> expected_assign = {
+      {"ok", {true}},       {"busy", {false}},    {"unknown address", {false}},
+      {"unknown instance", {false}}, {"pending", {false}},
+      {"died", {false}},    {"attached", {false}},
+  };
+  EXPECT_EQ(attach, expected_attach);
+  EXPECT_EQ(assign, expected_assign);
+  EXPECT_EQ(cloud_->VolumeAttachment(volume), host);
+  EXPECT_EQ(cloud_->AddressAssignment(address), host);
+  EXPECT_EQ(cloud_->VolumeAttachment(quiet_volume), host);
+  EXPECT_EQ(cloud_->AddressAssignment(quiet_address), host);
+  EXPECT_FALSE(cloud_->VolumeAttachment(dying_volume).valid());
+  EXPECT_FALSE(cloud_->AddressAssignment(dying_address).valid());
 }
 
 }  // namespace

@@ -354,5 +354,89 @@ TEST(HostPoolTest, PlacementMatchesNaiveScanReferenceModel) {
   }
 }
 
+// Differential check of the joinable pick in QueueOrAcquireSpot, against a
+// reference that needs no index: walk the cloud's pending instances in id
+// order and take the first spot launch of the waiter's market that, by the
+// reference's own waiter count, still has a free nested slot. Seeded random
+// waiters in three markets (one, two and four nested slots) mix with
+// waiter-less spot launches (joinable, empty), on-demand launches and hot
+// spares (never joinable), and time advances that resolve launches (on
+// demand before spot, so not in id order). Each waiter must land on the
+// launch the reference picks, or on a fresh launch when none has room, and
+// every VM must come up on that host.
+TEST(HostPoolTest, JoinablePickMatchesPendingScanReferenceModel) {
+  constexpr MarketKey kXlargePool{InstanceType::kM3Xlarge, AvailabilityZone{0}};
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    PoolHarness h;
+    PriceTrace trace;
+    trace.Append(SimTime(), 0.03);
+    h.markets.AddWithTrace(kXlargePool, std::move(trace));
+    const MarketKey markets[] = {kHomePool, kLargePool, kXlargePool};
+    std::mt19937_64 rng(seed);
+    std::map<InstanceId, int> waiters;  // the reference's count per launch
+    std::vector<std::pair<const NestedVm*, InstanceId>> landed;
+    int joins = 0;
+    int fresh = 0;
+    for (int step = 0; step < 600; ++step) {
+      const uint64_t op = rng() % 20;
+      const MarketKey& market = markets[rng() % 3];
+      if (op < 13) {
+        const int slots = NestedSlotsPerHost(market.type, h.config.nested_type);
+        const std::vector<const Instance*> pending =
+            h.cloud.Instances(InstanceState::kPending);
+        InstanceId pick;
+        for (const Instance* instance : pending) {
+          if (instance->mode == BillingMode::kSpot &&
+              instance->market == market && waiters[instance->id] < slots) {
+            pick = instance->id;
+            break;
+          }
+        }
+        const NestedVm& vm = h.NewVm();
+        h.pool->QueueOrAcquireSpot(
+            market, Waiter{vm.id(), WaitIntent::kInitialPlacement});
+        const std::vector<const Instance*> after =
+            h.cloud.Instances(InstanceState::kPending);
+        if (pick.valid()) {
+          ASSERT_EQ(after.size(), pending.size())
+              << "step " << step << ": launched instead of joining "
+              << pick.ToString();
+          ++joins;
+        } else {
+          ASSERT_EQ(after.size(), pending.size() + 1)
+              << "step " << step << ": joined a launch with no room";
+          pick = after.back()->id;
+          ++fresh;
+        }
+        ++waiters[pick];
+        landed.emplace_back(&vm, pick);
+      } else if (op < 16) {
+        h.pool->AcquireHost(market, /*is_spot=*/op < 15, Waiter{});
+      } else if (op < 17) {
+        ++h.config.hot_spares;
+        h.pool->ReplenishHotSpares();
+      } else {
+        h.sim.RunUntil(h.sim.Now() +
+                       SimDuration::Seconds(static_cast<double>(rng() % 200)));
+      }
+      if (step % 50 == 0) {
+        std::string error;
+        ASSERT_TRUE(h.pool->ValidateInvariants(&error)) << error;
+      }
+    }
+    h.sim.RunUntil(h.sim.Now() + SimDuration::Hours(1));
+    EXPECT_EQ(h.pool->num_pending_hosts(), 0u);
+    for (const auto& [vm, instance] : landed) {
+      ASSERT_EQ(vm->state(), NestedVmState::kRunning) << vm->id().ToString();
+      ASSERT_EQ(vm->host(), instance) << vm->id().ToString();
+    }
+    EXPECT_GT(joins, 0);
+    EXPECT_GT(fresh, 0);
+    std::string error;
+    EXPECT_TRUE(h.pool->ValidateInvariants(&error)) << error;
+  }
+}
+
 }  // namespace
 }  // namespace spotcheck
