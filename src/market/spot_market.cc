@@ -55,24 +55,20 @@ void SpotMarket::Subscribe(PriceListener listener) {
 
 void SpotMarket::Attach(Simulator* sim) {
   sim_ = sim;
-  // Replay the trace as a slotless stream: a six-month trace is ~100k change
-  // points, and scheduling each as a regular event would pin ~100k callback
-  // slots for the whole run. The stream consumes one sequence number per
-  // point, exactly like the per-point ScheduleAt it replaces, so event
-  // interleaving (and determinism) is unchanged.
-  const uint32_t stream = sim->RegisterReplayStream(
+  // Replay the trace as a slotless stream: the kernel keeps only the next
+  // change point queued and derives each fire from the point index, so a
+  // six-month trace of ~100k points pins no callback slots and never
+  // crowds the calendar. The points take the sequence numbers a per-point
+  // ScheduleAt here would have taken, so event interleaving (and
+  // determinism) is unchanged. The trace is shared and immutable, and this
+  // market holds it, so its time column outlives the stream.
+  sim->AttachReplayStream(
+      trace_->times_us(),
       [](void* ctx, uint32_t index) {
         auto* market = static_cast<SpotMarket*>(ctx);
         market->FireListeners(market->trace_->price(index));
       },
       this);
-  for (size_t i = 0; i < trace_->size(); ++i) {
-    const SimTime when = trace_->time(i);
-    if (when < sim->Now()) {
-      continue;
-    }
-    sim->ScheduleStreamEvent(when, stream, static_cast<uint32_t>(i));
-  }
 }
 
 void SpotMarket::FireListeners(double price) {
@@ -112,12 +108,14 @@ SpotMarket& MarketPlace::GetOrCreate(MarketKey key, SimDuration horizon,
   return *it->second;
 }
 
-SpotMarket& MarketPlace::AddWithTrace(MarketKey key, PriceTrace trace) {
+SpotMarket* MarketPlace::AddWithTrace(MarketKey key, PriceTrace trace) {
+  if (markets_.contains(key)) {
+    return nullptr;
+  }
   auto market = std::make_unique<SpotMarket>(key, std::move(trace));
   market->set_metrics(metrics_);
   market->Attach(sim_);
-  auto [it, inserted] = markets_.insert_or_assign(key, std::move(market));
-  return *it->second;
+  return markets_.emplace(key, std::move(market)).first->second.get();
 }
 
 SpotMarket* MarketPlace::Find(MarketKey key) {

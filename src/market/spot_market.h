@@ -101,8 +101,11 @@ class MarketPlace {
   // generates it on first use anywhere in the process).
   SpotMarket& GetOrCreate(MarketKey key, SimDuration horizon, uint64_t seed);
 
-  // Registers a market with an explicit trace (e.g. loaded from CSV).
-  SpotMarket& AddWithTrace(MarketKey key, PriceTrace trace);
+  // Registers a market with an explicit trace (e.g. loaded from CSV) and
+  // returns it. If `key` already has a market, returns nullptr and changes
+  // nothing: an attached market's replay is queued on the simulator, so it
+  // is never replaced.
+  SpotMarket* AddWithTrace(MarketKey key, PriceTrace trace);
 
   SpotMarket* Find(MarketKey key);
   const SpotMarket* Find(MarketKey key) const;

@@ -1,5 +1,6 @@
 #include "src/market/trace_catalog.h"
 
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -73,13 +74,18 @@ std::optional<MarketKey> ParseMarketKey(const std::string& stem) {
   if (zone_part.rfind(kPrefix, 0) != 0) {
     return std::nullopt;
   }
-  int zone = 0;
-  try {
-    zone = std::stoi(zone_part.substr(kPrefix.size()));
-  } catch (...) {
+  // Canonical decimal digits only, parsed whole: a sign, a space, a
+  // leading zero or a suffix would let two file names name one market.
+  const std::string_view digits =
+      std::string_view(zone_part).substr(kPrefix.size());
+  if (digits.empty() || digits.front() < '0' || digits.front() > '9' ||
+      (digits.front() == '0' && digits.size() > 1)) {
     return std::nullopt;
   }
-  if (zone < 0) {
+  int zone = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, zone);
+  if (ec != std::errc() || ptr != end) {
     return std::nullopt;
   }
   return MarketKey{*type, AvailabilityZone{zone}};
@@ -114,7 +120,10 @@ TraceLoadReport LoadTraceDirectory(MarketPlace& markets,
       report.skipped.push_back(entry.path().filename().string());
       continue;
     }
-    markets.AddWithTrace(*key, std::move(trace));
+    if (markets.AddWithTrace(*key, std::move(trace)) == nullptr) {
+      report.skipped.push_back(entry.path().filename().string());
+      continue;
+    }
     report.loaded.push_back(*key);
   }
   return report;

@@ -83,12 +83,16 @@ class TraceCatalog {
   Stats stats_;
 };
 
-// Parses "<type>@zone-<n>" (the stem of a trace file name).
+// Parses "<type>@zone-<n>" (the stem of a trace file name). <n> is
+// canonical decimal: digits only, no leading zero. Each market therefore has
+// exactly one file name.
 std::optional<MarketKey> ParseMarketKey(const std::string& stem);
 
 struct TraceLoadReport {
   std::vector<MarketKey> loaded;
-  std::vector<std::string> skipped;  // unparsable names or unreadable files
+  // Unparsable names, unreadable or invalid files, and files for a market
+  // `markets` already holds.
+  std::vector<std::string> skipped;
 };
 
 // Loads every *.csv in `directory` into `markets`. Returns which markets were

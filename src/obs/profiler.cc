@@ -42,8 +42,6 @@ std::string_view ProfileStatName(ProfileStat s) {
       return "lazy_sorted_events";
     case ProfileStat::kLadderMergedEvents:
       return "ladder_merged_events";
-    case ProfileStat::kLadderFallbackSorts:
-      return "ladder_fallback_sorts";
     case ProfileStat::kCalendarRetunes:
       return "calendar_retunes";
     case ProfileStat::kRingRebases:

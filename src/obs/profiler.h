@@ -46,7 +46,7 @@ enum class ProfileCategory : uint8_t {
   kDispatchCallback,     // scheduled callback
   kDispatchPeriodic,     // nothing records it: the kernel has no periodic
                          // events; kept because perfbench reads it
-  kLadderMerge,          // SortTail: overflow-ladder tail merge
+  kLadderMerge,          // Wrap(): sort the ladder's tail, merge it in
   kCalendarWrap,         // Wrap(): window advance + ladder drain + retune
   kLazyBucketSort,       // FindEarliest: sort a bucket's tail, merge it in
   kPoolCapacityIndex,    // capacity index maintenance in host_pool
@@ -67,14 +67,13 @@ enum class ProfileStat : uint8_t {
   kLazySortedEvents,     // bucket tail events sorted on contact (once each
                          // unless a ring rebase re-sorts a bucket whole)
   kLadderMergedEvents,   // tail events merged into the sorted ladder
-  kLadderFallbackSorts,  // SortTail calls that fell back to std::sort
   kCalendarRetunes,      // bucket-width changes at Wrap()
   kRingRebases,          // RebaseRingTo flushes of live ring events
   kIndexInserts,         // per-market std::set inserts (pool indexes)
   kIndexErases,          // per-market std::set erases (pool indexes)
   kBackupProbes,         // backup servers probed: one per stream assignment
 };
-inline constexpr size_t kNumProfileStats = 11;
+inline constexpr size_t kNumProfileStats = 10;
 std::string_view ProfileStatName(ProfileStat s);
 
 struct ProfilerConfig {

@@ -20,8 +20,8 @@ namespace spotcheck {
 //       (when, seq). InsertEvent enforces this by diverting an in-window
 //       event to overflow when it would not precede overflow_min_; Wrap()
 //       re-establishes it by draining a prefix of the ladder.
-//       Consequence: the global minimum is always in the ring whenever the
-//       ring is non-empty, so pop never compares against the ladder.
+//       Consequence: the calendar minimum is always in the ring whenever
+//       the ring is non-empty, so pop never compares against the ladder.
 //   I3  No queued ring event has abs < scan_abs_ (inserts move scan_abs_
 //       backward; pops advance it over empty buckets).
 //   I4  bucket[0 .. bucket_sorted_n_) is sorted descending by (when, seq);
@@ -32,9 +32,13 @@ namespace spotcheck {
 //   I5  overflow_[0 .. overflow_sorted_n_) is sorted descending; the tail
 //       is unsorted appends. overflow_min_ is the ladder minimum whenever
 //       the ladder is non-empty.
-//   I6  seq is assigned in scheduling order (PushEvent), so ascending
+//   I6  seq is assigned in scheduling order (PushEvent), and a replay
+//       stream's points take a block of it at attach, so ascending
 //       (when, seq) pop order is exactly the old heap's order and results
 //       are bit-identical.
+//   I7  The stream heap holds exactly one entry per stream with points
+//       left: its next point. A point is pushed when the one before it
+//       fires, and it cannot precede Now() because the column is sorted.
 
 Simulator::Simulator(MetricsRegistry* metrics, SpanTracer* tracer,
                      std::pmr::memory_resource* memory)
@@ -44,6 +48,7 @@ Simulator::Simulator(MetricsRegistry* metrics, SpanTracer* tracer,
       overflow_(memory_),
       slots_(memory_),
       free_slots_(memory_),
+      stream_heap_(memory_),
       tracer_(tracer) {
   if (metrics != nullptr) {
     events_scheduled_metric_ = &metrics->Counter("sim.events_scheduled");
@@ -135,65 +140,6 @@ void Simulator::InsertEvent(const QueuedEvent& ev) {
   }
 }
 
-// Sorts [first, last) descending by (when, seq). The dominant producer of a
-// large unsorted ladder tail is market attachment, which appends each price
-// trace as one long time-ascending run, so the tail is typically a few dozen
-// runs that introsort cannot exploit. Detect maximal runs, reverse the ascending ones,
-// and merge pairwise -- O(n log k) for k runs -- falling back to plain sort
-// when the tail is genuinely unordered. The comparator is a strict total
-// order (seq is unique), so every correct sort yields the same permutation.
-void Simulator::SortTail(EventIter first, EventIter last,
-                         EventCostProfiler* profiler) {
-  const auto desc = [](const QueuedEvent& a, const QueuedEvent& b) {
-    return Earlier(b, a);
-  };
-  const size_t n = static_cast<size_t>(last - first);
-  if (n < 256) {
-    std::sort(first, last, desc);
-    return;
-  }
-  // Run boundaries: bounds[i]..bounds[i+1] is sorted descending.
-  std::vector<EventIter> bounds;
-  bounds.push_back(first);
-  for (EventIter it = first; it != last;) {
-    EventIter run_end = it + 1;
-    if (run_end != last) {
-      const bool run_desc = desc(*it, *run_end);
-      ++run_end;
-      while (run_end != last && desc(*(run_end - 1), *run_end) == run_desc) {
-        ++run_end;
-      }
-      if (!run_desc) {
-        std::reverse(it, run_end);
-      }
-    }
-    bounds.push_back(run_end);
-    it = run_end;
-    if (bounds.size() > 1 + n / 64) {
-      // Too fragmented for merging to win (the reversals above are harmless
-      // to re-sort).
-      ProfileAdd(profiler, ProfileStat::kLadderFallbackSorts);
-      std::sort(first, last, desc);
-      return;
-    }
-  }
-  // Merge adjacent run pairs until one remains.
-  while (bounds.size() > 2) {
-    std::vector<EventIter> next;
-    next.push_back(bounds[0]);
-    size_t i = 1;
-    while (i + 1 < bounds.size()) {
-      std::inplace_merge(next.back(), bounds[i], bounds[i + 1], desc);
-      next.push_back(bounds[i + 1]);
-      i += 2;
-    }
-    if (i < bounds.size()) {
-      next.push_back(bounds[i]);
-    }
-    bounds = std::move(next);
-  }
-}
-
 // The ring is empty and the ladder is not: advance the window to the
 // ladder's minimum and drain the in-window prefix into buckets. Bucket
 // width is retuned here -- and only here -- from the density of the
@@ -202,9 +148,6 @@ void Simulator::Wrap() {
   ProfileScope wrap_scope(profiler_, ProfileCategory::kCalendarWrap);
   const int width_before = width_log2_;
   if (overflow_sorted_n_ < overflow_.size()) {
-    const auto desc = [](const QueuedEvent& a, const QueuedEvent& b) {
-      return Earlier(b, a);
-    };
     const auto mid =
         overflow_.begin() + static_cast<int64_t>(overflow_sorted_n_);
     ProfileAdd(profiler_, ProfileStat::kLadderMergedEvents,
@@ -212,8 +155,8 @@ void Simulator::Wrap() {
     // kLadderMerge nests inside kCalendarWrap: wrap time includes merge
     // time; the merge category isolates the sort-vs-drain split.
     ProfileScope merge_scope(profiler_, ProfileCategory::kLadderMerge);
-    SortTail(mid, overflow_.end(), profiler_);
-    std::inplace_merge(overflow_.begin(), mid, overflow_.end(), desc);
+    std::sort(mid, overflow_.end(), Later);
+    std::inplace_merge(overflow_.begin(), mid, overflow_.end(), Later);
     overflow_sorted_n_ = overflow_.size();
   }
 
@@ -258,14 +201,14 @@ void Simulator::Wrap() {
 }
 
 const Simulator::QueuedEvent* Simulator::FindEarliest() {
-  if (queued_count() == 0) {
+  if (calendar_count() == 0) {
     return nullptr;
   }
   if (ring_count_ == 0) {
     Wrap();  // ladder is non-empty; guarantees ring_count_ > 0
   }
-  // I2+I3: the global minimum is in the first non-empty bucket at or above
-  // scan_abs_; ring_count_ > 0 bounds the scan inside the window.
+  // I2+I3: the calendar minimum is in the first non-empty bucket at or
+  // above scan_abs_; ring_count_ > 0 bounds the scan inside the window.
   size_t index = static_cast<size_t>(scan_abs_ & kBucketMask);
   while (buckets_[index].empty()) {
     ++scan_abs_;
@@ -274,17 +217,13 @@ const Simulator::QueuedEvent* Simulator::FindEarliest() {
   Bucket& bucket = buckets_[index];
   const size_t sorted_n = bucket_sorted_n_[index];
   if (sorted_n < bucket.size()) {
-    // I4: sort only the unsorted tail, then merge it into the prefix. The
-    // null profiler keeps kLadderFallbackSorts a ladder-only counter.
+    // I4: sort only the unsorted tail, then merge it into the prefix.
     ProfileScope sort_scope(profiler_, ProfileCategory::kLazyBucketSort);
     ProfileAdd(profiler_, ProfileStat::kLazySortedEvents,
                static_cast<int64_t>(bucket.size() - sorted_n));
     const auto mid = bucket.begin() + static_cast<int64_t>(sorted_n);
-    SortTail(mid, bucket.end(), nullptr);
-    std::inplace_merge(bucket.begin(), mid, bucket.end(),
-                       [](const QueuedEvent& a, const QueuedEvent& b) {
-                         return Earlier(b, a);
-                       });
+    std::sort(mid, bucket.end(), Later);
+    std::inplace_merge(bucket.begin(), mid, bucket.end(), Later);
     bucket_sorted_n_[index] = static_cast<uint32_t>(bucket.size());
   }
   return &bucket.back();
@@ -300,39 +239,63 @@ Simulator::QueuedEvent Simulator::PopEarliest() {
   return ev;
 }
 
-void Simulator::PushEvent(SimTime when, uint32_t slot, uint32_t index) {
-  InsertEvent(QueuedEvent{when, next_seq_++, slot, index});
+void Simulator::CountQueued() {
   MetricInc(events_scheduled_metric_);
   MetricSet(heap_depth_metric_, static_cast<double>(queued_count()));
 }
 
-uint32_t Simulator::RegisterReplayStream(StreamFireFn fire, void* ctx) {
-  streams_.push_back(ReplayStream{fire, ctx});
-  return static_cast<uint32_t>(streams_.size() - 1);
+void Simulator::PushEvent(SimTime when, uint32_t slot) {
+  InsertEvent(QueuedEvent{when, next_seq_++, slot});
+  CountQueued();
 }
 
-void Simulator::ScheduleStreamEvent(SimTime when, uint32_t stream,
-                                    uint32_t index) {
-  if (when < now_) {
-    when = now_;
+void Simulator::PushStreamPoint(const QueuedEvent& point) {
+  stream_heap_.push_back(point);
+  std::push_heap(stream_heap_.begin(), stream_heap_.end(), Later);
+  CountQueued();
+}
+
+void Simulator::AttachReplayStream(std::span<const int64_t> times_us,
+                                   StreamFireFn fire, void* ctx) {
+  // Points before Now() are skipped; a point exactly at Now() still fires.
+  const size_t first = static_cast<size_t>(
+      std::lower_bound(times_us.begin(), times_us.end(), now_.micros()) -
+      times_us.begin());
+  if (first == times_us.size()) {
+    return;
   }
-  PushEvent(when, kStreamBit | stream, index);
+  const auto stream = static_cast<uint32_t>(streams_.size());
+  streams_.push_back(ReplayStream{fire, ctx, times_us, next_seq_ - first});
+  PushStreamPoint(
+      QueuedEvent{SimTime::FromMicros(times_us[first]), next_seq_, stream});
+  next_seq_ += times_us.size() - first;  // I6: the rest of the block
 }
 
 void Simulator::ScheduleAt(SimTime when, EventCallback callback) {
   if (when < now_) {
     when = now_;
   }
-  PushEvent(when, AllocSlot(std::move(callback)), 0);
+  PushEvent(when, AllocSlot(std::move(callback)));
 }
 
 void Simulator::ScheduleAfter(SimDuration delay, EventCallback callback) {
   ScheduleAt(now_ + delay, std::move(callback));
 }
 
-void Simulator::RunOne() {
-  FindEarliest();  // positions scan_abs_ (O(1) if RunUntil just peeked)
-  const QueuedEvent ev = PopEarliest();
+const Simulator::QueuedEvent* Simulator::PeekNext() {
+  const QueuedEvent* next = FindEarliest();
+  if (!stream_heap_.empty() &&
+      (next == nullptr || Earlier(stream_heap_.front(), *next))) {
+    next = &stream_heap_.front();
+  }
+  return next;
+}
+
+void Simulator::RunOne(const QueuedEvent& next) {
+  // PeekNext() returned the stream heap's top or the calendar minimum, and
+  // FindEarliest left the latter ready to pop.
+  const bool from_stream = &next == stream_heap_.data();
+  const QueuedEvent ev = from_stream ? next : PopEarliest();
   now_ = ev.when;
   ++events_executed_;
   MetricInc(events_fired_metric_);
@@ -343,18 +306,25 @@ void Simulator::RunOne() {
     tracer_->AttrNum(mark, "events_executed",
                      static_cast<double>(events_executed_));
   }
-  if (ev.slot & kStreamBit) {
-    // Stream events have no slot; the fire is derived from (stream, point
-    // index).
+  if (from_stream) {
+    // Copied: the fire may attach another stream and grow streams_.
+    const ReplayStream stream = streams_[ev.id];
+    const auto index = static_cast<uint32_t>(ev.seq - stream.seq_base);
+    // I7: replace the fired point with the stream's next one.
+    std::pop_heap(stream_heap_.begin(), stream_heap_.end(), Later);
+    stream_heap_.pop_back();
+    if (index + 1 < stream.times_us.size()) {
+      PushStreamPoint(QueuedEvent{
+          SimTime::FromMicros(stream.times_us[index + 1]), ev.seq + 1, ev.id});
+    }
     ProfileScope scope(profiler_, ProfileCategory::kDispatchStream);
-    const ReplayStream& stream = streams_[ev.slot & ~kStreamBit];
-    stream.fire(stream.ctx, ev.index);
+    stream.fire(stream.ctx, index);
   } else {
     // The callback is moved out and its slot freed before invocation: it
     // may schedule new events, growing or reusing the slot pool.
     ProfileScope scope(profiler_, ProfileCategory::kDispatchCallback);
-    EventCallback callback = std::move(slots_[ev.slot - 1]);
-    free_slots_.push_back(ev.slot);
+    EventCallback callback = std::move(slots_[ev.id - 1]);
+    free_slots_.push_back(ev.id);
     callback();
   }
   // Sampled AFTER the event fully executed (and outside the profile scope):
@@ -367,8 +337,8 @@ void Simulator::RunOne() {
 
 int64_t Simulator::Run() {
   const int64_t before = events_executed_;
-  while (queued_count() > 0) {
-    RunOne();
+  while (const QueuedEvent* next = PeekNext()) {
+    RunOne(*next);
   }
   return events_executed_ - before;
 }
@@ -376,11 +346,11 @@ int64_t Simulator::Run() {
 int64_t Simulator::RunUntil(SimTime deadline) {
   const int64_t before = events_executed_;
   while (true) {
-    const QueuedEvent* next = FindEarliest();
+    const QueuedEvent* next = PeekNext();
     if (next == nullptr || next->when > deadline) {
       break;
     }
-    RunOne();
+    RunOne(*next);
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -400,10 +370,11 @@ void Simulator::RegisterTelemetry(TimeSeriesRecorder& ts) {
 }
 
 bool Simulator::Step() {
-  if (queued_count() == 0) {
+  const QueuedEvent* next = PeekNext();
+  if (next == nullptr) {
     return false;
   }
-  RunOne();
+  RunOne(*next);
   return true;
 }
 

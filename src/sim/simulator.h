@@ -18,19 +18,22 @@
 //     dominates the workload (timers, control-loop ticks, re-arms) inserts
 //     and pops in O(1) instead of O(log n). Events beyond the window land
 //     in an overflow array that is sorted once and drained bucket-window by
-//     bucket-window as the clock advances ("wraps"), so the bulk
-//     pre-scheduled price-change points are touched O(1) times each after
-//     one cache-friendly sort -- not sifted through a multi-million-entry
-//     heap. Bucket width is retuned at each wrap from the density of the
-//     upcoming overflow chunk; retuning happens only while the ring is
-//     empty, so no event ever needs remapping.
+//     bucket-window as the clock advances ("wraps"). Bucket width is
+//     retuned at each wrap from the density of the upcoming overflow chunk;
+//     retuning happens only while the ring is empty, so no event ever needs
+//     remapping.
+//   - Replay streams (price traces) stay out of the calendar: each stream
+//     has exactly one queued point, in a small binary heap beside it, and
+//     the next point is queued when one fires. A pop takes the earlier of
+//     the two minima. The calendar therefore holds only callbacks, and its
+//     width policy tunes to their density.
 //   - A bucket is a sorted prefix plus an unsorted tail, like the ladder:
 //     inserts append, and when the scan reaches the bucket it sorts only
 //     the tail and merges it in, so an event is sorted once however
 //     crowded its bucket (a join burst can put thousands in one).
 //   - Pop order is exactly ascending (time, seq) -- identical to the
 //     previous heap -- so results are bit-identical: the calendar layout
-//     affects performance only, never ordering.
+//     and the stream heap affect performance only, never ordering.
 //   - All queue storage allocates from an optional std::pmr resource, so a
 //     grid worker can hand each cell a private arena and keep allocator
 //     traffic off the process-wide malloc locks.
@@ -40,6 +43,7 @@
 
 #include <cstdint>
 #include <memory_resource>
+#include <span>
 #include <vector>
 
 #include "src/common/time.h"
@@ -60,7 +64,11 @@ class Simulator {
  public:
   // `metrics`, when non-null, receives the kernel's counters
   // (sim.events_scheduled / fired, sim.calendar.wraps) and the
-  // queue depth gauge (sim.heap_depth). `tracer`, when non-null, gets a
+  // queue depth gauge (sim.heap_depth). sim.events_scheduled counts every
+  // queued callback and every queued stream point; a stream point is queued
+  // when the point before it fires, so points the run never reaches are not
+  // counted. sim.heap_depth gauges the queued events, one per live stream
+  // plus every queued callback. `tracer`, when non-null, gets a
   // sampled "sim.dispatch" instant every
   // TraceConfig::sim_event_sample_interval executed events (a heartbeat
   // track for orienting in Perfetto, not a per-event log). Both are purely
@@ -82,17 +90,19 @@ class Simulator {
   void ScheduleAfter(SimDuration delay, EventCallback callback);
 
   // --- Replay streams ------------------------------------------------------
-  // A replay stream is a pre-known schedule of fires (e.g. a price trace
-  // replay) whose action is derived from (stream, index) at dispatch, so the
-  // queue holds no per-event callback or slot. Stream events share the
-  // sequence counter with regular events -- same-timestamp interleaving is
-  // exactly as if each point had been ScheduleAt()ed in the same program
-  // order. `ctx` must stay valid while stream events are pending.
+  // A replay stream is a pre-known, time-ascending schedule of fires (a
+  // price trace's change points) whose action is derived from the point
+  // index at dispatch, so it needs no callback slot. AttachReplayStream
+  // replays every point of `times_us` at or after Now(): point i fires at
+  // times_us[i] as fire(ctx, i). The points take a block of sequence numbers
+  // at attach, point i the i-th after the skipped ones, so same-timestamp
+  // interleaving is exactly as if each point had been ScheduleAt()ed here in
+  // index order. Only the next point of each stream is queued. `times_us`
+  // must be non-decreasing, and `ctx` and `times_us` must outlive the
+  // stream.
   using StreamFireFn = void (*)(void* ctx, uint32_t index);
-  uint32_t RegisterReplayStream(StreamFireFn fire, void* ctx);
-  // Schedules stream point `index` at `when` (clamped to Now(), like
-  // ScheduleAt).
-  void ScheduleStreamEvent(SimTime when, uint32_t stream, uint32_t index);
+  void AttachReplayStream(std::span<const int64_t> times_us, StreamFireFn fire,
+                          void* ctx);
 
   // Runs until the queue is empty. Returns the number of events executed.
   int64_t Run();
@@ -136,13 +146,12 @@ class Simulator {
   static constexpr int kInitialWidthLog2 = 20;  // ~1.05 s (window ~72 min)
 
   // The queue element: deliberately tiny (24 bytes) so bucket sorts and
-  // ladder moves touch cheap PODs. A callback event's callback stays in the
-  // slot pool; a stream event carries its point index instead.
+  // ladder moves touch cheap PODs. In the calendar `id` is the callback's
+  // slot in the slot pool; in the stream heap it is the stream's number.
   struct QueuedEvent {
     SimTime when;
     uint64_t seq;  // Tie-break: FIFO among equal timestamps.
-    uint32_t slot;
-    uint32_t index;  // stream point index; 0 for a callback event
+    uint32_t id;
   };
   // True iff `a` must run before `b`: earlier time, FIFO among equals.
   static bool Earlier(const QueuedEvent& a, const QueuedEvent& b) {
@@ -151,37 +160,45 @@ class Simulator {
     }
     return a.seq < b.seq;
   }
+  // True iff `a` must run after `b`. The ladder and the buckets are sorted
+  // by it (descending, so the minimum is back()), and the stream heap is
+  // ordered by it (std heaps keep the comparator's maximum at the front).
+  static bool Later(const QueuedEvent& a, const QueuedEvent& b) {
+    return Earlier(b, a);
+  }
   using Bucket = std::pmr::vector<QueuedEvent>;
 
-  size_t queued_count() const { return ring_count_ + overflow_.size(); }
+  size_t calendar_count() const { return ring_count_ + overflow_.size(); }
+  size_t queued_count() const { return calendar_count() + stream_heap_.size(); }
   int64_t BucketAbs(SimTime when) const {
     return when.micros() >> width_log2_;
   }
 
   // Allocates a slot (1-based index) holding `callback`.
   uint32_t AllocSlot(EventCallback callback);
-  void PushEvent(SimTime when, uint32_t slot, uint32_t index);
+  void PushEvent(SimTime when, uint32_t slot);
+  // Queues a stream's next point on the stream heap.
+  void PushStreamPoint(const QueuedEvent& point);
+  // Counts one queued event or stream point in the metrics.
+  void CountQueued();
 
   // Calendar-queue primitives (see the .cc for the invariants).
   void InsertEvent(const QueuedEvent& ev);
   void OverflowAppend(const QueuedEvent& ev);
-  using EventIter = std::pmr::vector<QueuedEvent>::iterator;
-  // Sorts an unsorted ladder or bucket tail descending, exploiting
-  // pre-sorted runs. `profiler` (nullable) records fragmented-tail fallbacks
-  // to std::sort.
-  static void SortTail(EventIter first, EventIter last,
-                       EventCostProfiler* profiler);
   void RebaseRingTo(int64_t abs);
   void Wrap();
-  // Points scan_abs_ at the bucket holding the earliest queued event
+  // Points scan_abs_ at the bucket holding the calendar's earliest event
   // (wrapping the window forward if the ring is empty) and returns that
-  // event, or nullptr if nothing is queued.
+  // event, or nullptr if the calendar is empty.
   const QueuedEvent* FindEarliest();
   // Removes the event FindEarliest() just returned.
   QueuedEvent PopEarliest();
 
-  // Pops and runs the earliest event. Precondition: queued_count() > 0.
-  void RunOne();
+  // The next event to run: the earlier of the calendar's minimum and the
+  // stream heap's top, or nullptr if nothing is queued.
+  const QueuedEvent* PeekNext();
+  // Pops and runs `next`, which PeekNext() just returned.
+  void RunOne(const QueuedEvent& next);
 
   SimTime now_;
   uint64_t next_seq_ = 0;
@@ -215,15 +232,18 @@ class Simulator {
   std::pmr::vector<uint32_t> free_slots_;
 
   // --- replay streams ---
-  // A queued stream event is tagged by kStreamBit in its slot field (real
-  // slot indices are small positive integers, so no collision) and carries
-  // the point index in its index field.
-  static constexpr uint32_t kStreamBit = 0x8000'0000u;
   struct ReplayStream {
-    StreamFireFn fire = nullptr;
-    void* ctx = nullptr;
+    StreamFireFn fire;
+    void* ctx;
+    std::span<const int64_t> times_us;
+    // Point i takes seq seq_base + i. Unsigned arithmetic, so the base may
+    // wrap when points before the attach time were skipped.
+    uint64_t seq_base;
   };
   std::vector<ReplayStream> streams_;
+  // The next point of every stream that has one, as {when, seq, stream
+  // number}: a binary heap ordered by Later, so the earliest is front().
+  std::pmr::vector<QueuedEvent> stream_heap_;
 
   // Observability instruments; all null when built without a registry.
   MetricCounter* events_scheduled_metric_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace spotcheck {
@@ -96,10 +97,35 @@ TEST(MarketPlaceTest, AddWithTraceUsesProvidedPrices) {
   Simulator sim;
   MarketPlace place(&sim);
   const MarketKey key{InstanceType::kM3Medium, AvailabilityZone{0}};
-  place.AddWithTrace(key, MakeStepTrace());
+  SpotMarket* added = place.AddWithTrace(key, MakeStepTrace());
   SpotMarket* market = place.Find(key);
   ASSERT_NE(market, nullptr);
+  EXPECT_EQ(added, market);
   EXPECT_DOUBLE_EQ(market->PriceAt(SimTime::FromSeconds(150)), 0.10);
+}
+
+// The first market's replay is queued on the simulator, so a second trace
+// for its key is refused: the first market stays, and its listeners hear
+// every change of its own trace.
+TEST(MarketPlaceTest, AddWithTraceTwiceKeepsTheAttachedMarket) {
+  Simulator sim;
+  MarketPlace place(&sim);
+  const MarketKey key{InstanceType::kM3Medium, AvailabilityZone{0}};
+  SpotMarket* first = place.AddWithTrace(key, MakeStepTrace());
+  ASSERT_NE(first, nullptr);
+  std::vector<std::pair<double, double>> seen;  // (time, price)
+  first->Subscribe([&](const SpotMarket&, double price) {
+    seen.emplace_back(sim.Now().seconds(), price);
+  });
+  PriceTrace other;
+  other.Append(SimTime::FromSeconds(50), 0.50);
+  other.Append(SimTime::FromSeconds(150), 0.70);
+  EXPECT_EQ(place.AddWithTrace(key, std::move(other)), nullptr);
+  EXPECT_EQ(place.Find(key), first);
+  EXPECT_EQ(place.All().size(), 1u);
+  EXPECT_EQ(sim.Run(), 3);
+  EXPECT_EQ(seen, (std::vector<std::pair<double, double>>{
+                      {0.0, 0.02}, {100.0, 0.10}, {200.0, 0.02}}));
 }
 
 }  // namespace

@@ -56,6 +56,15 @@ TEST(ParseMarketKeyTest, InvalidNames) {
   EXPECT_FALSE(ParseMarketKey("m3.medium@zone--1").has_value());
   EXPECT_FALSE(ParseMarketKey("m3.medium@zone-x").has_value());
   EXPECT_FALSE(ParseMarketKey("").has_value());
+  // Each market has one name: these would all have named zone 0 (or an
+  // out-of-range zone) if the zone were not canonical digits parsed whole.
+  for (const char* name :
+       {"m3.medium@zone-00", "m3.medium@zone-0.bak", "m3.medium@zone-+0",
+        "m3.medium@zone- 0", "m3.medium@zone--0", "m3.medium@zone-0 ",
+        "m3.medium@zone-", "m3.medium@zone-07", "m3.medium@zone-1e1",
+        "m3.medium@zone-99999999999999999999"}) {
+    EXPECT_FALSE(ParseMarketKey(name).has_value()) << name;
+  }
 }
 
 TEST_F(TraceCatalogTest, SaveThenLoadRoundTrip) {
@@ -127,6 +136,33 @@ TEST_F(TraceCatalogTest, MutatedCsvIsSkippedOrLoadedNeverThrows) {
   }
   EXPECT_GT(loaded, 0);
   EXPECT_GT(skipped, 0);
+}
+
+// Two files that once parsed to one market: the second must not replace
+// the first, whose replay is already queued on the simulator. The loser is
+// skipped by name, so which file loads does not depend on directory order,
+// and the survivor replays every point.
+TEST_F(TraceCatalogTest, SecondFileForOneMarketIsSkippedAndReplayRuns) {
+  const MarketKey key{InstanceType::kM3Medium, AvailabilityZone{0}};
+  ASSERT_TRUE(SaveTrace(key, MakeTrace(), dir_));
+  std::ofstream(dir_ + "/m3.medium@zone-00.csv") << "0,0.5\n1800,0.7\n";
+  Simulator sim;
+  MarketPlace markets(&sim);
+  const TraceLoadReport report = LoadTraceDirectory(markets, dir_);
+  EXPECT_EQ(report.loaded, std::vector<MarketKey>{key});
+  EXPECT_EQ(report.skipped, std::vector<std::string>{"m3.medium@zone-00.csv"});
+  EXPECT_EQ(markets.All().size(), 1u);
+
+  // Run even if a market was replaced, so a sanitizer build sees the
+  // replaced market's queued replay.
+  SpotMarket* market = markets.Find(key);
+  ASSERT_NE(market, nullptr);
+  std::vector<double> heard;
+  market->Subscribe(
+      [&heard](const SpotMarket&, double price) { heard.push_back(price); });
+  sim.RunUntil(SimTime::FromSeconds(10'000));
+  EXPECT_EQ(heard, (std::vector<double>{0.009, 0.25, 0.009}));
+  EXPECT_TRUE(sim.empty());
 }
 
 TEST_F(TraceCatalogTest, MissingDirectoryYieldsEmptyReport) {

@@ -6,14 +6,17 @@
 // may depend on how events are distributed across ring buckets, the
 // overflow ladder, or bucket-width retunes. The main test drives the
 // Simulator and a std::priority_queue reference model through one
-// deterministic script of interleaved schedule / RunUntil operations --
-// including callback-driven scheduling, which inserts at the scan point
-// mid-drain -- and requires identical fire sequences.
+// deterministic script of interleaved schedule / attach / RunUntil / Step
+// operations -- including callback-driven scheduling, which inserts at the
+// scan point mid-drain, and replay streams, which the kernel queues one
+// point at a time but the model schedules whole at attach -- and requires
+// identical fire sequences.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <queue>
 #include <random>
@@ -47,18 +50,38 @@ class ReferenceScheduler {
     queue_.push(events_.size() - 1);
   }
 
+  // A replay stream as the kernel promises to run it: every point at or
+  // after now is scheduled here, in index order, so the points take
+  // consecutive sequence numbers at attach. Point i fires as first_id + i.
+  void AttachStream(const std::vector<int64_t>& times_us, int first_id) {
+    for (size_t i = 0; i < times_us.size(); ++i) {
+      if (times_us[i] >= now_us_) {
+        Schedule(times_us[i], first_id + static_cast<int>(i));
+      }
+    }
+  }
+
   // Pops events with when <= deadline in (when, seq) order; `on_fire` may
   // schedule more. Clock then advances to the deadline.
   void RunUntil(int64_t deadline_us,
                 const std::function<void(int id)>& on_fire) {
     while (!queue_.empty() && events_[queue_.top()].when_us <= deadline_us) {
-      const RefEvent ev = events_[queue_.top()];
-      queue_.pop();
-      now_us_ = ev.when_us;
-      fired_.push_back(ev.id);
-      on_fire(ev.id);
+      Step(on_fire);
     }
     now_us_ = std::max(now_us_, deadline_us);
+  }
+
+  // Pops and fires the earliest event; false if none is queued.
+  bool Step(const std::function<void(int id)>& on_fire) {
+    if (queue_.empty()) {
+      return false;
+    }
+    const RefEvent ev = events_[queue_.top()];
+    queue_.pop();
+    now_us_ = ev.when_us;
+    fired_.push_back(ev.id);
+    on_fire(ev.id);
+    return true;
   }
 
   int64_t now_us() const { return now_us_; }
@@ -107,6 +130,41 @@ int64_t ChildOffsetUs(int id) {
   }
 }
 
+// Whether a fired event (a callback or a stream point) attaches a new
+// replay stream from inside its fire.
+bool AttachesStream(int id) { return id % 211 == 0; }
+
+// A replay stream's time column. It starts up to two hours before
+// `now_us`, so attach skips a prefix, and always holds a point exactly at
+// `now_us`, which attach must keep. Gaps are drawn from zero (equal times
+// within the trace) to ten days (far beyond the ring window). A pure
+// function of its arguments, so both sides build the same column.
+std::vector<int64_t> StreamTimes(uint64_t key, int64_t now_us) {
+  std::mt19937_64 rng(key);
+  const int64_t lead = static_cast<int64_t>(rng() % 7'200'000'000);
+  int64_t at = std::max<int64_t>(0, now_us - lead);
+  const int points = 4 + static_cast<int>(rng() % 40);
+  std::vector<int64_t> times;
+  for (int i = 0; i < points; ++i) {
+    times.push_back(at);
+    switch (rng() % 4) {
+      case 0:
+        break;  // the next point shares this time
+      case 1:
+        at += static_cast<int64_t>(rng() % 1'000'000);
+        break;
+      case 2:
+        at += static_cast<int64_t>(rng() % 3'600'000'000);
+        break;
+      default:
+        at += static_cast<int64_t>(rng() % 864'000'000'000);
+        break;
+    }
+  }
+  times.insert(std::lower_bound(times.begin(), times.end(), now_us), now_us);
+  return times;
+}
+
 TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
   std::mt19937_64 rng(20260807);
   Simulator sim;
@@ -114,18 +172,50 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
 
   std::vector<int> sim_fired;
   // One id counter per side. Identical fire sequences (asserted each
-  // round) imply identical child-spawn order, so the counters stay in
-  // lockstep without the sides sharing state.
+  // round) imply identical child-spawn and attach order, so the counters
+  // stay in lockstep without the sides sharing state. A stream takes one
+  // id per point of its column, skipped points included.
   int sim_next_id = 0;
   int ref_next_id = 0;
   constexpr int kMaxIds = 120'000;  // bounds callback-driven growth
 
-  std::function<void(int)> sim_fire = [&](int id) {
+  // The kernel's streams: their columns and fire contexts must outlive
+  // them, so both live in deques (stable addresses).
+  struct StreamCtx {
+    std::function<void(int)>* fire;
+    int first_id;  // point i fires as first_id + i
+  };
+  std::deque<std::vector<int64_t>> columns;
+  std::deque<StreamCtx> contexts;
+  std::function<void(int)> sim_fire;
+  const auto sim_attach = [&](uint64_t key) {
+    const std::vector<int64_t>& times =
+        columns.emplace_back(StreamTimes(key, sim.Now().micros()));
+    StreamCtx& ctx = contexts.emplace_back(StreamCtx{&sim_fire, sim_next_id});
+    sim_next_id += static_cast<int>(times.size());
+    sim.AttachReplayStream(
+        times,
+        [](void* c, uint32_t index) {
+          const auto* stream = static_cast<const StreamCtx*>(c);
+          (*stream->fire)(stream->first_id + static_cast<int>(index));
+        },
+        &ctx);
+  };
+  const auto ref_attach = [&](uint64_t key) {
+    const std::vector<int64_t> times = StreamTimes(key, ref.now_us());
+    ref.AttachStream(times, ref_next_id);
+    ref_next_id += static_cast<int>(times.size());
+  };
+
+  sim_fire = [&](int id) {
     sim_fired.push_back(id);
     if (SpawnsChild(id) && sim_next_id < kMaxIds) {
       const int child = sim_next_id++;
       sim.ScheduleAt(sim.Now() + SimDuration::Micros(ChildOffsetUs(id)),
                      [&sim_fire, child] { sim_fire(child); });
+    }
+    if (AttachesStream(id) && sim_next_id < kMaxIds) {
+      sim_attach(static_cast<uint64_t>(id));
     }
   };
   const std::function<void(int)> ref_fire = [&](int id) {
@@ -133,9 +223,20 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
       const int child = ref_next_id++;
       ref.Schedule(ref.now_us() + ChildOffsetUs(id), child);
     }
+    if (AttachesStream(id) && ref_next_id < kMaxIds) {
+      ref_attach(static_cast<uint64_t>(id));
+    }
   };
 
   for (int round = 0; round < 60; ++round) {
+    // Attach a stream between runs: the clock then sits on the last
+    // deadline, usually between two events.
+    if (round % 3 == 0) {
+      const uint64_t key = 1'000'000 + static_cast<uint64_t>(round);
+      sim_attach(key);
+      ref_attach(key);
+    }
+
     // Schedule a batch: coarse 1-second quanta force heavy timestamp
     // collisions (FIFO pressure); the occasional huge offset lands in the
     // overflow ladder and forces wraps + bucket-width retunes later.
@@ -159,6 +260,14 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
       ref.Schedule(when_us, id);
     }
 
+    // A few single steps: each pops whichever of a callback and a stream
+    // point is due first, and leaves the clock on it.
+    const int steps = static_cast<int>(rng() % 4);
+    for (int i = 0; i < steps; ++i) {
+      ASSERT_EQ(sim.Step(), ref.Step(ref_fire)) << "round " << round;
+      ASSERT_EQ(sim.Now().micros(), ref.now_us()) << "round " << round;
+    }
+
     // Advance both clocks by the same step. Occasionally jump far ahead so
     // the drain crosses many empty buckets and window wraps.
     const int64_t advance_us =
@@ -179,6 +288,8 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
   ref.RunUntil(INT64_MAX / 2, ref_fire);
   EXPECT_EQ(sim_fired, ref.fired());
   EXPECT_TRUE(sim.empty());
+  // Streams attached from inside fires, as well as between runs.
+  EXPECT_GT(columns.size(), 20u + 5u);
 }
 
 // Equal timestamps must fire in schedule order even when the shared
