@@ -137,17 +137,19 @@ void NativeCloud::OnInstanceStarted(InstanceId id) {
       return;
     }
     // Monitor this market for revocations (one subscription per market).
-    if (!subscribed_[instance.market]) {
-      subscribed_[instance.market] = true;
+    SpotIndex& index = running_spot_[instance.market];
+    if (index.market == nullptr) {
+      index.market = &market;
       const MarketKey key = instance.market;
-      market.Subscribe([this, key](const SpotMarket&, double price) {
-        OnMarketPriceChange(key, price);
-      });
+      index.listener =
+          market.Subscribe([this, key](const SpotMarket&, double price) {
+            OnMarketPriceChange(key, price);
+          });
     }
     billing_.StartMetered(id, sim_->Now(), &market.trace());
-    SpotIndex& index = running_spot_[instance.market];
     index.ids.push_back(id);
     index.min_bid = std::min(index.min_bid, instance.bid);
+    DeclareQuietBand(index);
   } else {
     billing_.StartFixed(id, sim_->Now(), market.on_demand_price());
   }
@@ -167,7 +169,8 @@ void NativeCloud::OnMarketPriceChange(MarketKey key, double price) {
   // Price changes outnumber revocations by orders of magnitude; when the new
   // price does not cross the (conservative) cached minimum bid, nobody can be
   // warned and the sweep below would only perform lazy compaction early, so
-  // skip it entirely.
+  // skip it entirely. DeclareQuietBand tells the market so: the kernel
+  // replays such a point only when another listener can act on it.
   if (bucket.ids.empty() || price <= bucket.min_bid) {
     return;
   }
@@ -194,6 +197,7 @@ void NativeCloud::OnMarketPriceChange(MarketKey key, double price) {
   }
   bucket.ids.resize(kept);
   bucket.min_bid = min_bid;
+  DeclareQuietBand(bucket);
   if (to_warn.empty()) {
     to_warn_scratch_ = std::move(to_warn);
     return;
@@ -216,6 +220,13 @@ void NativeCloud::OnMarketPriceChange(MarketKey key, double price) {
       ForceTerminate(id);
     }
   });
+}
+
+void NativeCloud::DeclareQuietBand(const SpotIndex& index) {
+  index.market->SetQuietBand(
+      index.listener, -std::numeric_limits<double>::infinity(),
+      index.ids.empty() ? std::numeric_limits<double>::infinity()
+                        : index.min_bid);
 }
 
 void NativeCloud::WarnInstance(Instance& instance, SimTime deadline) {

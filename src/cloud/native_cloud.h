@@ -250,19 +250,24 @@ class NativeCloud {
   // Running spot instances per market, so price changes only touch the
   // affected market's instances (terminated ids are compacted lazily).
   // `min_bid` is a conservative lower bound over the listed instances
-  // (never above the true minimum of the still-running ones), letting the
-  // millions of price changes that cross nobody's bid return after one
-  // comparison; it is tightened on every full sweep.
+  // (never above the true minimum of the still-running ones): a price
+  // change that crosses nobody's bid is a no-op, so the market's quiet
+  // band for this cloud is every price up to it, and the kernel skips
+  // those points. It is tightened on every full sweep.
   struct SpotIndex {
     std::vector<InstanceId> ids;
     double min_bid = std::numeric_limits<double>::infinity();
+    // The market and this cloud's revocation listener on it, subscribed
+    // when its first spot instance starts; null until then.
+    SpotMarket* market = nullptr;
+    size_t listener = 0;
   };
+  // Declares the prices at which OnMarketPriceChange returns early.
+  static void DeclareQuietBand(const SpotIndex& index);
   std::map<MarketKey, SpotIndex> running_spot_;
   std::vector<InstanceId> to_warn_scratch_;  // reused sweep buffer
   FleetTable<VolumeTag, VolumeRecord> volumes_;
   FleetTable<AddressTag, AddressRecord> addresses_;
-  // Markets we already subscribed to for revocation monitoring.
-  std::map<MarketKey, bool> subscribed_;
 
   RevocationWarningHandler revocation_handler_;
   InstanceFailureHandler failure_handler_;

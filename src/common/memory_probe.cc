@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #if defined(__linux__)
+#include <fcntl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 #endif
@@ -11,16 +12,22 @@ namespace spotcheck {
 
 int64_t CurrentRssBytes() {
 #if defined(__linux__)
-  std::FILE* statm = std::fopen("/proc/self/statm", "r");
-  if (statm == nullptr) {
+  // Opened once for the process's life: pread at offset 0 regenerates the
+  // pseudo-file's content on every read and is safe from any thread, and it
+  // skips the open/close pair a fresh fopen would pay on each read.
+  static const int statm = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
+  if (statm < 0) {
     return 0;
   }
+  char text[128];
+  const ssize_t length = ::pread(statm, text, sizeof(text) - 1, 0);
+  if (length <= 0) {
+    return 0;
+  }
+  text[length] = '\0';
   long total_pages = 0;
   long resident_pages = 0;
-  const int fields = std::fscanf(statm, "%ld %ld", &total_pages,
-                                 &resident_pages);
-  std::fclose(statm);
-  if (fields != 2) {
+  if (std::sscanf(text, "%ld %ld", &total_pages, &resident_pages) != 2) {
     return 0;
   }
   return static_cast<int64_t>(resident_pages) * sysconf(_SC_PAGESIZE);

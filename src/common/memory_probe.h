@@ -12,8 +12,9 @@
 namespace spotcheck {
 
 // Current resident set in bytes, from /proc/self/statm (0 where /proc is
-// unavailable). Cheap enough to sample periodically: one small read of an
-// always-hot pseudo-file.
+// unavailable). Cheap enough to sample periodically: one pread of a
+// descriptor opened on first use and kept for the process's life.
+// Thread-safe.
 int64_t CurrentRssBytes();
 
 // Lifetime peak resident set in bytes, from getrusage (0 where unavailable).

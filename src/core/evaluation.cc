@@ -213,11 +213,12 @@ EvaluationResult RunPolicyEvaluation(const EvaluationConfig& config) {
     sim.RegisterTelemetry(*timeseries);
     controller.RegisterTelemetry(*timeseries);
     markets.RegisterTelemetry(*timeseries);
-    // Throttled: one /proc read costs ~2us (kernel-side statm assembly),
-    // which at every sample over a six-month horizon is a measurable slice
-    // of the simulation itself. RSS moves on allocation timescales, so
-    // refreshing every 16th sample loses nothing and keeps the whole
-    // recorder inside the 5% overhead contract.
+    // Throttled: one statm read costs ~0.7-1 us even on the descriptor
+    // CurrentRssBytes keeps open (kernel-side statm assembly), which at
+    // every sample over a six-month horizon is a measurable slice of a
+    // cell that now skips its quiet price points. RSS moves on allocation
+    // timescales, so refreshing every 16th sample loses nothing and keeps
+    // the whole recorder inside its overhead budget.
     timeseries->AddSeries("process.rss_bytes",
                           [cached = 0.0, tick = 0]() mutable {
                             if (tick-- == 0) {
@@ -305,7 +306,8 @@ EvaluationResult RunPolicyEvaluation(const EvaluationConfig& config) {
   }
   if (timeseries != nullptr) {
     // Final forced sample: the horizon-end fleet state is always recorded,
-    // even when the last interval boundary fell short of it.
+    // even when the last interval boundary fell short of it (on a boundary
+    // horizon the run has recorded it, and this adds nothing).
     timeseries->Sample(sim.Now());
     result.timeseries = timeseries;
   }

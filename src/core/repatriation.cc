@@ -1,6 +1,7 @@
 #include "src/core/repatriation.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/cloud/native_cloud.h"
@@ -16,14 +17,40 @@ namespace spotcheck {
 // --- MarketWatcher -----------------------------------------------------------
 
 void MarketWatcher::Subscribe(const MarketKey& key) {
-  if (subscribed_[key]) {
+  if (subscriptions_.contains(key)) {
     return;
   }
-  subscribed_[key] = true;
-  ctx_->cloud->MarketFor(key).Subscribe(
-      [this, key](const SpotMarket&, double price) {
+  SpotMarket& market = ctx_->cloud->MarketFor(key);
+  const size_t listener =
+      market.Subscribe([this, key](const SpotMarket&, double price) {
         OnPriceChange(key, price);
       });
+  subscriptions_.emplace(key, Subscription{&market, listener});
+  RefreshQuietBand(key);
+}
+
+void MarketWatcher::RefreshQuietBand(const MarketKey& key) {
+  const auto it = subscriptions_.find(key);
+  if (it == subscriptions_.end()) {
+    return;
+  }
+  // Quiet exactly where OnPriceChange does nothing. A strategy that
+  // observes prices, the predictor and proactive draining act on any
+  // price; without them only repatriation is left, which acts at or below
+  // on-demand and only while the waitlist holds a VM.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const ControllerConfig& config = *ctx_->config;
+  double above = kInf;
+  double at_or_below = -kInf;
+  if (!ctx_->bid->ObservesPrices() && !config.enable_predictive &&
+      !config.enable_proactive) {
+    const bool waiting = config.enable_repatriation &&
+                         ctx_->repatriation != nullptr &&
+                         ctx_->repatriation->HasWaitlist(key);
+    above = waiting ? OnDemandPrice(key.type) : -kInf;
+    at_or_below = kInf;
+  }
+  it->second.market->SetQuietBand(it->second.listener, above, at_or_below);
 }
 
 void MarketWatcher::OnPriceChange(const MarketKey& key, double price) {
@@ -75,12 +102,22 @@ void RepatriationScheduler::EnqueueRepatriation(const MarketKey& key,
       return;  // already waiting for this pool
     }
     // Re-exiled toward a different pool; the newest exile wins.
-    auto& old_list = repatriation_waitlist_[it->second];
+    const MarketKey old_key = it->second;
+    auto& old_list = repatriation_waitlist_[old_key];
     old_list.erase(std::remove(old_list.begin(), old_list.end(), vm),
                    old_list.end());
     it->second = key;
+    if (old_list.empty() && ctx_->market_watcher != nullptr) {
+      // The old pool's price changes have nothing left to repatriate.
+      ctx_->market_watcher->RefreshQuietBand(old_key);
+    }
   }
-  repatriation_waitlist_[key].push_back(vm);
+  std::vector<NestedVmId>& list = repatriation_waitlist_[key];
+  list.push_back(vm);
+  if (list.size() == 1 && ctx_->market_watcher != nullptr) {
+    // The pool's price changes at or below on-demand now have work to do.
+    ctx_->market_watcher->RefreshQuietBand(key);
+  }
 }
 
 void RepatriationScheduler::TryRepatriate(const MarketKey& key) {
@@ -154,6 +191,10 @@ void RepatriationScheduler::TryRepatriate(const MarketKey& key) {
       ctx_->pool->QueueOrAcquireSpot(key,
                                      Waiter{vm_id, WaitIntent::kPlannedMove});
     }
+  }
+  if (ctx_->market_watcher != nullptr) {
+    // The waitlist may have drained.
+    ctx_->market_watcher->RefreshQuietBand(key);
   }
 }
 

@@ -5,7 +5,8 @@
 // price falls back below on-demand, proactively drain a pool whose price
 // climbed above on-demand but not yet above the bid (k>1 bidding), and --
 // with the predictive option -- drain on a predictor signal before the
-// price even crosses on-demand.
+// price even crosses on-demand. It declares on each market the prices it
+// ignores, so the kernel skips the changes it cannot act on.
 //
 // RepatriationScheduler owns the machinery those decisions drive: the
 // deduplicated per-pool waitlist of exiled VMs (with its vm->pool mirror),
@@ -32,6 +33,8 @@
 
 namespace spotcheck {
 
+class SpotMarket;
+
 class MarketWatcher {
  public:
   explicit MarketWatcher(ControllerContext* ctx) : ctx_(ctx) {}
@@ -43,15 +46,23 @@ class MarketWatcher {
   void Subscribe(const MarketKey& key);
   // Public so pool-dynamics tests can inject price points directly.
   void OnPriceChange(const MarketKey& key, double price);
+  // Redeclares the prices at which OnPriceChange is a no-op for `key`; the
+  // RepatriationScheduler calls it when `key`'s waitlist may have filled or
+  // drained. A no-op for a pool this watcher does not subscribe to.
+  void RefreshQuietBand(const MarketKey& key);
 
   bool IsSubscribed(const MarketKey& key) const {
-    const auto it = subscribed_.find(key);
-    return it != subscribed_.end() && it->second;
+    return subscriptions_.contains(key);
   }
 
  private:
+  struct Subscription {
+    SpotMarket* market;
+    size_t listener;
+  };
+
   ControllerContext* ctx_;
-  std::map<MarketKey, bool> subscribed_;
+  std::map<MarketKey, Subscription> subscriptions_;
   // Per-market spike predictors (enable_predictive).
   std::map<MarketKey, RevocationPredictor> predictors_;
 };
@@ -72,6 +83,11 @@ class RepatriationScheduler {
   // Drains `key`'s waitlist: every waiting VM still exiled off spot is
   // live-migrated back (or queued on a fresh spot launch).
   void TryRepatriate(const MarketKey& key);
+  // True iff `key`'s waitlist holds a VM, so TryRepatriate has work.
+  bool HasWaitlist(const MarketKey& key) const {
+    const auto it = repatriation_waitlist_.find(key);
+    return it != repatriation_waitlist_.end() && !it->second.empty();
+  }
   // Live-migrates every settled VM off `key`'s spot hosts onto on-demand
   // before the pool's price reaches the bid.
   void ProactivelyDrain(const MarketKey& key);

@@ -1,5 +1,6 @@
 #include "src/market/market_analytics.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace spotcheck {
@@ -28,12 +29,15 @@ int CountBidCrossings(const PriceTrace& trace, double bid, SimTime from,
                       SimTime to) {
   int crossings = 0;
   bool above = trace.PriceAt(from) > bid;
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const PricePoint p = trace.point(i);
-    if (p.time < from || p.time >= to) {
-      continue;
-    }
-    const bool now_above = p.price > bid;
+  // The points in [from, to): binary searches on the time column, so a
+  // short window costs O(log n) plus its own points.
+  const std::vector<int64_t>& times = trace.times_us();
+  const auto first =
+      std::lower_bound(times.begin(), times.end(), from.micros());
+  const auto last = std::lower_bound(first, times.end(), to.micros());
+  for (auto it = first; it != last; ++it) {
+    const bool now_above =
+        trace.price(static_cast<size_t>(it - times.begin())) > bid;
     if (now_above && !above) {
       ++crossings;
     }

@@ -173,6 +173,29 @@ double PriceTrace::FractionAtOrBelow(double bid, SimTime from, SimTime to) const
   return covered / (to - from).seconds();
 }
 
+size_t PriceTrace::FirstOutside(size_t from, double above,
+                                double at_or_below) const {
+  const size_t n = prices_.size();
+  if (!(above < at_or_below)) {
+    return std::min(from, n);
+  }
+  size_t i = from;
+  while (i < n) {
+    // At a block start, skip the block when its whole range is quiet.
+    if ((i & (kBlockSize - 1)) == 0 && block_min_[i >> kBlockLog2] > above &&
+        block_max_[i >> kBlockLog2] <= at_or_below) {
+      i += kBlockSize;
+      continue;
+    }
+    const double price = prices_[i];
+    if (!(above < price && price <= at_or_below)) {
+      return i;
+    }
+    ++i;
+  }
+  return n;
+}
+
 std::vector<double> PriceTrace::SampleGrid(SimTime from, SimTime to,
                                            SimDuration step) const {
   std::vector<double> samples;

@@ -10,9 +10,10 @@
 // simulator leans on -- monotone cursor advance, time-weighted means,
 // threshold coverage -- walk a single packed column, so they autovectorize
 // and touch half the cache lines of an array-of-structs walk. Threshold
-// queries additionally skip 64-point blocks via a per-block min/max summary
-// maintained on Append. All fast paths preserve the exact floating-point
-// accumulation order of the scalar walk, so results are bit-identical.
+// and band queries additionally skip 64-point blocks via a per-block
+// min/max summary maintained on Append. All fast paths preserve the exact
+// floating-point accumulation order of the scalar walk, so results are
+// bit-identical.
 
 #ifndef SRC_MARKET_PRICE_TRACE_H_
 #define SRC_MARKET_PRICE_TRACE_H_
@@ -89,6 +90,14 @@ class PriceTrace {
   // "availability" a spot instance with that bid would have seen (Fig. 6(a)).
   double FractionAtOrBelow(double bid, SimTime from, SimTime to) const;
 
+  // First index i >= `from` whose price lies outside the band of prices p
+  // with above < p <= at_or_below, or size() if there is none. Whole
+  // 64-point blocks whose [min, max] summary lies inside the band are
+  // skipped. An empty band (above >= at_or_below) answers `from` (clamped
+  // to size()). Prices must be finite, as FromCsv and the generators
+  // guarantee.
+  size_t FirstOutside(size_t from, double above, double at_or_below) const;
+
   // Price sampled on a regular grid, for correlation analysis (Fig. 6(c)/(d)).
   std::vector<double> SampleGrid(SimTime from, SimTime to, SimDuration step) const;
 
@@ -117,7 +126,7 @@ class PriceTrace {
   std::vector<int64_t> times_us_;
   std::vector<double> prices_;
   // Per-block price min/max over prices_[b*64 .. b*64+63] (last block
-  // partial); lets threshold scans skip blocks that cannot match.
+  // partial); lets threshold and band scans skip blocks that cannot match.
   std::vector<double> block_min_;
   std::vector<double> block_max_;
 };

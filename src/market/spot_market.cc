@@ -1,17 +1,28 @@
 #include "src/market/spot_market.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/market/trace_catalog.h"
 #include "src/obs/timeseries.h"
 
 namespace spotcheck {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 SpotMarket::SpotMarket(MarketKey key, PriceTrace trace)
     : SpotMarket(key, std::make_shared<const PriceTrace>(std::move(trace))) {}
 
 SpotMarket::SpotMarket(MarketKey key, std::shared_ptr<const PriceTrace> trace)
-    : key_(key), trace_(std::move(trace)), now_cursor_(trace_.get()) {}
+    : key_(key),
+      trace_(std::move(trace)),
+      now_cursor_(trace_.get()),
+      band_{-kInf, kInf},
+      seek_band_{-kInf, kInf} {}
 
 double SpotMarket::CurrentPrice() const {
   MetricInc(price_lookups_metric_);
@@ -27,6 +38,7 @@ double SpotMarket::CurrentPrice() const {
 void SpotMarket::SetPriceOverride(double price) {
   override_active_ = true;
   override_price_ = price;
+  UpdateBand();
   FireListeners(price);
 }
 
@@ -35,6 +47,7 @@ void SpotMarket::ClearPriceOverride() {
     return;
   }
   override_active_ = false;
+  UpdateBand();
   // Resume the trace: listeners see the real current price again.
   FireListeners(CurrentPrice());
 }
@@ -49,26 +62,61 @@ void SpotMarket::set_metrics(MetricsRegistry* metrics) {
   price_changes_metric_ = &metrics->Counter("market.price_changes_fired");
 }
 
-void SpotMarket::Subscribe(PriceListener listener) {
+size_t SpotMarket::Subscribe(PriceListener listener) {
   listeners_.push_back(std::move(listener));
+  bands_.push_back(QuietBand{kInf, -kInf});  // never quiet until declared
+  UpdateBand();
+  return listeners_.size() - 1;
+}
+
+void SpotMarket::SetQuietBand(size_t index, double above,
+                              double at_or_below) {
+  bands_[index] = QuietBand{above, at_or_below};
+  UpdateBand();
+}
+
+void SpotMarket::UpdateBand() {
+  band_ = override_active_ ? QuietBand{kInf, -kInf} : QuietBand{-kInf, kInf};
+  if (!override_active_) {
+    for (const QuietBand& band : bands_) {
+      band_.above = std::max(band_.above, band.above);
+      band_.at_or_below = std::min(band_.at_or_below, band.at_or_below);
+    }
+  }
+  // Only a narrowing can expose a point the last seek skipped.
+  const bool narrowed =
+      !seek_band_.empty() &&
+      (band_.empty() || band_.above > seek_band_.above ||
+       band_.at_or_below < seek_band_.at_or_below);
+  if (sim_ != nullptr && narrowed) {
+    sim_->ReseekStream(stream_);
+  }
+}
+
+uint32_t SpotMarket::SeekOutsideBand(void* ctx, uint32_t from) {
+  auto* market = static_cast<SpotMarket*>(ctx);
+  market->seek_band_ = market->band_;
+  return static_cast<uint32_t>(market->trace_->FirstOutside(
+      from, market->band_.above, market->band_.at_or_below));
 }
 
 void SpotMarket::Attach(Simulator* sim) {
   sim_ = sim;
   // Replay the trace as a slotless stream: the kernel keeps only the next
-  // change point queued and derives each fire from the point index, so a
-  // six-month trace of ~100k points pins no callback slots and never
-  // crowds the calendar. The points take the sequence numbers a per-point
-  // ScheduleAt here would have taken, so event interleaving (and
-  // determinism) is unchanged. The trace is shared and immutable, and this
-  // market holds it, so its time column outlives the stream.
-  sim->AttachReplayStream(
+  // change point worth firing queued and derives each fire from the point
+  // index, so a six-month trace of ~100k points pins no callback slots and
+  // never crowds the calendar. The points take the sequence numbers a
+  // per-point ScheduleAt here would have taken, fired or skipped, so event
+  // interleaving (and determinism) is unchanged. The trace is shared and
+  // immutable, and this market holds it, so its time column outlives the
+  // stream.
+  stream_ = sim->AttachReplayStream(
       trace_->times_us(),
       [](void* ctx, uint32_t index) {
         auto* market = static_cast<SpotMarket*>(ctx);
         market->FireListeners(market->trace_->price(index));
       },
-      this);
+      this, &SeekOutsideBand);
 }
 
 void SpotMarket::FireListeners(double price) {

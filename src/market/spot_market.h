@@ -1,9 +1,16 @@
 // Live spot market replayed inside a simulation.
 //
-// SpotMarket wraps a PriceTrace and, when attached to a Simulator, fires a
-// callback at every price change point. The cloud layer subscribes to decide
-// spot revocations; SpotCheck's controller subscribes to drive proactive
-// migrations and allocation dynamics.
+// SpotMarket wraps a PriceTrace and, when attached to a Simulator, fires its
+// listeners at the price change points they can act on. The cloud layer
+// subscribes to decide spot revocations; SpotCheck's controller subscribes
+// to drive proactive migrations and allocation dynamics.
+//
+// Each listener may declare a quiet band: the prices p with
+// above < p <= at_or_below at which its fire is exactly a no-op (a fixed
+// bid, for instance, cares only when the price crosses it). The market
+// replays only the points outside the intersection of its listeners'
+// bands; the kernel skips the rest without firing them, and every skipped
+// point keeps its sequence number, so skipping changes no output.
 
 #ifndef SRC_MARKET_SPOT_MARKET_H_
 #define SRC_MARKET_SPOT_MARKET_H_
@@ -56,12 +63,23 @@ class SpotMarket {
   bool HasPriceOverride() const { return override_active_; }
 
   // Registers a listener for every later change, after those already
-  // registered. A listener registered during a fire hears the next change.
-  void Subscribe(PriceListener listener);
+  // registered, and returns its index for SetQuietBand. A listener
+  // registered during a fire hears the next change. A new listener is
+  // never quiet: it hears every point until it declares a band.
+  size_t Subscribe(PriceListener listener);
   size_t num_listeners() const { return listeners_.size(); }
+
+  // Declares that listener `index` ignores every price p with
+  // above < p <= at_or_below: its fire at such a price must be exactly a
+  // no-op. A band with above >= at_or_below is empty (never quiet). Call
+  // again whenever the set of prices the listener ignores changes; a
+  // narrower band makes the market seek again before any point the new
+  // band exposes can be missed.
+  void SetQuietBand(size_t index, double above, double at_or_below);
 
   // Schedules the replay of all future price change points on `sim`.
   // Call once; listeners registered later still receive subsequent changes.
+  // While a price override is active every point is replayed.
   void Attach(Simulator* sim);
 
   // Registers this market's instruments (market.price_lookups,
@@ -70,7 +88,20 @@ class SpotMarket {
   void set_metrics(MetricsRegistry* metrics);
 
  private:
+  // The prices p with above < p <= at_or_below; empty when
+  // above >= at_or_below.
+  struct QuietBand {
+    double above;
+    double at_or_below;
+    bool empty() const { return !(above < at_or_below); }
+  };
+
   void FireListeners(double price);
+  // Recomputes band_ and reseeks the replay when it narrowed relative to
+  // the band the last seek used.
+  void UpdateBand();
+  // The replay's seek: the first point at or after `from` outside band_.
+  static uint32_t SeekOutsideBand(void* ctx, uint32_t from);
 
   MarketKey key_;
   std::shared_ptr<const PriceTrace> trace_;
@@ -81,6 +112,14 @@ class SpotMarket {
   // In subscription order. A deque, so a Subscribe during a fire never
   // moves the listener that is running.
   std::deque<PriceListener> listeners_;
+  std::vector<QuietBand> bands_;  // one per listener
+  // The intersection of bands_ (every price while no one listens), or
+  // empty while a price override is active.
+  QuietBand band_;
+  // The band the replay's last seek used: every point it skipped lies in
+  // it. Widest before any seek, so the first narrowing reseeks.
+  QuietBand seek_band_;
+  uint32_t stream_ = 0;
   MetricCounter* price_lookups_metric_ = nullptr;
   MetricCounter* price_changes_metric_ = nullptr;
 };

@@ -35,6 +35,9 @@ void TimeSeriesRecorder::AddSeries(std::string name, SampleFn sampler) {
 }
 
 void TimeSeriesRecorder::Sample(SimTime now) {
+  if (total_samples_ > 0 && now.micros() == prev_time_us_) {
+    return;  // this instant is recorded already
+  }
   next_due_us_ = now.micros() + config_.interval.micros();
 
   const size_t cap = config_.max_samples;
@@ -73,6 +76,12 @@ void TimeSeriesRecorder::Sample(SimTime now) {
 
   prev_time_us_ = now.micros();
   ++total_samples_;
+}
+
+void TimeSeriesRecorder::SampleThrough(int64_t limit_us) {
+  while (next_due_us_ <= limit_us) {
+    Sample(SimTime::FromMicros(next_due_us_));
+  }
 }
 
 size_t TimeSeriesRecorder::retained_samples() const { return time_us_.size(); }

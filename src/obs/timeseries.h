@@ -4,16 +4,21 @@
 // MetricGauge keeps min/max/last of a value but discards its trajectory; for
 // diagnosing fleet-scale behavior (placement bursts, evacuation storms,
 // queue-depth ramps) the *shape over sim time* is the signal. A
-// TimeSeriesRecorder holds named sampler callbacks and, every
-// TimeSeriesConfig::interval of simulated time, evaluates all of them into a
-// shared time column plus one value ring per series (overwrite-oldest once
-// max_samples is reached, running summaries over ALL samples).
+// TimeSeriesRecorder holds named sampler callbacks and, at every boundary
+// of a TimeSeriesConfig::interval grid of simulated time, evaluates all of
+// them into a shared time column plus one value ring per series
+// (overwrite-oldest once max_samples is reached, running summaries over ALL
+// samples). Each sample is stamped with its boundary and holds the state
+// at that instant: the state every event at or before the boundary left.
 //
 // Contract (same as MetricsRegistry/SpanTracer/EventCostProfiler):
 //   * Zero behavioral footprint: the recorder is driven from the simulator's
-//     dispatch loop (one integer compare per event), NOT via scheduled
-//     events -- a sampling event would consume seq numbers and shift
-//     same-timestamp interleaving, breaking golden-CSV bit-identity.
+//     dispatch loop (one integer compare per event: boundaries before an
+//     event are sampled before it runs, and those a run ends on after it),
+//     NOT via scheduled events -- a sampling event would consume seq
+//     numbers and shift same-timestamp interleaving, breaking golden-CSV
+//     bit-identity. Sampling boundaries itself, the recorder needs no
+//     event near each boundary: quiet stretches are sampled too.
 //     Samplers only read simulation state (or wall-side process facts like
 //     RSS); they never mutate it.
 //   * Per-cell isolation: one recorder per evaluation cell; no atomics.
@@ -59,15 +64,24 @@ class TimeSeriesRecorder {
   // caller's wiring order; serialization sorts by name.
   void AddSeries(std::string name, SampleFn sampler);
 
-  // Hot-path hook: samples iff `now` has reached the next due instant. The
-  // first call always samples (baseline at the first executed event).
+  // Hot-path hooks. The boundaries are 0, interval, 2 * interval, ... (a
+  // forced Sample restarts the grid at its time). SampleIfDue samples every
+  // boundary at or before `now` not yet sampled, each stamped with its
+  // boundary: call it once every event at or before `now` has run.
+  // SampleBefore samples those strictly before `t`: call it before an
+  // event at `t` runs.
   void SampleIfDue(SimTime now) {
-    if (now.micros() < next_due_us_) {
-      return;
+    if (now.micros() >= next_due_us_) {
+      SampleThrough(now.micros());
     }
-    Sample(now);
   }
-  // Forced sample (used for the final post-run snapshot).
+  void SampleBefore(SimTime t) {
+    if (t.micros() > next_due_us_) {
+      SampleThrough(t.micros() - 1);
+    }
+  }
+  // Forced sample at `now`; a no-op when the last sample was taken at
+  // `now`.
   void Sample(SimTime now);
 
   size_t num_series() const { return series_.size(); }
@@ -102,6 +116,8 @@ class TimeSeriesRecorder {
     double delta_to_s = 0.0;
   };
 
+  // Samples each due boundary up to `limit_us`.
+  void SampleThrough(int64_t limit_us);
   // Chronological ring order: element i of the returned sequence lives at
   // ring index (start + i) % capacity.
   size_t RingStart() const;
@@ -111,7 +127,7 @@ class TimeSeriesRecorder {
   std::vector<int64_t> time_us_;  // shared time column (ring)
   int64_t total_samples_ = 0;
   int64_t prev_time_us_ = 0;
-  int64_t next_due_us_ = 0;  // 0 => first event samples immediately
+  int64_t next_due_us_ = 0;  // the next boundary to sample
 };
 
 }  // namespace spotcheck

@@ -52,6 +52,7 @@ class FixedBidStrategy : public BidStrategy {
   bool SupportsProactiveMigration() const override {
     return multiple_ && k_ > 1.0;
   }
+  bool ObservesPrices() const override { return false; }
   StrategySpec spec() const override { return spec_; }
 
  private:

@@ -69,8 +69,10 @@ class BidStrategy {
     return OnDemandPrice(type);
   }
 
-  // Observation hook, called by the MarketWatcher on every price change of a
-  // subscribed market. Fixed strategies ignore it (keeping the pre-refactor
+  // Observation hook, called by the MarketWatcher at each price change of a
+  // subscribed market that reaches it: every change while ObservesPrices()
+  // is true; otherwise the market may skip the changes in the watcher's
+  // quiet band. Fixed strategies ignore it (keeping the pre-refactor
   // behavior bit-identical); adaptive strategies update their bids here.
   virtual void OnPriceObservation(const MarketKey& key, SimTime now,
                                   double price) {
@@ -78,6 +80,11 @@ class BidStrategy {
     (void)now;
     (void)price;
   }
+  // Whether OnPriceObservation can change this strategy's state. True
+  // unless overridden, so a strategy hears every price change by default;
+  // one whose hook is a no-op returns false to let the market skip the
+  // changes nothing else acts on.
+  virtual bool ObservesPrices() const { return true; }
 
   // The spec this strategy was created from; round-trips through the
   // registry.

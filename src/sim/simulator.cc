@@ -24,6 +24,10 @@ namespace spotcheck {
 //       the ring is non-empty, so pop never compares against the ladder.
 //   I3  No queued ring event has abs < scan_abs_ (inserts move scan_abs_
 //       backward; pops advance it over empty buckets).
+//   I3b Bit (index & 63) of occupied_[index >> 6] is set iff bucket `index`
+//       is non-empty: every append sets it (InsertEvent, the drain in
+//       Wrap), and PopEarliest and RebaseRingTo clear it when they empty
+//       the bucket.
 //   I4  bucket[0 .. bucket_sorted_n_) is sorted descending by (when, seq);
 //       the tail is unsorted appends. Inserts always append; on contact the
 //       scan sorts only the tail and merges it into the prefix, so the
@@ -36,9 +40,17 @@ namespace spotcheck {
 //       stream's points take a block of it at attach, so ascending
 //       (when, seq) pop order is exactly the old heap's order and results
 //       are bit-identical.
-//   I7  The stream heap holds exactly one entry per stream with points
-//       left: its next point. A point is pushed when the one before it
-//       fires, and it cannot precede Now() because the column is sorted.
+//   I7  The stream heap holds exactly one live entry per stream with a
+//       queued point (the entry whose index is the stream's `queued`),
+//       plus entries a reseek superseded, which PeekNext drops when they
+//       reach the top. A point is queued when a seek picks it: at attach,
+//       after the fire before it returns, or by a reseek. It cannot
+//       precede the frontier: seeks start past the fired point, and a
+//       reseek starts at the first point the frontier has not passed.
+//   I8  Every point of a stream between the frontier and its queued point
+//       (or its end, when none is queued) was skipped by a seek: the
+//       stream's owner promised its fire would be a no-op, and calls
+//       ReseekStream before any such point could matter.
 
 Simulator::Simulator(MetricsRegistry* metrics, SpanTracer* tracer,
                      std::pmr::memory_resource* memory)
@@ -104,6 +116,9 @@ void Simulator::RebaseRingTo(int64_t abs) {
         return false;
       });
       bucket_sorted_n_[index] = 0;  // re-sorted whole on contact (I4)
+      if (bucket.empty()) {
+        MarkEmpty(index);  // I3b
+      }
     }
   }
   ring_base_abs_ = abs;
@@ -133,6 +148,7 @@ void Simulator::InsertEvent(const QueuedEvent& ev) {
     ProfileAdd(profiler_, ProfileStat::kBucketDegrades);
   }
   bucket.push_back(ev);
+  MarkOccupied(index);  // I3b
   ++ring_count_;
   ProfileAdd(profiler_, ProfileStat::kRingInserts);
   if (abs < scan_abs_) {
@@ -190,6 +206,7 @@ void Simulator::Wrap() {
     }
     const size_t index = static_cast<size_t>(abs & kBucketMask);
     buckets_[index].push_back(ev);  // unsorted tail; sorted on contact
+    MarkOccupied(index);            // I3b
     ++ring_count_;
     overflow_.pop_back();
   }
@@ -208,12 +225,19 @@ const Simulator::QueuedEvent* Simulator::FindEarliest() {
     Wrap();  // ladder is non-empty; guarantees ring_count_ > 0
   }
   // I2+I3: the calendar minimum is in the first non-empty bucket at or
-  // above scan_abs_; ring_count_ > 0 bounds the scan inside the window.
-  size_t index = static_cast<size_t>(scan_abs_ & kBucketMask);
-  while (buckets_[index].empty()) {
-    ++scan_abs_;
-    index = static_cast<size_t>(scan_abs_ & kBucketMask);
+  // above scan_abs_; ring_count_ > 0 bounds the search inside the window.
+  // I3b: jump to the next set occupancy bit, wrapping around the ring.
+  const size_t start = static_cast<size_t>(scan_abs_ & kBucketMask);
+  size_t word = start >> 6;
+  uint64_t bits = occupied_[word] & (~uint64_t{0} << (start & 63));
+  while (bits == 0) {
+    word = (word + 1) & (kOccupancyWords - 1);
+    bits = occupied_[word];
   }
+  const size_t index =
+      (word << 6) | static_cast<size_t>(std::countr_zero(bits));
+  scan_abs_ += static_cast<int64_t>((index - start) &
+                                    static_cast<size_t>(kBucketMask));
   Bucket& bucket = buckets_[index];
   const size_t sorted_n = bucket_sorted_n_[index];
   if (sorted_n < bucket.size()) {
@@ -236,6 +260,9 @@ Simulator::QueuedEvent Simulator::PopEarliest() {
   bucket.pop_back();
   --bucket_sorted_n_[index];  // FindEarliest left the bucket fully sorted
   --ring_count_;
+  if (bucket.empty()) {
+    MarkEmpty(index);  // I3b
+  }
   return ev;
 }
 
@@ -249,26 +276,62 @@ void Simulator::PushEvent(SimTime when, uint32_t slot) {
   CountQueued();
 }
 
-void Simulator::PushStreamPoint(const QueuedEvent& point) {
-  stream_heap_.push_back(point);
+void Simulator::SeekStream(uint32_t stream_id, uint32_t from) {
+  ReplayStream& stream = streams_[stream_id];
+  const auto end = static_cast<uint32_t>(stream.times_us.size());
+  const uint32_t next =
+      from < end ? std::min(stream.seek(stream.ctx, from), end) : end;
+  if (next >= stream.queued) {
+    return;
+  }
+  if (stream.queued == end) {
+    ++queued_streams_;
+  }
+  stream.queued = next;
+  stream_heap_.push_back(QueuedEvent{SimTime::FromMicros(stream.times_us[next]),
+                                     stream.seq_base + next, stream_id});
   std::push_heap(stream_heap_.begin(), stream_heap_.end(), Later);
   CountQueued();
 }
 
-void Simulator::AttachReplayStream(std::span<const int64_t> times_us,
-                                   StreamFireFn fire, void* ctx) {
+uint32_t Simulator::AttachReplayStream(std::span<const int64_t> times_us,
+                                       StreamFireFn fire, void* ctx,
+                                       StreamSeekFn seek) {
   // Points before Now() are skipped; a point exactly at Now() still fires.
-  const size_t first = static_cast<size_t>(
+  const auto first = static_cast<uint32_t>(
       std::lower_bound(times_us.begin(), times_us.end(), now_.micros()) -
       times_us.begin());
-  if (first == times_us.size()) {
-    return;
-  }
+  const auto end = static_cast<uint32_t>(times_us.size());
   const auto stream = static_cast<uint32_t>(streams_.size());
-  streams_.push_back(ReplayStream{fire, ctx, times_us, next_seq_ - first});
-  PushStreamPoint(
-      QueuedEvent{SimTime::FromMicros(times_us[first]), next_seq_, stream});
-  next_seq_ += times_us.size() - first;  // I6: the rest of the block
+  streams_.push_back(
+      ReplayStream{fire, seek, ctx, times_us, next_seq_ - first, end});
+  next_seq_ += end - first;  // I6: one seq per point from `first` on
+  SeekStream(stream, first);
+  return stream;
+}
+
+void Simulator::ReseekStream(uint32_t stream_id) {
+  const ReplayStream& stream = streams_[stream_id];
+  if (stream.firing) {
+    return;  // the seek after the fire sees the change
+  }
+  // The first point the frontier (now_, frontier_seq_) has not passed.
+  const std::span<const int64_t> times = stream.times_us;
+  const int64_t now_us = now_.micros();
+  auto from = static_cast<size_t>(
+      std::lower_bound(times.begin(), times.end(), now_us) - times.begin());
+  if (from < times.size() && times[from] == now_us &&
+      stream.seq_base + from < frontier_seq_) {
+    // Points at Now() with a seq below the frontier's were passed.
+    const auto equal_end = static_cast<size_t>(
+        std::upper_bound(times.begin() + static_cast<int64_t>(from),
+                         times.end(), now_us) -
+        times.begin());
+    from = std::min<size_t>(equal_end, frontier_seq_ - stream.seq_base);
+  }
+  if (from < stream.queued) {
+    SeekStream(stream_id, static_cast<uint32_t>(from));
+  }
 }
 
 void Simulator::ScheduleAt(SimTime when, EventCallback callback) {
@@ -284,19 +347,33 @@ void Simulator::ScheduleAfter(SimDuration delay, EventCallback callback) {
 
 const Simulator::QueuedEvent* Simulator::PeekNext() {
   const QueuedEvent* next = FindEarliest();
-  if (!stream_heap_.empty() &&
-      (next == nullptr || Earlier(stream_heap_.front(), *next))) {
-    next = &stream_heap_.front();
+  while (!stream_heap_.empty()) {
+    const QueuedEvent& top = stream_heap_.front();
+    const ReplayStream& stream = streams_[top.id];
+    if (top.seq - stream.seq_base == stream.queued) {
+      if (next == nullptr || Earlier(top, *next)) {
+        next = &top;
+      }
+      break;
+    }
+    // I7: a reseek queued an earlier point of this stream.
+    std::pop_heap(stream_heap_.begin(), stream_heap_.end(), Later);
+    stream_heap_.pop_back();
   }
   return next;
 }
 
 void Simulator::RunOne(const QueuedEvent& next) {
+  // Boundaries before this event see the state every earlier event left.
+  if (timeseries_ != nullptr) {
+    timeseries_->SampleBefore(next.when);
+  }
   // PeekNext() returned the stream heap's top or the calendar minimum, and
   // FindEarliest left the latter ready to pop.
   const bool from_stream = &next == stream_heap_.data();
   const QueuedEvent ev = from_stream ? next : PopEarliest();
   now_ = ev.when;
+  frontier_seq_ = ev.seq;
   ++events_executed_;
   MetricInc(events_fired_metric_);
   if (tracer_ != nullptr && dispatch_sample_interval_ > 0 &&
@@ -307,18 +384,21 @@ void Simulator::RunOne(const QueuedEvent& next) {
                      static_cast<double>(events_executed_));
   }
   if (from_stream) {
-    // Copied: the fire may attach another stream and grow streams_.
-    const ReplayStream stream = streams_[ev.id];
-    const auto index = static_cast<uint32_t>(ev.seq - stream.seq_base);
-    // I7: replace the fired point with the stream's next one.
     std::pop_heap(stream_heap_.begin(), stream_heap_.end(), Later);
     stream_heap_.pop_back();
-    if (index + 1 < stream.times_us.size()) {
-      PushStreamPoint(QueuedEvent{
-          SimTime::FromMicros(stream.times_us[index + 1]), ev.seq + 1, ev.id});
-    }
+    ReplayStream& stream = streams_[ev.id];
+    const auto index = static_cast<uint32_t>(ev.seq - stream.seq_base);
+    stream.queued = static_cast<uint32_t>(stream.times_us.size());
+    --queued_streams_;
+    stream.firing = true;
+    const StreamFireFn fire = stream.fire;
+    void* const ctx = stream.ctx;
     ProfileScope scope(profiler_, ProfileCategory::kDispatchStream);
-    stream.fire(stream.ctx, index);
+    fire(ctx, index);
+    // Indexed again: the fire may attach another stream and grow streams_.
+    streams_[ev.id].firing = false;
+    // I7: seek after the fire, which may have changed what must fire next.
+    SeekStream(ev.id, index + 1);
   } else {
     // The callback is moved out and its slot freed before invocation: it
     // may schedule new events, growing or reusing the slot pool.
@@ -327,9 +407,10 @@ void Simulator::RunOne(const QueuedEvent& next) {
     free_slots_.push_back(ev.id);
     callback();
   }
-  // Sampled AFTER the event fully executed (and outside the profile scope):
-  // the recorder reads post-event state and never interacts with the queue,
-  // so it cannot perturb seq assignment or same-timestamp interleaving.
+}
+
+void Simulator::FinishRun() {
+  frontier_seq_ = next_seq_;
   if (timeseries_ != nullptr) {
     timeseries_->SampleIfDue(now_);
   }
@@ -340,6 +421,7 @@ int64_t Simulator::Run() {
   while (const QueuedEvent* next = PeekNext()) {
     RunOne(*next);
   }
+  FinishRun();
   return events_executed_ - before;
 }
 
@@ -352,8 +434,9 @@ int64_t Simulator::RunUntil(SimTime deadline) {
     }
     RunOne(*next);
   }
-  if (now_ < deadline) {
+  if (now_ <= deadline) {
     now_ = deadline;
+    FinishRun();
   }
   return events_executed_ - before;
 }

@@ -6,8 +6,8 @@
 // queued callback runs exactly once. Everything is single-threaded and
 // deterministic.
 //
-// Hot-path design (this kernel executes tens of millions of events per
-// six-month evaluation):
+// Hot-path design (an evaluation grid executes millions of events, and
+// replayed price traces hold millions more points):
 //   - Callbacks are UniqueCallback (move-only, 32-byte inline storage), so
 //     typical simulation closures never touch the heap.
 //   - Event records are pooled: the callback lives in a reusable slot, and
@@ -23,10 +23,14 @@
 //     retuning happens only while the ring is empty, so no event ever needs
 //     remapping.
 //   - Replay streams (price traces) stay out of the calendar: each stream
-//     has exactly one queued point, in a small binary heap beside it, and
-//     the next point is queued when one fires. A pop takes the earlier of
-//     the two minima. The calendar therefore holds only callbacks, and its
-//     width policy tunes to their density.
+//     has at most one queued point, in a small binary heap beside it, and
+//     the stream's seek function picks the next point worth firing after
+//     each fire, so points no listener can act on are never queued (a
+//     skipped point keeps its sequence number, so no other event moves).
+//     A pop takes the earlier of the two minima. The calendar therefore holds
+//     only callbacks, and its width policy tunes to their density.
+//   - An occupancy bitmap (one bit per bucket) lets the scan jump over
+//     empty buckets a 64-bit word at a time.
 //   - A bucket is a sorted prefix plus an unsorted tail, like the ladder:
 //     inserts append, and when the scan reaches the bucket it sorts only
 //     the tail and merges it in, so an event is sorted once however
@@ -41,6 +45,7 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <memory_resource>
 #include <span>
@@ -65,10 +70,11 @@ class Simulator {
   // `metrics`, when non-null, receives the kernel's counters
   // (sim.events_scheduled / fired, sim.calendar.wraps) and the
   // queue depth gauge (sim.heap_depth). sim.events_scheduled counts every
-  // queued callback and every queued stream point; a stream point is queued
-  // when the point before it fires, so points the run never reaches are not
-  // counted. sim.heap_depth gauges the queued events, one per live stream
-  // plus every queued callback. `tracer`, when non-null, gets a
+  // queued callback and every queued stream point; a stream point is
+  // queued when a seek picks it, so skipped points and points the run
+  // never reaches are not counted. sim.heap_depth gauges the queued
+  // events, one per stream with a queued point plus every queued callback.
+  // `tracer`, when non-null, gets a
   // sampled "sim.dispatch" instant every
   // TraceConfig::sim_event_sample_interval executed events (a heartbeat
   // track for orienting in Perfetto, not a per-event log). Both are purely
@@ -93,18 +99,38 @@ class Simulator {
   // A replay stream is a pre-known, time-ascending schedule of fires (a
   // price trace's change points) whose action is derived from the point
   // index at dispatch, so it needs no callback slot. AttachReplayStream
-  // replays every point of `times_us` at or after Now(): point i fires at
+  // replays the points of `times_us` at or after Now(): point i fires at
   // times_us[i] as fire(ctx, i). The points take a block of sequence numbers
   // at attach, point i the i-th after the skipped ones, so same-timestamp
   // interleaving is exactly as if each point had been ScheduleAt()ed here in
   // index order. Only the next point of each stream is queued. `times_us`
   // must be non-decreasing, and `ctx` and `times_us` must outlive the
-  // stream.
+  // stream. Returns the stream's id for ReseekStream.
+  //
+  // `seek` lets the stream skip points whose fire would be a no-op:
+  // seek(ctx, from) returns the first index >= from that must fire, or
+  // times_us.size() if none must for now (returning `from` replays every
+  // point). The kernel seeks at attach and after each fire returns (the
+  // fire may change what the next seek answers). A skipped point keeps its
+  // sequence number, so skipping changes no other event's order. `seek`
+  // must not touch the simulator.
   using StreamFireFn = void (*)(void* ctx, uint32_t index);
-  void AttachReplayStream(std::span<const int64_t> times_us, StreamFireFn fire,
-                          void* ctx);
+  using StreamSeekFn = uint32_t (*)(void* ctx, uint32_t from);
+  uint32_t AttachReplayStream(std::span<const int64_t> times_us,
+                              StreamFireFn fire, void* ctx,
+                              StreamSeekFn seek);
+  // Call when a stream's seek would now pick points it skipped before. The
+  // stream seeks again from the first point the clock has not passed, and
+  // that point is queued if it comes before the queued one. "Passed"
+  // compares (time, seq) with the frontier: the event being dispatched, or
+  // (Now(), the last reserved seq) between runs. So a skipped point at
+  // Now() that sorts before the frontier stays skipped: firing it now
+  // would run it out of order. A stream reseeking during its own fire
+  // changes nothing; the seek after the fire sees the new answer.
+  void ReseekStream(uint32_t stream);
 
-  // Runs until the queue is empty. Returns the number of events executed.
+  // Runs until the queue is empty (a stream whose remaining points are all
+  // skipped holds nothing queued). Returns the number of events executed.
   int64_t Run();
   // Runs events with timestamp <= `deadline`, then advances the clock to
   // `deadline` (even if the queue empties earlier).
@@ -122,10 +148,13 @@ class Simulator {
   // plus the calendar-queue maintenance episodes (ladder merges, wraps,
   // lazy bucket sorts). Must outlive the simulator; null detaches.
   void set_profiler(EventCostProfiler* profiler) { profiler_ = profiler; }
-  // Attaches a sim-time telemetry recorder, driven from the dispatch loop
-  // (one integer compare per executed event -- never via scheduled events,
-  // which would consume seq numbers and shift same-timestamp interleaving).
-  // Must outlive the simulator; null detaches.
+  // Attaches a sim-time telemetry recorder, driven from the dispatch loop:
+  // each interval boundary is sampled before the first event past it runs,
+  // and at the end of Run/RunUntil. Never via scheduled events, which would
+  // consume seq numbers and shift same-timestamp interleaving. Attach it
+  // before the clock passes its first boundary (boundaries it missed are
+  // sampled at once, with the current state). Must outlive the simulator;
+  // null detaches.
   void set_timeseries(TimeSeriesRecorder* timeseries) {
     timeseries_ = timeseries;
   }
@@ -169,7 +198,7 @@ class Simulator {
   using Bucket = std::pmr::vector<QueuedEvent>;
 
   size_t calendar_count() const { return ring_count_ + overflow_.size(); }
-  size_t queued_count() const { return calendar_count() + stream_heap_.size(); }
+  size_t queued_count() const { return calendar_count() + queued_streams_; }
   int64_t BucketAbs(SimTime when) const {
     return when.micros() >> width_log2_;
   }
@@ -177,8 +206,9 @@ class Simulator {
   // Allocates a slot (1-based index) holding `callback`.
   uint32_t AllocSlot(EventCallback callback);
   void PushEvent(SimTime when, uint32_t slot);
-  // Queues a stream's next point on the stream heap.
-  void PushStreamPoint(const QueuedEvent& point);
+  // Seeks `stream` from point `from` and queues the result on the stream
+  // heap when it comes before the stream's queued point.
+  void SeekStream(uint32_t stream, uint32_t from);
   // Counts one queued event or stream point in the metrics.
   void CountQueued();
 
@@ -195,13 +225,21 @@ class Simulator {
   QueuedEvent PopEarliest();
 
   // The next event to run: the earlier of the calendar's minimum and the
-  // stream heap's top, or nullptr if nothing is queued.
+  // stream heap's top, or nullptr if nothing is queued. Drops heap entries
+  // a reseek superseded on the way.
   const QueuedEvent* PeekNext();
+  // The end of a run: marks every event at or before the clock as passed,
+  // and samples the recorder's boundaries up to the clock.
+  void FinishRun();
   // Pops and runs `next`, which PeekNext() just returned.
   void RunOne(const QueuedEvent& next);
 
   SimTime now_;
   uint64_t next_seq_ = 0;
+  // The frontier is (now_, frontier_seq_): events before it in (when, seq)
+  // order have been dispatched or passed. It is the dispatched event's seq
+  // during a dispatch, and next_seq_ once a run has drained the clock.
+  uint64_t frontier_seq_ = 0;
   int64_t events_executed_ = 0;
 
   std::pmr::memory_resource* memory_;
@@ -213,6 +251,16 @@ class Simulator {
   // unsorted tail; the scan sorts and merges the tail on contact, so pop
   // is back().
   std::vector<uint32_t> bucket_sorted_n_;
+  // Bit (index & 63) of word (index >> 6) is set iff bucket `index` is
+  // non-empty, so the scan finds the next occupied bucket by countr_zero.
+  static constexpr size_t kOccupancyWords = size_t{1} << (kNumBucketsLog2 - 6);
+  std::array<uint64_t, kOccupancyWords> occupied_{};
+  void MarkOccupied(size_t index) {
+    occupied_[index >> 6] |= uint64_t{1} << (index & 63);
+  }
+  void MarkEmpty(size_t index) {
+    occupied_[index >> 6] &= ~(uint64_t{1} << (index & 63));
+  }
   int width_log2_ = kInitialWidthLog2;
   int64_t ring_base_abs_ = 0;  // absolute bucket index of the window start
   int64_t scan_abs_ = 0;       // no queued ring event lives below this bucket
@@ -234,15 +282,22 @@ class Simulator {
   // --- replay streams ---
   struct ReplayStream {
     StreamFireFn fire;
+    StreamSeekFn seek;
     void* ctx;
     std::span<const int64_t> times_us;
     // Point i takes seq seq_base + i. Unsigned arithmetic, so the base may
     // wrap when points before the attach time were skipped.
     uint64_t seq_base;
+    // Index of the queued point; times_us.size() when none is queued. A
+    // heap entry with another index was superseded by a reseek.
+    uint32_t queued;
+    bool firing = false;  // its fire is running: a reseek waits for it
   };
   std::vector<ReplayStream> streams_;
-  // The next point of every stream that has one, as {when, seq, stream
-  // number}: a binary heap ordered by Later, so the earliest is front().
+  size_t queued_streams_ = 0;  // streams with a queued point
+  // The queued point of every stream that has one, as {when, seq, stream
+  // number}, plus superseded entries not yet dropped: a binary heap
+  // ordered by Later, so the earliest is front().
   std::pmr::vector<QueuedEvent> stream_heap_;
 
   // Observability instruments; all null when built without a registry.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "src/market/spot_price_process.h"
 
 namespace spotcheck {
@@ -57,6 +60,71 @@ TEST(CountBidCrossingsTest, RespectsWindow) {
   EXPECT_EQ(CountBidCrossings(trace, 0.05, SimTime::FromSeconds(150),
                               SimTime::FromSeconds(200)),
             0);
+}
+
+// The windowed walk must count exactly what the whole-trace walk it
+// replaced counted: that loop visited every point and skipped those outside
+// [from, to). Random windows include empty ones, ones starting or ending on
+// point times, ones past the trace's end, and from > to.
+TEST(CountBidCrossingsTest, MatchesWholeTraceWalk) {
+  const auto whole_trace_walk = [](const PriceTrace& trace, double bid,
+                                   SimTime from, SimTime to) {
+    int crossings = 0;
+    bool above = trace.PriceAt(from) > bid;
+    for (size_t i = 0; i < trace.size(); ++i) {
+      const PricePoint p = trace.point(i);
+      if (p.time < from || p.time >= to) {
+        continue;
+      }
+      const bool now_above = p.price > bid;
+      if (now_above && !above) {
+        ++crossings;
+      }
+      above = now_above;
+    }
+    return crossings;
+  };
+  const MarketKey key{InstanceType::kM3Xlarge, AvailabilityZone{0}};
+  const PriceTrace calibrated =
+      GenerateMarketTrace(key, SimDuration::Days(20), kSeed);
+  const double od = OnDemandPrice(key.type);
+  PriceTrace ties;  // equal times: several points share an instant
+  for (int i = 0; i < 400; ++i) {
+    ties.Append(SimTime::FromSeconds(static_cast<double>(i / 3) * 60.0),
+                0.01 * static_cast<double>(i % 7));
+  }
+  std::mt19937_64 rng(20261018);
+  int nonzero = 0;
+  for (const PriceTrace* trace :
+       std::vector<const PriceTrace*>{&calibrated, &ties}) {
+    ASSERT_FALSE(trace->empty());
+    const int64_t end_us = trace->times_us().back();
+    for (int k = 0; k < 2000; ++k) {
+      const auto pick = [&]() -> int64_t {
+        switch (rng() % 4) {
+          case 0:  // exactly on a point
+            return trace->times_us()[rng() % trace->size()];
+          case 1:  // past the trace's end
+            return end_us + static_cast<int64_t>(rng() % 1'000'000'000);
+          default:
+            return static_cast<int64_t>(rng() %
+                                        static_cast<uint64_t>(end_us + 1));
+        }
+      };
+      const SimTime from = SimTime::FromMicros(pick());
+      const SimTime to =
+          rng() % 8 == 0 ? from : SimTime::FromMicros(pick());  // empty window
+      const double bid =
+          trace == &ties ? 0.005 + static_cast<double>(rng() % 70) / 1000.0
+                         : od * static_cast<double>(1 + rng() % 40) / 20.0;
+      const int expected = whole_trace_walk(*trace, bid, from, to);
+      ASSERT_EQ(CountBidCrossings(*trace, bid, from, to), expected)
+          << "from " << from.micros() << " to " << to.micros() << " bid "
+          << bid;
+      nonzero += expected > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(nonzero, 100);
 }
 
 TEST(JumpDistributionsTest, CapturesBothDirections) {

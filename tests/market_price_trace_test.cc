@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+#include <vector>
+
 namespace spotcheck {
 namespace {
 
@@ -152,6 +156,82 @@ TEST(PriceTraceCursorTest, QueryBeforeFirstPointIsSafe) {
   PriceTrace::Cursor cursor(&trace);
   EXPECT_DOUBLE_EQ(cursor.PriceAt(SimTime::FromSeconds(10)), 0.05);
   EXPECT_EQ(cursor.backward_seeks(), 0);
+}
+
+// FirstOutside's block skips must answer exactly what a linear scan does:
+// random bands (empty, everything, windows), starts on, just before and just
+// after 64-point block boundaries, and traces whose last block is partial.
+TEST(PriceTraceFirstOutsideTest, MatchesLinearScan) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto linear = [](const PriceTrace& trace, size_t from, double above,
+                         double at_or_below) {
+    size_t i = from;
+    while (i < trace.size() && above < trace.price(i) &&
+           trace.price(i) <= at_or_below) {
+      ++i;
+    }
+    return std::min(i, trace.size());
+  };
+  std::mt19937_64 rng(20261018);
+  int checks = 0;
+  int block_skips_possible = 0;
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                            size_t{65}, size_t{200}, size_t{1000}}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      // Mostly calm prices with rare spikes, so whole blocks can be quiet.
+      PriceTrace trace;
+      for (size_t i = 0; i < size; ++i) {
+        const double price = rng() % 50 == 0
+                                 ? 1.0 + static_cast<double>(rng() % 100) / 10.0
+                                 : static_cast<double>(rng() % 100) / 100.0;
+        trace.Append(SimTime::FromSeconds(static_cast<double>(i)), price);
+      }
+      std::vector<size_t> starts = {0, size, size + 3};
+      for (size_t b = 0; b <= size; b += 64) {
+        for (const size_t d : {b, b + 1, b + 63}) {
+          starts.push_back(d);
+        }
+        if (b > 0) {
+          starts.push_back(b - 1);
+        }
+      }
+      for (int k = 0; k < 8; ++k) {
+        starts.push_back(size == 0 ? 0 : rng() % size);
+      }
+      std::vector<std::pair<double, double>> bands = {
+          {kInf, -kInf}, {-kInf, kInf}, {0.5, 0.5}, {-kInf, 0.99},
+          {0.2, kInf}};
+      for (int k = 0; k < 6; ++k) {
+        const double above = static_cast<double>(rng() % 120) / 100.0 - 0.1;
+        bands.emplace_back(above,
+                           above + static_cast<double>(rng() % 1200) / 100.0);
+      }
+      for (const auto& [above, at_or_below] : bands) {
+        if (above == -kInf && at_or_below == 0.99) {
+          ++block_skips_possible;
+        }
+        for (const size_t from : starts) {
+          ASSERT_EQ(trace.FirstOutside(from, above, at_or_below),
+                    linear(trace, from, above, at_or_below))
+              << "size " << size << " from " << from << " band (" << above
+              << ", " << at_or_below << "]";
+          ++checks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 5000);
+  EXPECT_GT(block_skips_possible, 0);
+}
+
+TEST(PriceTraceFirstOutsideTest, EmptyBandAnswersFrom) {
+  const PriceTrace trace = MakeStepTrace();
+  EXPECT_EQ(trace.FirstOutside(1, 0.5, 0.5), 1u);
+  EXPECT_EQ(trace.FirstOutside(1, 0.9, 0.1), 1u);
+  EXPECT_EQ(trace.FirstOutside(7, 0.9, 0.1), trace.size());
+  // (0.01, 0.05] holds the two 0.02 points, not the 0.10 one.
+  EXPECT_EQ(trace.FirstOutside(0, 0.01, 0.05), 1u);
+  EXPECT_EQ(trace.FirstOutside(2, 0.01, 0.05), trace.size());
 }
 
 }  // namespace

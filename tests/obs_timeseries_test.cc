@@ -42,16 +42,66 @@ TEST(TimeSeriesRecorderTest, SamplesAtTheConfiguredInterval) {
 }
 
 TEST(TimeSeriesRecorderTest, SparseEventsStillSample) {
-  // Events rarer than the interval: each one past the due instant samples.
+  // Events rarer than the interval: every boundary up to the last event is
+  // sampled, stamped with its boundary time.
   TimeSeriesConfig config;
   config.interval = SimDuration::Minutes(15);
   TimeSeriesRecorder recorder(config);
   recorder.AddSeries("v", [] { return 1.0; });
   recorder.SampleIfDue(At(0));
-  recorder.SampleIfDue(At(100));
+  recorder.SampleIfDue(At(100));  // 15, 30, ..., 90
   recorder.SampleIfDue(At(101));  // not yet due again
-  recorder.SampleIfDue(At(200));
+  recorder.SampleIfDue(At(200));  // 105, 120, ..., 195
+  EXPECT_EQ(recorder.total_samples(), 14);
+
+  JsonWriter json;
+  recorder.WriteJson(json);
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json.str(), &doc)) << json.str();
+  const JsonValue* times = doc.Find("time_s");
+  ASSERT_NE(times, nullptr);
+  ASSERT_EQ(times->array.size(), 14u);
+  for (size_t i = 0; i < times->array.size(); ++i) {
+    EXPECT_DOUBLE_EQ(times->array[i].number,
+                     15 * 60.0 * static_cast<double>(i));
+  }
+}
+
+// The dispatch loop samples the boundaries before an event ahead of it, so
+// a boundary the event sits on waits for the event.
+TEST(TimeSeriesRecorderTest, SampleBeforeLeavesTheEventsBoundary) {
+  TimeSeriesConfig config;
+  config.interval = SimDuration::Minutes(15);
+  TimeSeriesRecorder recorder(config);
+  int value = 0;
+  recorder.AddSeries("v", [&] { return static_cast<double>(value); });
+  recorder.SampleBefore(At(0));  // nothing is before 0
+  EXPECT_EQ(recorder.total_samples(), 0);
+  recorder.SampleBefore(At(30));  // 0 and 15, not 30
+  EXPECT_EQ(recorder.total_samples(), 2);
+  value = 30;  // the event at 30 runs
+  recorder.SampleIfDue(At(30));  // the run ends at 30
   EXPECT_EQ(recorder.total_samples(), 3);
+
+  JsonWriter json;
+  recorder.WriteSummaryJson(json);
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json.str(), &doc)) << json.str();
+  EXPECT_DOUBLE_EQ(doc.Find("series")->Find("v")->Find("last")->number, 30.0);
+}
+
+// A run that ends on a boundary samples it; the forced end-of-run sample at
+// the same instant must not record it twice.
+TEST(TimeSeriesRecorderTest, ForcedSampleAtTheLastSampledInstantIsANoOp) {
+  TimeSeriesConfig config;
+  config.interval = SimDuration::Minutes(15);
+  TimeSeriesRecorder recorder(config);
+  recorder.AddSeries("v", [] { return 1.0; });
+  recorder.SampleIfDue(At(30));  // 0, 15, 30
+  recorder.Sample(At(30));
+  EXPECT_EQ(recorder.total_samples(), 3);
+  recorder.Sample(At(40));
+  EXPECT_EQ(recorder.total_samples(), 4);
 }
 
 TEST(TimeSeriesRecorderTest, RingOverwritesOldestButSummariesCoverAll) {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/policy/policy_spec.h"
 #include "src/policy/registry.h"
@@ -193,6 +194,70 @@ TEST_F(MappingPolicyTest, WeightedPoliciesFallBackWithoutHistory) {
   const auto policy = MakePolicy("4p-cost");
   const auto counts = Draw(*policy, 40, SimTime());
   EXPECT_EQ(counts.size(), 4u);
+}
+
+// The MarketWatcher lets a market skip the price changes it cannot act on
+// unless the bid strategy ObservesPrices(). So every registered bid
+// strategy whose state moves under OnPriceObservation must report it, or
+// its cells would silently stop learning from the skipped points.
+TEST(BidStrategyRegistryTest, StrategiesThatLearnFromPricesObservePrices) {
+  const PolicyRegistry& registry = PolicyRegistry::Instance();
+  const std::vector<std::vector<double>> param_sets = {
+      {}, {1.5}, {2.0}, {2.0, 0.5, 1.0}, {4.0, 1.0, 0.0}};
+  const auto fingerprint = [](const BidStrategy& bid) {
+    std::string text = bid.spec().ToString();
+    text += bid.SupportsProactiveMigration() ? ";proactive" : ";fixed";
+    for (const InstanceTypeInfo& info : InstanceCatalog()) {
+      text += ";" + std::to_string(bid.BidFor(info.type)) + "/" +
+              std::to_string(bid.ProactiveThreshold(info.type));
+    }
+    return text;
+  };
+  int learners = 0;
+  for (const std::string& name : registry.BidNames()) {
+    int created = 0;
+    for (const std::vector<double>& params : param_sets) {
+      const std::unique_ptr<BidStrategy> bid =
+          registry.CreateBid(StrategySpec{name, params}, nullptr);
+      if (bid == nullptr) {
+        continue;
+      }
+      ++created;
+      const std::string before = fingerprint(*bid);
+      // Two weeks of prices crossing every bid many times, then two calm
+      // weeks, in two markets.
+      for (int hour = 0; hour < 24 * 28; ++hour) {
+        for (const InstanceType type :
+             {InstanceType::kM3Medium, InstanceType::kM3Xlarge}) {
+          const double od = OnDemandPrice(type);
+          const bool spike = hour < 24 * 14 && hour % 5 == 0;
+          bid->OnPriceObservation(MarketKey{type, kZone},
+                                  SimTime() + SimDuration::Hours(hour),
+                                  spike ? 20.0 * od : 0.2 * od);
+        }
+      }
+      if (fingerprint(*bid) != before) {
+        ++learners;
+        EXPECT_TRUE(bid->ObservesPrices())
+            << bid->ToString() << " changes under OnPriceObservation";
+      }
+    }
+    EXPECT_GT(created, 0) << "no parameter set builds bid strategy " << name;
+  }
+  // The guard has teeth: at least one built-in strategy learns.
+  EXPECT_GT(learners, 0);
+}
+
+// ObservesPrices() defaults to true, so a fixed bid must opt out, or its
+// cells would fire every point of every trace.
+TEST(BidStrategyRegistryTest, FixedBidsLetMarketsSkipPrices) {
+  const PolicyRegistry& registry = PolicyRegistry::Instance();
+  for (const StrategySpec& spec :
+       {StrategySpec{"on-demand", {}}, StrategySpec{"multiple", {1.5}}}) {
+    const std::unique_ptr<BidStrategy> bid = registry.CreateBid(spec, nullptr);
+    ASSERT_NE(bid, nullptr) << spec.ToString();
+    EXPECT_FALSE(bid->ObservesPrices()) << spec.ToString();
+  }
 }
 
 }  // namespace

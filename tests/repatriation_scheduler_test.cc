@@ -21,6 +21,7 @@
 #include "src/core/storm_tracker.h"
 #include "src/market/spot_market.h"
 #include "src/net/vpc.h"
+#include "src/obs/metrics.h"
 #include "src/policy/policy_spec.h"
 #include "src/policy/registry.h"
 #include "src/sim/simulator.h"
@@ -165,6 +166,63 @@ TEST(RepatriationSchedulerTest, ReExileToDifferentPoolWins) {
 
   std::string error;
   EXPECT_TRUE(h.scheduler->ValidateInvariants(&error)) << error;
+}
+
+// A re-exile that empties a pool's waitlist leaves nothing for that pool's
+// price changes to repatriate, so its market must go quiet again instead of
+// firing every point at or below on-demand until the waitlist refills.
+TEST(RepatriationSchedulerTest, ReExileQuietsTheOldPoolsMarket) {
+  SchedulerHarness h;
+  constexpr MarketKey kOldPool{InstanceType::kM3Large, AvailabilityZone{0}};
+  constexpr MarketKey kNewPool{InstanceType::kM3Large, AvailabilityZone{1}};
+  const double od = OnDemandPrice(kOldPool.type);
+  MetricsRegistry old_metrics;
+  MetricsRegistry new_metrics;
+  for (const MarketKey& key : {kOldPool, kNewPool}) {
+    // A day of five-minute points, every one below on-demand.
+    PriceTrace trace;
+    for (int i = 0; i < 24 * 12; ++i) {
+      trace.Append(SimTime() + SimDuration::Minutes(5 * i),
+                   (i % 2 == 0 ? 0.2 : 0.3) * od);
+    }
+    SpotMarket* market = h.markets.AddWithTrace(key, std::move(trace));
+    ASSERT_NE(market, nullptr);
+    market->set_metrics(key == kOldPool ? &old_metrics : &new_metrics);
+    h.market_watcher->Subscribe(key);
+  }
+  const auto fired = [](const MetricsRegistry& metrics) {
+    return metrics.FindCounter("market.price_changes_fired")->value();
+  };
+  // Each phase runs two hours: 24 points per market.
+  const auto run_phase = [&h] {
+    h.sim.RunUntil(h.sim.Now() + SimDuration::Hours(2));
+  };
+
+  // No waitlist: both markets are quiet at every price. At most the point
+  // queued before the watcher declared its band fires.
+  run_phase();
+  EXPECT_LE(fired(old_metrics), 1);
+  EXPECT_LE(fired(new_metrics), 1);
+
+  // A VM that cannot move yet waits for the old pool: every point fires
+  // (each TryRepatriate keeps it waitlisted).
+  NestedVm& vm = h.NewVm();
+  h.scheduler->EnqueueRepatriation(kOldPool, vm.id());
+  int64_t old_before = fired(old_metrics);
+  int64_t new_before = fired(new_metrics);
+  run_phase();
+  EXPECT_EQ(fired(old_metrics) - old_before, 24);
+  EXPECT_EQ(fired(new_metrics) - new_before, 0);
+
+  // Re-exiled toward the new pool: the new market wakes, and the old one
+  // fires at most the point its last seek had already queued.
+  h.scheduler->EnqueueRepatriation(kNewPool, vm.id());
+  EXPECT_FALSE(h.scheduler->HasWaitlist(kOldPool));
+  old_before = fired(old_metrics);
+  new_before = fired(new_metrics);
+  run_phase();
+  EXPECT_LE(fired(old_metrics) - old_before, 1);
+  EXPECT_EQ(fired(new_metrics) - new_before, 24);
 }
 
 TEST(RepatriationSchedulerTest, TryRepatriateLiveMigratesExiledVmBackToSpot) {

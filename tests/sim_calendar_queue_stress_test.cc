@@ -10,7 +10,10 @@
 // operations -- including callback-driven scheduling, which inserts at the
 // scan point mid-drain, and replay streams, which the kernel queues one
 // point at a time but the model schedules whole at attach -- and requires
-// identical fire sequences.
+// identical fire sequences. The streams seek: each has a quiet band of
+// point prices whose fire is a no-op, which callbacks and stream fires
+// narrow and widen as they run. The kernel skips quiet points; the model
+// fires every point and treats a quiet one as a no-op.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
+#include <map>
 #include <queue>
 #include <random>
 #include <vector>
@@ -71,7 +76,8 @@ class ReferenceScheduler {
     now_us_ = std::max(now_us_, deadline_us);
   }
 
-  // Pops and fires the earliest event; false if none is queued.
+  // Pops and fires the earliest event; false if none is queued. An event
+  // `quiet` names at its turn is popped as a no-op: not fired, not logged.
   bool Step(const std::function<void(int id)>& on_fire) {
     if (queue_.empty()) {
       return false;
@@ -79,10 +85,15 @@ class ReferenceScheduler {
     const RefEvent ev = events_[queue_.top()];
     queue_.pop();
     now_us_ = ev.when_us;
+    if (quiet && quiet(ev.id)) {
+      return true;
+    }
     fired_.push_back(ev.id);
     on_fire(ev.id);
     return true;
   }
+
+  std::function<bool(int id)> quiet;
 
   int64_t now_us() const { return now_us_; }
   const std::vector<int>& fired() const { return fired_; }
@@ -165,6 +176,106 @@ std::vector<int64_t> StreamTimes(uint64_t key, int64_t now_us) {
   return times;
 }
 
+// A quiet band: the point prices p with above < p <= at_or_below, whose
+// fire is a no-op. Empty when above >= at_or_below.
+struct Band {
+  double above = 0.0;
+  double at_or_below = 0.0;
+  bool Contains(double price) const {
+    return above < price && price <= at_or_below;
+  }
+  bool Empty() const { return !(above < at_or_below); }
+};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Band kNeverQuiet{kInf, -kInf};
+constexpr Band kAlwaysQuiet{-kInf, kInf};
+
+// True iff `now` exposes a point `before` kept quiet (the market's rule).
+bool Narrows(const Band& now, const Band& before) {
+  return !before.Empty() && (now.Empty() || now.above > before.above ||
+                             now.at_or_below < before.at_or_below);
+}
+
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 31;
+  x *= 0x9E3779B97F4A7C15ull;
+  x ^= x >> 29;
+  return x;
+}
+
+// Point i's price in the stream made from `key`: an integer in [0, 100).
+double PointPrice(uint64_t key, size_t index) {
+  return static_cast<double>(Mix(key * 1'000'003 + index) % 100);
+}
+
+// A band drawn from `seed`: never quiet, always quiet, or a random window
+// of prices, so a change may narrow, widen or shift the band.
+Band DrawBand(uint64_t seed) {
+  const uint64_t h = Mix(seed + 77);
+  switch (h % 5) {
+    case 0:
+      return kNeverQuiet;
+    case 1:
+      return kAlwaysQuiet;
+    default: {
+      const double above = static_cast<double>((h >> 8) % 100) - 10.0;
+      return Band{above, above + static_cast<double>((h >> 20) % 90)};
+    }
+  }
+}
+
+// Which events change a band, and which stream's: a fired stream point
+// picks its own stream half the time, so reseeks also come from inside a
+// stream's own fire.
+bool ChangesBand(int id) { return id % 7 == 3 || id % 11 == 5; }
+
+// The stream shapes both sides attach, in attach order. Point i of stream
+// k fires as first_id + i.
+struct StreamShape {
+  uint64_t key;
+  int first_id;
+  int size;
+};
+
+// The stream whose block of ids holds `id`, or -1 for a callback id.
+int StreamOf(const std::vector<StreamShape>& shapes, int id) {
+  for (size_t k = 0; k < shapes.size(); ++k) {
+    if (id >= shapes[k].first_id && id < shapes[k].first_id + shapes[k].size) {
+      return static_cast<int>(k);
+    }
+  }
+  return -1;
+}
+
+int BandTarget(const std::vector<StreamShape>& shapes, int id) {
+  const int own = StreamOf(shapes, id);
+  if (own >= 0 && id % 2 == 0) {
+    return own;
+  }
+  return static_cast<int>(static_cast<size_t>(id) % shapes.size());
+}
+
+// A time in `times` at or after `now_us` shared by two points when there
+// is one, drawn with `seed`; -1 if no point is at or after `now_us`.
+int64_t PickPointTime(const std::vector<int64_t>& times, int64_t now_us,
+                      uint64_t seed) {
+  const auto first = static_cast<size_t>(
+      std::lower_bound(times.begin(), times.end(), now_us) - times.begin());
+  if (first == times.size()) {
+    return -1;
+  }
+  std::vector<int64_t> shared;
+  for (size_t i = first; i + 1 < times.size(); ++i) {
+    if (times[i] == times[i + 1]) {
+      shared.push_back(times[i]);
+    }
+  }
+  if (!shared.empty()) {
+    return shared[Mix(seed) % shared.size()];
+  }
+  return times[first + Mix(seed) % (times.size() - first)];
+}
+
 TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
   std::mt19937_64 rng(20260807);
   Simulator sim;
@@ -172,69 +283,166 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
 
   std::vector<int> sim_fired;
   // One id counter per side. Identical fire sequences (asserted each
-  // round) imply identical child-spawn and attach order, so the counters
-  // stay in lockstep without the sides sharing state. A stream takes one
-  // id per point of its column, skipped points included.
+  // round) imply identical child-spawn, attach and band-change order, so
+  // the counters, shapes and bands stay in lockstep without the sides
+  // sharing mutable state. A stream takes one id per point of its column,
+  // skipped points included.
   int sim_next_id = 0;
   int ref_next_id = 0;
   constexpr int kMaxIds = 120'000;  // bounds callback-driven growth
 
-  // The kernel's streams: their columns and fire contexts must outlive
-  // them, so both live in deques (stable addresses).
+  // Callbacks that make one stream's band empty, scheduled at a time one
+  // of its points shares: id -> stream. Written only between runs.
+  std::map<int, int> empties_stream;
+
+  // --- the kernel's side ---
+  // The streams' columns and fire contexts must outlive them, so both
+  // live in deques (stable addresses).
   struct StreamCtx {
     std::function<void(int)>* fire;
     int first_id;  // point i fires as first_id + i
+    uint64_t key;
+    size_t size;
+    Band band;
+    Band seek_band = kAlwaysQuiet;  // the band the last seek used
+    uint32_t id = 0;                // the kernel's stream id
   };
   std::deque<std::vector<int64_t>> columns;
   std::deque<StreamCtx> contexts;
+  std::vector<StreamShape> sim_shapes;
   std::function<void(int)> sim_fire;
-  const auto sim_attach = [&](uint64_t key) {
+  const auto sim_set_band = [&](int k, Band band, bool always_reseek) {
+    StreamCtx& ctx = contexts[static_cast<size_t>(k)];
+    ctx.band = band;
+    if (always_reseek || Narrows(band, ctx.seek_band)) {
+      sim.ReseekStream(ctx.id);
+    }
+  };
+  const auto sim_attach = [&](uint64_t key, Band band) {
     const std::vector<int64_t>& times =
         columns.emplace_back(StreamTimes(key, sim.Now().micros()));
-    StreamCtx& ctx = contexts.emplace_back(StreamCtx{&sim_fire, sim_next_id});
+    StreamCtx& ctx = contexts.emplace_back(
+        StreamCtx{&sim_fire, sim_next_id, key, times.size(), band});
+    sim_shapes.push_back(
+        StreamShape{key, sim_next_id, static_cast<int>(times.size())});
     sim_next_id += static_cast<int>(times.size());
-    sim.AttachReplayStream(
+    ctx.id = sim.AttachReplayStream(
         times,
         [](void* c, uint32_t index) {
           const auto* stream = static_cast<const StreamCtx*>(c);
+          if (stream->band.Contains(PointPrice(stream->key, index))) {
+            return;  // quiet now: the band widened after the seek
+          }
           (*stream->fire)(stream->first_id + static_cast<int>(index));
         },
-        &ctx);
+        &ctx,
+        [](void* c, uint32_t from) {
+          auto* stream = static_cast<StreamCtx*>(c);
+          stream->seek_band = stream->band;
+          auto i = static_cast<size_t>(from);
+          while (i < stream->size &&
+                 stream->band.Contains(PointPrice(stream->key, i))) {
+            ++i;
+          }
+          return static_cast<uint32_t>(i);
+        });
   };
-  const auto ref_attach = [&](uint64_t key) {
+
+  // --- the reference's side ---
+  std::vector<StreamShape> ref_shapes;
+  std::vector<Band> ref_bands;
+  const auto ref_attach = [&](uint64_t key, Band band) {
     const std::vector<int64_t> times = StreamTimes(key, ref.now_us());
+    ref_shapes.push_back(
+        StreamShape{key, ref_next_id, static_cast<int>(times.size())});
+    ref_bands.push_back(band);
     ref.AttachStream(times, ref_next_id);
     ref_next_id += static_cast<int>(times.size());
+  };
+  ref.quiet = [&](int id) {
+    const int k = StreamOf(ref_shapes, id);
+    if (k < 0) {
+      return false;
+    }
+    const StreamShape& shape = ref_shapes[static_cast<size_t>(k)];
+    return ref_bands[static_cast<size_t>(k)].Contains(PointPrice(
+        shape.key, static_cast<size_t>(id - shape.first_id)));
   };
 
   sim_fire = [&](int id) {
     sim_fired.push_back(id);
+    if (const auto it = empties_stream.find(id); it != empties_stream.end()) {
+      sim_set_band(it->second, kNeverQuiet, false);
+    }
+    if (ChangesBand(id)) {
+      sim_set_band(BandTarget(sim_shapes, id),
+                   DrawBand(static_cast<uint64_t>(id)), id % 3 == 0);
+    }
     if (SpawnsChild(id) && sim_next_id < kMaxIds) {
       const int child = sim_next_id++;
       sim.ScheduleAt(sim.Now() + SimDuration::Micros(ChildOffsetUs(id)),
                      [&sim_fire, child] { sim_fire(child); });
     }
     if (AttachesStream(id) && sim_next_id < kMaxIds) {
-      sim_attach(static_cast<uint64_t>(id));
+      sim_attach(static_cast<uint64_t>(id),
+                 DrawBand(static_cast<uint64_t>(id) + 1));
     }
   };
   const std::function<void(int)> ref_fire = [&](int id) {
+    if (const auto it = empties_stream.find(id); it != empties_stream.end()) {
+      ref_bands[static_cast<size_t>(it->second)] = kNeverQuiet;
+    }
+    if (ChangesBand(id)) {
+      ref_bands[static_cast<size_t>(BandTarget(ref_shapes, id))] =
+          DrawBand(static_cast<uint64_t>(id));
+    }
     if (SpawnsChild(id) && ref_next_id < kMaxIds) {
       const int child = ref_next_id++;
       ref.Schedule(ref.now_us() + ChildOffsetUs(id), child);
     }
     if (AttachesStream(id) && ref_next_id < kMaxIds) {
-      ref_attach(static_cast<uint64_t>(id));
+      ref_attach(static_cast<uint64_t>(id),
+                 DrawBand(static_cast<uint64_t>(id) + 1));
     }
   };
 
+  // Schedules, on both sides, a callback at `when_us` that empties stream
+  // k's band.
+  const auto schedule_emptier = [&](int64_t when_us, int k) {
+    const int id = sim_next_id++;
+    ref_next_id++;
+    empties_stream[id] = k;
+    sim.ScheduleAt(SimTime::FromMicros(when_us),
+                   [&sim_fire, id] { sim_fire(id); });
+    ref.Schedule(when_us, id);
+  };
+
+  int64_t emptiers_before = 0;
+  int64_t emptiers_after = 0;
   for (int round = 0; round < 60; ++round) {
     // Attach a stream between runs: the clock then sits on the last
-    // deadline, usually between two events.
+    // deadline, usually between two events. Every third such stream starts
+    // quiet at every price and is woken by a callback at a time two of its
+    // points share. Scheduled before the attach, that callback precedes
+    // the points at its time, which must then fire; scheduled after, it
+    // follows them, and they stay skipped.
     if (round % 3 == 0) {
       const uint64_t key = 1'000'000 + static_cast<uint64_t>(round);
-      sim_attach(key);
-      ref_attach(key);
+      const int k = static_cast<int>(sim_shapes.size());
+      const bool sleeper = round % 9 == 0 || round % 9 == 3;
+      const Band band = sleeper ? kAlwaysQuiet : DrawBand(key);
+      const int64_t wake_us = PickPointTime(
+          StreamTimes(key, sim.Now().micros()), sim.Now().micros(), key);
+      if (sleeper && round % 9 == 0 && wake_us >= 0) {
+        schedule_emptier(wake_us, k);
+        ++emptiers_before;
+      }
+      sim_attach(key, band);
+      ref_attach(key, band);
+      if (sleeper && round % 9 == 3 && wake_us >= 0) {
+        schedule_emptier(wake_us, k);
+        ++emptiers_after;
+      }
     }
 
     // Schedule a batch: coarse 1-second quanta force heavy timestamp
@@ -261,10 +469,19 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
     }
 
     // A few single steps: each pops whichever of a callback and a stream
-    // point is due first, and leaves the clock on it.
+    // point is due first, and leaves the clock on it. The model also pops
+    // the quiet points the kernel skips, so it steps until its log and
+    // clock catch up.
     const int steps = static_cast<int>(rng() % 4);
     for (int i = 0; i < steps; ++i) {
-      ASSERT_EQ(sim.Step(), ref.Step(ref_fire)) << "round " << round;
+      if (!sim.Step()) {
+        break;
+      }
+      while ((ref.fired().size() < sim_fired.size() ||
+              ref.now_us() < sim.Now().micros()) &&
+             ref.Step(ref_fire)) {
+      }
+      ASSERT_EQ(sim_fired, ref.fired()) << "round " << round;
       ASSERT_EQ(sim.Now().micros(), ref.now_us()) << "round " << round;
     }
 
@@ -290,6 +507,8 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
   EXPECT_TRUE(sim.empty());
   // Streams attached from inside fires, as well as between runs.
   EXPECT_GT(columns.size(), 20u + 5u);
+  EXPECT_GT(emptiers_before, 0);
+  EXPECT_GT(emptiers_after, 0);
 }
 
 // Equal timestamps must fire in schedule order even when the shared

@@ -99,7 +99,8 @@ TEST(TelemetryDeterminismTest, RecorderAttachesAndSamples) {
   const EvaluationResult result = RunPolicyEvaluation(config);
 
   ASSERT_NE(result.timeseries, nullptr);
-  // 10 days at the default hourly interval, plus the forced final sample.
+  // 10 days at the default hourly interval: every boundary from 0 to the
+  // horizon.
   EXPECT_GT(result.timeseries->total_samples(), 100);
   // All four telemetry providers registered: fleet states (controller),
   // pool gauges, kernel queue gauges, markets, process RSS.
