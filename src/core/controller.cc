@@ -87,7 +87,8 @@ NestedVmId SpotCheckController::RequestServer(CustomerId customer,
   ref.BindStateCounters(vm_state_counts_.data());
   event_log_.Record(sim_->Now(), ControllerEventKind::kVmRequested, id,
                     InstanceId(), ctx_.DefaultMarket(),
-                    stateless ? "stateless" : "");
+                    stateless ? ControllerEventDetail::kStateless
+                              : ControllerEventDetail::kNone);
   placement_->PlaceVm(ref);
   return id;
 }

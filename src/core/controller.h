@@ -90,6 +90,8 @@ class SpotCheckController {
 
   const ActivityLog& activity_log() const { return activity_log_; }
   const ControllerEventLog& event_log() const { return event_log_; }
+  // Mutable access for the run report, which takes the finished timeline.
+  ControllerEventLog& mutable_event_log() { return event_log_; }
   const RevocationStormTracker& storms() const { return storms_; }
   const MigrationEngine& engine() const { return engine_; }
   const BackupPool& backup_pool() const { return backup_pool_; }

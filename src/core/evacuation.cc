@@ -1,6 +1,5 @@
 #include "src/core/evacuation.h"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -42,9 +41,8 @@ void EvacuationCoordinator::OnRevocationWarning(InstanceId instance,
   }
   ++revocation_events_;
   MetricInc(revocation_events_metric_);
-  ctx_->event_log->Record(ctx_->Now(), ControllerEventKind::kRevocationWarning,
-                          NestedVmId(), instance, host->market(),
-                          "vms=" + std::to_string(host->num_vms()));
+  ctx_->event_log->RecordRevocationWarning(ctx_->Now(), instance,
+                                          host->market(), host->num_vms());
   const std::vector<NestedVmId> resident = host->vms();  // copy: we mutate
   int evacuating = 0;
   for (NestedVmId vm_id : resident) {
@@ -94,7 +92,7 @@ void EvacuationCoordinator::OnInstanceFailure(InstanceId instance) {
       host->RemoveVm(vm.id(), vm.spec());
       ctx_->event_log->Record(ctx_->Now(), ControllerEventKind::kVmLost,
                               vm.id(), instance, host->market(),
-                              "platform failure, no backup");
+                              ControllerEventDetail::kNoBackup);
       if (ctx_->tracer != nullptr) {
         SpanTracer& tracer = *ctx_->tracer;
         tracer.Instant(ctx_->Now(), "vm.lost", "core",
@@ -370,21 +368,16 @@ void EvacuationCoordinator::FinalizeEvacuation(NestedVm& vm,
     MetricInc(vms_lost_metric_);
     ctx_->event_log->Record(ctx_->Now(), ControllerEventKind::kVmLost, vm.id(),
                             evac.old_host, evac.old_market,
-                            "live-migration race");
+                            ControllerEventDetail::kLiveMigrationRace);
     TraceAttrNum(ctx_->tracer, evac.span, "lost", 1);
     TraceEnd(ctx_->tracer, evac.span, ctx_->Now());
     ctx_->pool->MaybeReleaseHost(dest_host);
     return;
   }
   MetricInc(migrations_by_mechanism_metric_);
-  {
-    char detail[64];
-    std::snprintf(detail, sizeof(detail), "downtime=%.1fs degraded=%.1fs",
-                  outcome.downtime.seconds(), outcome.degraded.seconds());
-    ctx_->event_log->Record(ctx_->Now(),
-                            ControllerEventKind::kEvacuationCompleted, vm.id(),
-                            vm.host(), evac.old_market, detail);
-  }
+  ctx_->event_log->RecordEvacuationCompleted(ctx_->Now(), vm.id(), vm.host(),
+                                            evac.old_market, outcome.downtime,
+                                            outcome.degraded);
   if (evac.staged) {
     // The VM landed on a borrowed spot host: re-arm its backup stream there
     // and launch the real destination in the (stable) staging pool; a live

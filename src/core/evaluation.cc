@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <memory_resource>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/chaos/chaos_engine.h"
 #include "src/chaos/fault_plan.h"
@@ -18,11 +17,33 @@
 namespace spotcheck {
 namespace {
 
-// Flattens the cell's config, results, and controller event timeline into a
-// self-contained RunReport that shares the (now-final) metrics registry.
+// The cell's timeline as report rows: the controller's events in record
+// order, with the chaos engine's injected faults stably merged in by time.
+std::vector<RunReportEvent> RenderTimeline(
+    const std::vector<ControllerEvent>& events,
+    const std::vector<RunReportEvent>& chaos_rows) {
+  std::vector<RunReportEvent> rows;
+  rows.reserve(events.size() + chaos_rows.size());
+  for (const ControllerEvent& event : events) {
+    rows.push_back(RenderControllerEvent(event));
+  }
+  if (!chaos_rows.empty()) {
+    // Interleave injected faults with the controller's reactions to them.
+    rows.insert(rows.end(), chaos_rows.begin(), chaos_rows.end());
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const RunReportEvent& a, const RunReportEvent& b) {
+                       return a.time_s < b.time_s;
+                     });
+  }
+  return rows;
+}
+
+// Flattens the cell's config and results into a self-contained RunReport
+// that shares the (now-final) metrics registry, and hands it the
+// controller's typed event timeline, rendered only when the report is read.
 std::shared_ptr<const RunReport> BuildRunReport(
     const EvaluationConfig& config, const EvaluationResult& result,
-    const SpotCheckController& controller, const ChaosEngine* chaos,
+    SpotCheckController& controller, const ChaosEngine* chaos,
     std::shared_ptr<const MetricsRegistry> metrics,
     std::shared_ptr<const SpanTracer> trace,
     std::shared_ptr<const EventCostProfiler> profile,
@@ -82,51 +103,18 @@ std::shared_ptr<const RunReport> BuildRunReport(
   report->trace = std::move(trace);
   report->profile = std::move(profile);
   report->timeseries = std::move(timeseries);
-  const std::vector<ControllerEvent>& events = controller.event_log().events();
-  report->events.reserve(events.size() +
-                         (chaos != nullptr ? chaos->timeline().size() : 0));
-  // Tens of thousands of event rows name the same handful of markets and a
-  // few thousand ids; stringify each distinct one once instead of per row.
-  std::map<MarketKey, std::string> market_names;
-  std::unordered_map<uint64_t, std::string> vm_names;
-  std::unordered_map<uint64_t, std::string> host_names;
-  for (const ControllerEvent& event : events) {
-    RunReportEvent row;
-    row.time_s = event.time.seconds();
-    row.kind = std::string(ControllerEventKindName(event.kind));
-    if (event.vm.valid()) {
-      auto [it, inserted] = vm_names.try_emplace(event.vm.value());
-      if (inserted) {
-        it->second = event.vm.ToString();
-      }
-      row.vm = it->second;
-    }
-    if (event.host.valid()) {
-      auto [it, inserted] = host_names.try_emplace(event.host.value());
-      if (inserted) {
-        it->second = event.host.ToString();
-      }
-      row.host = it->second;
-    }
-    {
-      auto [it, inserted] = market_names.try_emplace(event.market);
-      if (inserted) {
-        it->second = event.market.ToString();
-      }
-      row.market = it->second;
-    }
-    row.detail = event.detail;
-    report->events.push_back(std::move(row));
+  // The controller is destroyed with the cell, so the report takes its
+  // event vector instead of copying it.
+  auto events = std::make_shared<const std::vector<ControllerEvent>>(
+      controller.mutable_event_log().TakeEvents());
+  std::vector<RunReportEvent> chaos_rows;
+  if (chaos != nullptr) {
+    chaos_rows = chaos->timeline();
   }
-  if (chaos != nullptr && !chaos->timeline().empty()) {
-    // Interleave injected faults with the controller's reactions to them.
-    report->events.insert(report->events.end(), chaos->timeline().begin(),
-                          chaos->timeline().end());
-    std::stable_sort(report->events.begin(), report->events.end(),
-                     [](const RunReportEvent& a, const RunReportEvent& b) {
-                       return a.time_s < b.time_s;
-                     });
-  }
+  report->render_events = [events = std::move(events),
+                           chaos_rows = std::move(chaos_rows)] {
+    return RenderTimeline(*events, chaos_rows);
+  };
   report->trace_cache_hits = result.trace_cache_hits;
   report->trace_cache_misses = result.trace_cache_misses;
   return report;
@@ -215,9 +203,9 @@ EvaluationResult RunPolicyEvaluation(const EvaluationConfig& config) {
     markets.RegisterTelemetry(*timeseries);
     // Throttled: one statm read costs ~0.7-1 us even on the descriptor
     // CurrentRssBytes keeps open (kernel-side statm assembly), which at
-    // every sample over a six-month horizon is a measurable slice of a
-    // cell that now skips its quiet price points. RSS moves on allocation
-    // timescales, so refreshing every 16th sample loses nothing and keeps
+    // every read over a six-month horizon is a measurable slice of a cell
+    // that now skips its quiet price points. RSS moves on allocation
+    // timescales, so refreshing every 16th read loses nothing and keeps
     // the whole recorder inside its overhead budget.
     timeseries->AddSeries("process.rss_bytes",
                           [cached = 0.0, tick = 0]() mutable {

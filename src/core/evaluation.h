@@ -109,8 +109,9 @@ struct EvaluationResult {
   int64_t trace_cache_misses = 0;
   // Wall-clock diagnostics (excluded from determinism comparisons like the
   // cache counters): time blocked on the shared TraceCatalog, and time spent
-  // building this cell's RunReport (the allocation-heavy tail of a cell; the
-  // grid's per-worker contention report aggregates both).
+  // building this cell's RunReport (the summary rows and the handover of the
+  // typed event timeline, which becomes text only when the report is read;
+  // the grid's per-worker contention report aggregates both).
   int64_t trace_cache_lock_wait_ns = 0;
   int64_t report_build_ns = 0;
   // Full observability report (metrics, controller events, summary); null

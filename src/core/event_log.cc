@@ -1,5 +1,7 @@
 #include "src/core/event_log.h"
 
+#include <cstdio>
+
 #include "src/common/csv.h"
 
 namespace spotcheck {
@@ -34,14 +36,84 @@ std::string_view ControllerEventKindName(ControllerEventKind kind) {
   return "unknown";
 }
 
+std::string ControllerEventDetailText(const ControllerEvent& event) {
+  switch (event.detail) {
+    case ControllerEventDetail::kNone:
+      return {};
+    case ControllerEventDetail::kStateless:
+      return "stateless";
+    case ControllerEventDetail::kResidentVms:
+      return "vms=" + std::to_string(event.resident_vms);
+    case ControllerEventDetail::kNoBackup:
+      return "platform failure, no backup";
+    case ControllerEventDetail::kLiveMigrationRace:
+      return "live-migration race";
+    case ControllerEventDetail::kEvacuationOutcome: {
+      char text[64];
+      std::snprintf(text, sizeof(text), "downtime=%.1fs degraded=%.1fs",
+                    event.downtime.seconds(), event.degraded.seconds());
+      return text;
+    }
+  }
+  return {};
+}
+
+RunReportEvent RenderControllerEvent(const ControllerEvent& event) {
+  RunReportEvent row;
+  row.time_s = event.time.seconds();
+  row.kind = std::string(ControllerEventKindName(event.kind));
+  if (event.vm.valid()) {
+    row.vm = event.vm.ToString();
+  }
+  if (event.host.valid()) {
+    row.host = event.host.ToString();
+  }
+  row.market = event.market.ToString();
+  row.detail = ControllerEventDetailText(event);
+  return row;
+}
+
 void ControllerEventLog::Record(SimTime time, ControllerEventKind kind,
                                 NestedVmId vm, InstanceId host, MarketKey market,
-                                std::string detail) {
-  if (!enabled_) {
-    return;
-  }
-  events_.push_back(ControllerEvent{time, kind, vm, host, market,
-                                    std::move(detail)});
+                                ControllerEventDetail detail) {
+  ControllerEvent event;
+  event.time = time;
+  event.vm = vm;
+  event.host = host;
+  event.market = market;
+  event.kind = kind;
+  event.detail = detail;
+  Append(event);
+}
+
+void ControllerEventLog::RecordRevocationWarning(SimTime time, InstanceId host,
+                                                 MarketKey market,
+                                                 int resident_vms) {
+  ControllerEvent event;
+  event.time = time;
+  event.host = host;
+  event.market = market;
+  event.resident_vms = resident_vms;
+  event.kind = ControllerEventKind::kRevocationWarning;
+  event.detail = ControllerEventDetail::kResidentVms;
+  Append(event);
+}
+
+void ControllerEventLog::RecordEvacuationCompleted(SimTime time, NestedVmId vm,
+                                                   InstanceId host,
+                                                   MarketKey market,
+                                                   SimDuration downtime,
+                                                   SimDuration degraded) {
+  ControllerEvent event;
+  event.time = time;
+  event.vm = vm;
+  event.host = host;
+  event.market = market;
+  event.downtime = downtime;
+  event.degraded = degraded;
+  event.kind = ControllerEventKind::kEvacuationCompleted;
+  event.detail = ControllerEventDetail::kEvacuationOutcome;
+  Append(event);
 }
 
 int64_t ControllerEventLog::CountOf(ControllerEventKind kind) const {
@@ -68,11 +140,9 @@ std::string ControllerEventLog::ToCsv() const {
   CsvWriter writer;
   writer.AddRow({"time_s", "kind", "vm", "host", "market", "detail"});
   for (const ControllerEvent& event : events_) {
-    writer.AddRow({std::to_string(event.time.seconds()),
-                   std::string(ControllerEventKindName(event.kind)),
-                   event.vm.valid() ? event.vm.ToString() : "",
-                   event.host.valid() ? event.host.ToString() : "",
-                   event.market.ToString(), event.detail});
+    const RunReportEvent row = RenderControllerEvent(event);
+    writer.AddRow({std::to_string(row.time_s), row.kind, row.vm, row.host,
+                   row.market, row.detail});
   }
   return writer.ToString();
 }

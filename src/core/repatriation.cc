@@ -35,20 +35,32 @@ void MarketWatcher::RefreshQuietBand(const MarketKey& key) {
     return;
   }
   // Quiet exactly where OnPriceChange does nothing. A strategy that
-  // observes prices, the predictor and proactive draining act on any
-  // price; without them only repatriation is left, which acts at or below
-  // on-demand and only while the waitlist holds a VM.
+  // observes prices and the predictor act on any price. Otherwise
+  // repatriation acts at or below on-demand while the waitlist holds a VM,
+  // and proactive draining acts in (threshold, bid].
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const ControllerConfig& config = *ctx_->config;
+  const BidStrategy& bid = *ctx_->bid;
   double above = kInf;
   double at_or_below = -kInf;
-  if (!ctx_->bid->ObservesPrices() && !config.enable_predictive &&
-      !config.enable_proactive) {
+  if (!bid.ObservesPrices() && !config.enable_predictive) {
     const bool waiting = config.enable_repatriation &&
                          ctx_->repatriation != nullptr &&
                          ctx_->repatriation->HasWaitlist(key);
-    above = waiting ? OnDemandPrice(key.type) : -kInf;
-    at_or_below = kInf;
+    const bool drains =
+        config.enable_proactive && bid.SupportsProactiveMigration();
+    if (!drains) {
+      above = waiting ? OnDemandPrice(key.type) : -kInf;
+      at_or_below = kInf;
+    } else if (waiting) {
+      // One band cannot hold both gaps around the drain window; keep the
+      // one above it.
+      above = std::max(OnDemandPrice(key.type), bid.BidFor(key.type));
+      at_or_below = kInf;
+    } else {
+      above = -kInf;
+      at_or_below = bid.ProactiveThreshold(key.type);
+    }
   }
   it->second.market->SetQuietBand(it->second.listener, above, at_or_below);
 }

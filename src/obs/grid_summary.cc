@@ -115,7 +115,7 @@ std::string BuildGridSummaryJson(
         static_cast<int64_t>(SummaryValue(*report, "result.evacuations"));
     agg.repatriations +=
         static_cast<int64_t>(SummaryValue(*report, "result.repatriations"));
-    for (const RunReportEvent& event : report->events) {
+    for (const RunReportEvent& event : report->Events()) {
       if (event.market.empty() || !IsMarketKind(event.kind)) {
         continue;
       }

@@ -28,8 +28,7 @@ struct GridWorkerProfile {
   int64_t cells = 0;            // grid cells this worker ran
   int64_t busy_ns = 0;          // wall time inside RunPolicyEvaluation
   int64_t report_build_ns = 0;  // of busy_ns: building the cells' RunReports
-                                // (allocation-heavy; the malloc-contention
-                                // proxy)
+                                // (their timelines render only when read)
   int64_t catalog_hits = 0;     // TraceCatalog fetches served from cache
   int64_t catalog_misses = 0;   // fetches that generated a trace
   int64_t catalog_lock_wait_ns = 0;  // blocked on the shared TraceCatalog

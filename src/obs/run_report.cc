@@ -83,7 +83,7 @@ std::string RunReport::ToJson() const {
 
   json.Key("events");
   json.BeginArray();
-  for (const RunReportEvent& event : events) {
+  for (const RunReportEvent& event : Events()) {
     json.BeginObject();
     json.Key("time_s");
     json.Double(event.time_s);

@@ -8,14 +8,16 @@
 // it is the substrate for answering "which subsystem produced this number"
 // without rerunning the simulation.
 //
-// This module deliberately depends only on src/common: the core layer
-// converts its ControllerEventLog into the generic RunReportEvent rows
-// below, so spotcheck_obs can sit underneath every other library.
+// This module deliberately depends only on src/common, so spotcheck_obs can
+// sit underneath every other library: the core layer installs the function
+// that renders its typed ControllerEventLog into the generic RunReportEvent
+// rows below, and the rows become text only when something reads them.
 
 #ifndef SRC_OBS_RUN_REPORT_H_
 #define SRC_OBS_RUN_REPORT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,7 +42,7 @@ class TimeSeriesRecorder;
 //     "hotspots" roll-up to grid_summary.
 inline constexpr int kRunReportSchemaVersion = 2;
 
-// One controller decision, flattened to strings for serialization.
+// One timeline row (a controller decision or an injected fault), as text.
 struct RunReportEvent {
   double time_s = 0.0;
   std::string kind;
@@ -62,8 +64,10 @@ struct RunReport {
   std::vector<std::pair<std::string, double>> summary;
   // The cell's full metrics registry (shared with the finished simulation).
   std::shared_ptr<const MetricsRegistry> metrics;
-  // The controller's event timeline, flattened.
-  std::vector<RunReportEvent> events;
+  // Renders the cell's event timeline, in time order, on each call. It keeps
+  // no state between calls, so concurrent readers are safe. Null when the
+  // report carries no timeline.
+  std::function<std::vector<RunReportEvent>()> render_events;
   // TraceCatalog diagnostics (scheduling-order dependent under concurrency).
   int64_t trace_cache_hits = 0;
   int64_t trace_cache_misses = 0;
@@ -87,6 +91,11 @@ struct RunReport {
 
   void AddSummary(std::string name, double value) {
     summary.emplace_back(std::move(name), value);
+  }
+
+  // The rendered timeline; empty when render_events is null.
+  std::vector<RunReportEvent> Events() const {
+    return render_events ? render_events() : std::vector<RunReportEvent>{};
   }
 
   // {"schema_version": 2, "label": ..., "policy_spec": ..., "summary": {...},

@@ -38,7 +38,27 @@ void TimeSeriesRecorder::Sample(SimTime now) {
   if (total_samples_ > 0 && now.micros() == prev_time_us_) {
     return;  // this instant is recorded already
   }
-  next_due_us_ = now.micros() + config_.interval.micros();
+  ReadSamplers();
+  AppendRow(now.micros());
+}
+
+void TimeSeriesRecorder::SampleThrough(int64_t limit_us) {
+  // Every boundary up to `limit_us` sees the same state, so one read serves
+  // them all.
+  ReadSamplers();
+  while (next_due_us_ <= limit_us) {
+    AppendRow(next_due_us_);
+  }
+}
+
+void TimeSeriesRecorder::ReadSamplers() {
+  for (Series& series : series_) {
+    series.reading = series.sampler ? series.sampler() : 0.0;
+  }
+}
+
+void TimeSeriesRecorder::AppendRow(int64_t time_us) {
+  next_due_us_ = time_us + config_.interval.micros();
 
   const size_t cap = config_.max_samples;
   const size_t write =
@@ -46,13 +66,13 @@ void TimeSeriesRecorder::Sample(SimTime now) {
   const bool grow = static_cast<size_t>(total_samples_) < cap;
 
   if (grow) {
-    time_us_.push_back(now.micros());
+    time_us_.push_back(time_us);
   } else {
-    time_us_[write] = now.micros();
+    time_us_[write] = time_us;
   }
 
   for (Series& series : series_) {
-    const double v = series.sampler ? series.sampler() : 0.0;
+    const double v = series.reading;
     if (grow) {
       series.ring.push_back(v);
     } else {
@@ -67,21 +87,15 @@ void TimeSeriesRecorder::Sample(SimTime now) {
       if (delta > series.largest_delta) {
         series.largest_delta = delta;
         series.delta_from_s = static_cast<double>(prev_time_us_) / 1e6;
-        series.delta_to_s = now.seconds();
+        series.delta_to_s = static_cast<double>(time_us) / 1e6;
       }
     }
     series.prev = v;
     series.last = v;
   }
 
-  prev_time_us_ = now.micros();
+  prev_time_us_ = time_us;
   ++total_samples_;
-}
-
-void TimeSeriesRecorder::SampleThrough(int64_t limit_us) {
-  while (next_due_us_ <= limit_us) {
-    Sample(SimTime::FromMicros(next_due_us_));
-  }
 }
 
 size_t TimeSeriesRecorder::retained_samples() const { return time_us_.size(); }

@@ -69,7 +69,9 @@ class TimeSeriesRecorder {
   // boundary at or before `now` not yet sampled, each stamped with its
   // boundary: call it once every event at or before `now` has run.
   // SampleBefore samples those strictly before `t`: call it before an
-  // event at `t` runs.
+  // event at `t` runs. No event runs between the boundaries one call
+  // catches up on, so the samplers are read once per call and that row is
+  // recorded at each of them.
   void SampleIfDue(SimTime now) {
     if (now.micros() >= next_due_us_) {
       SampleThrough(now.micros());
@@ -106,6 +108,7 @@ class TimeSeriesRecorder {
     std::string name;
     SampleFn sampler;
     std::vector<double> ring;  // parallel to time ring, same head/rotation
+    double reading = 0.0;      // the sampler's value at the latest read
     // Running summary over ALL samples, not just the retained ring.
     double min = 0.0;
     double max = 0.0;
@@ -118,6 +121,10 @@ class TimeSeriesRecorder {
 
   // Samples each due boundary up to `limit_us`.
   void SampleThrough(int64_t limit_us);
+  // Stores every sampler's current value in its series' `reading`.
+  void ReadSamplers();
+  // Records the readings as the sample at `time_us`.
+  void AppendRow(int64_t time_us);
   // Chronological ring order: element i of the returned sequence lives at
   // ring index (start + i) % capacity.
   size_t RingStart() const;

@@ -189,8 +189,9 @@ TEST(EvaluationTest, RunReportReconcilesWithResultCounters) {
   EXPECT_GT(counter("cloud.launches"), 0);
   EXPECT_GT(counter("sim.events_fired"), 0);
   // The event timeline is populated and every event carries a kind.
-  EXPECT_FALSE(report.events.empty());
-  for (const RunReportEvent& event : report.events) {
+  const std::vector<RunReportEvent> events = report.Events();
+  EXPECT_FALSE(events.empty());
+  for (const RunReportEvent& event : events) {
     EXPECT_FALSE(event.kind.empty());
   }
 }

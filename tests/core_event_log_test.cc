@@ -15,7 +15,8 @@ TEST(ControllerEventLogTest, RecordAndQuery) {
   log.Record(SimTime::FromSeconds(1), ControllerEventKind::kVmRequested,
              NestedVmId(1), InstanceId(), kMedium);
   log.Record(SimTime::FromSeconds(2), ControllerEventKind::kVmPlaced,
-             NestedVmId(1), InstanceId(7), kMedium, "slot 0");
+             NestedVmId(1), InstanceId(7), kMedium,
+             ControllerEventDetail::kStateless);
   log.Record(SimTime::FromSeconds(3), ControllerEventKind::kVmPlaced,
              NestedVmId(2), InstanceId(7), kMedium);
   EXPECT_EQ(log.events().size(), 3u);
@@ -26,8 +27,8 @@ TEST(ControllerEventLogTest, RecordAndQuery) {
 
 TEST(ControllerEventLogTest, CsvFormat) {
   ControllerEventLog log;
-  log.Record(SimTime::FromSeconds(10), ControllerEventKind::kRevocationWarning,
-             NestedVmId(), InstanceId(3), kMedium, "vms=2");
+  log.RecordRevocationWarning(SimTime::FromSeconds(10), InstanceId(3), kMedium,
+                              2);
   const std::string csv = log.ToCsv();
   EXPECT_NE(csv.find("time_s,kind,vm,host,market,detail"), std::string::npos);
   EXPECT_NE(csv.find("revocation-warning"), std::string::npos);
@@ -87,7 +88,8 @@ TEST(ControllerEventLogTest, LifecycleTimelineIsComplete) {
   bool found_downtime_detail = false;
   for (const ControllerEvent* event : timeline) {
     if (event->kind == ControllerEventKind::kEvacuationCompleted) {
-      found_downtime_detail = event->detail.find("downtime=") != std::string::npos;
+      found_downtime_detail = ControllerEventDetailText(*event).find(
+                                  "downtime=") != std::string::npos;
     }
   }
   EXPECT_TRUE(found_downtime_detail);

@@ -4,7 +4,9 @@
 // Representative evaluation cells -- built exactly the way the figure/table
 // benches build theirs (GridConfig, chaos level 0) -- are serialized field
 // by field at full precision (%.17g) and compared byte-for-byte against a
-// fixture captured from the pre-refactor controller. The same cells are
+// fixture captured from the pre-refactor controller. The fixture also pins
+// each cell's run-report event timeline (plus one chaos-level-2 cell's) by
+// row count and a hash of the rendered rows. The same cells are
 // also run through the parallel grid at --jobs 1 vs --jobs 4 (results must
 // be bitwise equal regardless of scheduling), and one cell's run-report
 // metric totals are reconciled against its EvaluationResult counters.
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -99,13 +102,56 @@ std::string Serialize(const EvaluationConfig& config,
   return out.str();
 }
 
+// The report's rendered event timeline: its row count and the 64-bit FNV-1a
+// hash of one "time_s,kind,vm,host,market,detail" line per row (time at
+// full precision). The numeric fields above do not cover these rows.
+std::string SerializeTimeline(const EvaluationConfig& config,
+                              const EvaluationResult& r) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  size_t rows = 0;
+  if (r.report != nullptr) {
+    for (const RunReportEvent& event : r.report->Events()) {
+      const std::string line = Num(event.time_s) + ',' + event.kind + ',' +
+                               event.vm + ',' + event.host + ',' +
+                               event.market + ',' + event.detail + '\n';
+      for (const unsigned char c : line) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+      }
+      ++rows;
+    }
+  }
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return "timeline;" + CellName(config) +
+         ";chaos_level=" + std::to_string(config.chaos.level) +
+         ";rows=" + std::to_string(rows) + ";fnv1a=" + digest;
+}
+
+// A chaos-level-2 cell (the table3 bench's chaos seed): its injected-fault
+// rows interleave with the controller's in the timeline.
+EvaluationConfig ChaosTimelineCell() {
+  EvaluationConfig config =
+      Cell("map=4p-ed", MigrationMechanism::kSpotCheckLazyRestore);
+  config.chaos = ChaosConfigForLevel(2, /*seed=*/1337);
+  return config;
+}
+
 std::string RunGoldenCells() {
   std::string serialized;
+  std::string timelines;
   for (const EvaluationConfig& config : GoldenCells()) {
-    serialized += Serialize(config, RunPolicyEvaluation(config));
+    const EvaluationResult result = RunPolicyEvaluation(config);
+    serialized += Serialize(config, result);
     serialized += '\n';
+    timelines += SerializeTimeline(config, result);
+    timelines += '\n';
   }
-  return serialized;
+  const EvaluationConfig chaos = ChaosTimelineCell();
+  timelines += SerializeTimeline(chaos, RunPolicyEvaluation(chaos));
+  timelines += '\n';
+  return serialized + timelines;
 }
 
 TEST(DeterminismGoldenTest, CellsMatchPreRefactorFixture) {

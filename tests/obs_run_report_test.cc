@@ -71,7 +71,9 @@ std::shared_ptr<RunReport> MakeReport() {
   event.host = "i-42";
   event.market = "m3.medium/us-east-1a";
   event.detail = "vms=4 \"quoted\"";
-  report->events.push_back(event);
+  report->render_events = [event] {
+    return std::vector<RunReportEvent>{event};
+  };
   report->trace_cache_hits = 3;
   report->trace_cache_misses = 1;
   return report;

@@ -67,6 +67,30 @@ TEST(TimeSeriesRecorderTest, SparseEventsStillSample) {
   }
 }
 
+// No event runs between the boundaries one catch-up covers, so the samplers
+// are read once and that row repeats at each boundary.
+TEST(TimeSeriesRecorderTest, CatchUpReadsSamplersOnceAndRepeatsTheRow) {
+  TimeSeriesConfig config;
+  config.interval = SimDuration::Minutes(15);
+  TimeSeriesRecorder recorder(config);
+  int reads = 0;
+  recorder.AddSeries("v", [&] { return static_cast<double>(++reads); });
+  recorder.SampleIfDue(At(100));  // 0, 15, ..., 90
+  EXPECT_EQ(reads, 1);
+  EXPECT_EQ(recorder.total_samples(), 7);
+
+  JsonWriter json;
+  recorder.WriteJson(json);
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json.str(), &doc)) << json.str();
+  const JsonValue* values = doc.Find("series")->Find("v");
+  ASSERT_NE(values, nullptr);
+  ASSERT_EQ(values->array.size(), 7u);
+  for (const JsonValue& value : values->array) {
+    EXPECT_DOUBLE_EQ(value.number, 1.0);
+  }
+}
+
 // The dispatch loop samples the boundaries before an event ahead of it, so
 // a boundary the event sits on waits for the event.
 TEST(TimeSeriesRecorderTest, SampleBeforeLeavesTheEventsBoundary) {

@@ -218,7 +218,7 @@ TEST(TracePipelineTest, EvacuationSpansReconcileWithEventLog) {
   // Every lifecycle event in the controller log has its span, at the exact
   // simulated timestamp.
   int started = 0;
-  for (const RunReportEvent& event : result.report->events) {
+  for (const RunReportEvent& event : result.report->Events()) {
     if (event.kind == "evacuation-started") {
       ++started;
       EXPECT_TRUE(has_root(event.vm, "evacuation", event.time_s))
