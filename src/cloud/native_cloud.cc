@@ -66,8 +66,10 @@ InstanceId NativeCloud::RequestSpotInstance(MarketKey market, double bid,
   MetricInc(launch_requests_metric_);
   MarketFor(market);  // Materialize the market (and its replay) now.
   const SimDuration delay = OperationDelay(CloudOperation::kStartSpotInstance);
-  TraceAttrStr(config_.tracer, TraceOp("cloud.launch_spot", id, delay),
-               "market", market.ToString());
+  if (config_.tracer != nullptr) {
+    config_.tracer->AttrStr(TraceOp("cloud.launch_spot", id, delay), "market",
+                            market.ToString());
+  }
   if (ready) {
     launch_ready_.Emplace(id, std::move(ready));
   }
@@ -88,8 +90,10 @@ InstanceId NativeCloud::RequestOnDemandInstance(MarketKey market,
       rng_.Bernoulli(config_.on_demand_unavailable_probability);
   const SimDuration delay =
       OperationDelay(CloudOperation::kStartOnDemandInstance);
-  TraceAttrStr(config_.tracer, TraceOp("cloud.launch_ondemand", id, delay),
-               "market", market.ToString());
+  if (config_.tracer != nullptr) {
+    config_.tracer->AttrStr(TraceOp("cloud.launch_ondemand", id, delay),
+                            "market", market.ToString());
+  }
   if (ready) {
     launch_ready_.Emplace(id, std::move(ready));
   }

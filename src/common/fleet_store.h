@@ -95,6 +95,13 @@ class FleetTable {
     return *value;
   }
 
+  // std::map::operator[]: the live record for `id`, or a value-initialized
+  // one emplaced for it. A live record keeps its fields.
+  T& FindOrEmplace(Id id) {
+    T* value = Find(id);
+    return value != nullptr ? *value : Emplace(id);
+  }
+
   // Returns false when the id was not live. O(1); the slot is recycled.
   bool Erase(Id id) {
     const uint32_t slot = SlotOf(id);

@@ -104,7 +104,7 @@ void EvacuationCoordinator::OnInstanceFailure(InstanceId instance) {
     }
     // Recover from the last checkpoint: at most the stale threshold of
     // execution rolls back, but the VM survives.
-    EvacuationState& evac = evacuating_[vm.id()];
+    EvacuationState& evac = evacuating_.FindOrEmplace(vm.id());
     evac.mechanism = ctx_->config->mechanism;
     evac.backup = backup;
     evac.old_host = instance;
@@ -145,7 +145,7 @@ void EvacuationCoordinator::EvacuateVm(NestedVm& vm, SimTime deadline) {
     RespawnStateless(vm, deadline);
     return;
   }
-  EvacuationState& evac = evacuating_[vm.id()];
+  EvacuationState& evac = evacuating_.FindOrEmplace(vm.id());
   evac.mechanism = ctx_->config->mechanism;
   evac.backup = ctx_->backup_pool->ServerFor(vm.id());
   evac.old_host = vm.host();
@@ -181,9 +181,9 @@ void EvacuationCoordinator::EvacuateVm(NestedVm& vm, SimTime deadline) {
     }
     ctx_->engine->BeginEvacuation(vm, ctx_->config->mechanism, deadline,
                                   [this, &vm]() {
-                                    const auto it = evacuating_.find(vm.id());
-                                    if (it != evacuating_.end()) {
-                                      it->second.committed = true;
+                                    if (EvacuationState* open =
+                                            evacuating_.Find(vm.id())) {
+                                      open->committed = true;
                                       MaybeCompleteEvacuation(vm);
                                     }
                                   });
@@ -259,7 +259,7 @@ void EvacuationCoordinator::RespawnStateless(NestedVm& vm, SimTime deadline) {
   // A minimal evacuation record so the destination-ready path completes the
   // swap through the common machinery -- committed from the start (there is
   // no state to commit) and with no backup involvement.
-  EvacuationState& evac = evacuating_[vm.id()];
+  EvacuationState& evac = evacuating_.FindOrEmplace(vm.id());
   evac.mechanism = MigrationMechanism::kXenLiveMigration;  // no restore
   evac.backup = nullptr;
   evac.old_host = old_host_id;
@@ -271,8 +271,7 @@ void EvacuationCoordinator::RespawnStateless(NestedVm& vm, SimTime deadline) {
 }
 
 void EvacuationCoordinator::OnDestinationHostReady(NestedVm& vm, HostVm& host) {
-  const auto it = evacuating_.find(vm.id());
-  EvacuationState* evac = it != evacuating_.end() ? &it->second : nullptr;
+  EvacuationState* evac = evacuating_.Find(vm.id());
   // Reserve capacity; phase 2 of the evacuation runs once the checkpoint
   // commit also lands.
   if (!host.AddVm(vm.id(), vm.spec())) {
@@ -294,11 +293,11 @@ void EvacuationCoordinator::OnDestinationHostReady(NestedVm& vm, HostVm& host) {
 }
 
 void EvacuationCoordinator::MaybeCompleteEvacuation(NestedVm& vm) {
-  const auto it = evacuating_.find(vm.id());
-  if (it == evacuating_.end()) {
+  EvacuationState* open = evacuating_.Find(vm.id());
+  if (open == nullptr) {
     return;
   }
-  EvacuationState& evac = it->second;
+  EvacuationState& evac = *open;
   if (!evac.committed || !evac.dest_ready || evac.completing) {
     return;
   }
@@ -333,12 +332,13 @@ void EvacuationCoordinator::MaybeCompleteEvacuation(NestedVm& vm) {
 
 void EvacuationCoordinator::FinalizeEvacuation(NestedVm& vm,
                                                const MigrationOutcome& outcome) {
-  const auto it = evacuating_.find(vm.id());
-  if (it == evacuating_.end()) {
+  const EvacuationState* open = evacuating_.Find(vm.id());
+  if (open == nullptr) {
     return;
   }
-  const EvacuationState evac = it->second;
-  evacuating_.erase(it);
+  // A copy: Erase recycles the record's slot.
+  const EvacuationState evac = *open;
+  evacuating_.Erase(vm.id());
 
   if (evac.backup != nullptr) {
     evac.backup->EndRestore(vm.id());

@@ -12,8 +12,8 @@
 #define SRC_CORE_EVACUATION_H_
 
 #include <cstdint>
-#include <map>
 
+#include "src/common/fleet_store.h"
 #include "src/common/ids.h"
 #include "src/common/time.h"
 #include "src/core/controller_context.h"
@@ -47,7 +47,7 @@ class EvacuationCoordinator {
 
   // A VM whose evacuation record is still open may transiently violate
   // residency invariants (e.g. a failed VM lingering on its host).
-  bool IsEvacuating(NestedVmId vm) const { return evacuating_.contains(vm); }
+  bool IsEvacuating(NestedVmId vm) const { return evacuating_.Contains(vm); }
 
   int64_t revocation_events() const { return revocation_events_; }
   int64_t stateless_respawns() const { return stateless_respawns_; }
@@ -83,7 +83,9 @@ class EvacuationCoordinator {
   void FinalizeEvacuation(NestedVm& vm, const MigrationOutcome& outcome);
 
   ControllerContext* ctx_;
-  std::map<NestedVmId, EvacuationState> evacuating_;
+  // Open evacuation records by VM id. An evacuation that starts while one
+  // is open reuses its record (std::map::operator[] semantics).
+  FleetTable<NestedVmTag, EvacuationState> evacuating_;
 
   int64_t revocation_events_ = 0;
   int64_t stateless_respawns_ = 0;

@@ -47,7 +47,7 @@ void PlacementEngine::PlaceVm(NestedVm& vm) {
     span = tracer.Begin(ctx_->Now(), "placement.place", "core",
                         tracer.Track("vm/" + vm.id().ToString()));
     tracer.AttrStr(span, "pool", pool.ToString());
-    placing_spans_[vm.id()] = span;
+    placing_spans_.FindOrEmplace(vm.id()) = span;
   }
   const ScopedTraceParent trace_parent(ctx_->tracer, span);
   if (HostVm* host = ctx_->pool->FindHostWithCapacity(pool, vm.spec())) {
@@ -65,8 +65,8 @@ void PlacementEngine::OnInitialPlacementHostReady(NestedVm& vm, HostVm& host) {
 }
 
 void PlacementEngine::AttachVmToHost(NestedVm& vm, HostVm& host) {
-  const auto span_it = placing_spans_.find(vm.id());
-  const SpanId span = span_it != placing_spans_.end() ? span_it->second : 0;
+  const SpanId* placing = placing_spans_.Find(vm.id());
+  const SpanId span = placing != nullptr ? *placing : 0;
   // Cloud operations triggered while binding (volume/address attachment,
   // retried spot launches) nest under the open placement span.
   const ScopedTraceParent trace_parent(ctx_->tracer, span);
@@ -104,7 +104,7 @@ void PlacementEngine::AttachVmToHost(NestedVm& vm, HostVm& host) {
   if (span != 0) {
     ctx_->tracer->AttrStr(span, "host", host.instance().ToString());
     ctx_->tracer->End(span, ctx_->Now());
-    placing_spans_.erase(span_it);
+    placing_spans_.Erase(vm.id());
   }
 }
 

@@ -9,10 +9,10 @@
 #ifndef SRC_CORE_PLACEMENT_H_
 #define SRC_CORE_PLACEMENT_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "src/common/fleet_store.h"
 #include "src/common/ids.h"
 #include "src/core/controller_context.h"
 #include "src/obs/trace.h"
@@ -66,7 +66,7 @@ class PlacementEngine {
   std::unique_ptr<PoolSelectionStrategy> pool_;
   // Open "placement.place" spans: PlaceVm -> first successful attach.
   // Empty when tracing is off.
-  std::map<NestedVmId, SpanId> placing_spans_;
+  FleetTable<NestedVmTag, SpanId> placing_spans_;
 };
 
 }  // namespace spotcheck

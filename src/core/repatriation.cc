@@ -108,21 +108,22 @@ RepatriationScheduler::RepatriationScheduler(ControllerContext* ctx)
 
 void RepatriationScheduler::EnqueueRepatriation(const MarketKey& key,
                                                 NestedVmId vm) {
-  const auto [it, inserted] = waitlisted_.try_emplace(vm, key);
-  if (!inserted) {
-    if (it->second == key) {
+  if (MarketKey* waiting_for = waitlisted_.Find(vm)) {
+    if (*waiting_for == key) {
       return;  // already waiting for this pool
     }
     // Re-exiled toward a different pool; the newest exile wins.
-    const MarketKey old_key = it->second;
+    const MarketKey old_key = *waiting_for;
     auto& old_list = repatriation_waitlist_[old_key];
     old_list.erase(std::remove(old_list.begin(), old_list.end(), vm),
                    old_list.end());
-    it->second = key;
+    *waiting_for = key;
     if (old_list.empty() && ctx_->market_watcher != nullptr) {
       // The old pool's price changes have nothing left to repatriate.
       ctx_->market_watcher->RefreshQuietBand(old_key);
     }
+  } else {
+    waitlisted_.Emplace(vm, key);
   }
   std::vector<NestedVmId>& list = repatriation_waitlist_[key];
   list.push_back(vm);
@@ -140,14 +141,14 @@ void RepatriationScheduler::TryRepatriate(const MarketKey& key) {
   std::vector<NestedVmId> waiting = std::move(it->second);
   it->second.clear();
   for (NestedVmId vm_id : waiting) {
-    waitlisted_.erase(vm_id);
+    waitlisted_.Erase(vm_id);
     NestedVm* vm_ptr = ctx_->FindAliveVm(vm_id);
     if (vm_ptr == nullptr) {
       continue;
     }
     NestedVm& vm = *vm_ptr;
     const HostVm* current = ctx_->pool->GetHost(vm.host());
-    if (pending_moves_.contains(vm_id)) {
+    if (pending_moves_.Contains(vm_id)) {
       // A move is already in flight -- but it may be headed the WRONG way (a
       // proactive drain whose spike ended before its destination launched).
       // Keep the VM on the waitlist; once it settles somewhere, the next
@@ -179,7 +180,7 @@ void RepatriationScheduler::TryRepatriate(const MarketKey& key) {
       span = tracer.Begin(ctx_->Now(), "repatriation", "core",
                           tracer.Track("vm/" + vm_id.ToString()));
       tracer.AttrStr(span, "to_market", key.ToString());
-      move_spans_[vm_id] = span;
+      move_spans_.FindOrEmplace(vm_id) = span;
     }
     const ScopedTraceParent trace_parent(ctx_->tracer, span);
     if (host != nullptr) {
@@ -190,16 +191,13 @@ void RepatriationScheduler::TryRepatriate(const MarketKey& key) {
       } else {
         ctx_->engine->LiveMigrate(
             vm, [this, &vm, &dest](const MigrationOutcome&) {
-              const auto span_it = move_spans_.find(vm.id());
-              const ScopedTraceParent parent(
-                  ctx_->tracer,
-                  span_it != move_spans_.end() ? span_it->second : 0);
+              const ScopedTraceParent parent(ctx_->tracer, MoveSpan(vm.id()));
               ctx_->placement->MoveVmToHost(vm, dest);
               EndMoveSpan(vm.id(), "completed");
             });
       }
     } else {
-      pending_moves_.insert(vm_id);
+      pending_moves_.Insert(vm_id);
       ctx_->pool->QueueOrAcquireSpot(key,
                                      Waiter{vm_id, WaitIntent::kPlannedMove});
     }
@@ -226,12 +224,12 @@ void RepatriationScheduler::ProactivelyDrain(const MarketKey& key) {
           vm->state() != NestedVmState::kDegraded) {
         continue;
       }
-      if (pending_moves_.contains(vm_id)) {
+      if (pending_moves_.Contains(vm_id)) {
         continue;  // a drain for this VM is already in flight
       }
       ++proactive_migrations_;
       MetricInc(proactive_migrations_metric_);
-      pending_moves_.insert(vm_id);
+      pending_moves_.Insert(vm_id);
       ctx_->event_log->Record(ctx_->Now(),
                               ControllerEventKind::kProactiveDrain, vm_id,
                               instance, key);
@@ -241,7 +239,7 @@ void RepatriationScheduler::ProactivelyDrain(const MarketKey& key) {
         span = tracer.Begin(ctx_->Now(), "proactive_drain", "core",
                             tracer.Track("vm/" + vm_id.ToString()));
         tracer.AttrStr(span, "from_market", key.ToString());
-        move_spans_[vm_id] = span;
+        move_spans_.FindOrEmplace(vm_id) = span;
       }
       const ScopedTraceParent trace_parent(ctx_->tracer, span);
       ctx_->pool->AcquireHost(ctx_->FallbackOnDemandMarket(),
@@ -259,7 +257,7 @@ void RepatriationScheduler::OnPlannedMoveHostReady(NestedVm& vm, HostVm& host,
                                                    bool is_spot) {
   // Repatriation or proactive drain: the destination is up, run the live
   // migration now (stateless replicas just boot fresh instead).
-  pending_moves_.erase(vm.id());
+  pending_moves_.Erase(vm.id());
   if (vm.state() != NestedVmState::kRunning &&
       vm.state() != NestedVmState::kDegraded) {
     EndMoveSpan(vm.id(), "aborted");
@@ -274,17 +272,13 @@ void RepatriationScheduler::OnPlannedMoveHostReady(NestedVm& vm, HostVm& host,
     }
     return;
   }
-  const auto span_it = move_spans_.find(vm.id());
-  const SpanId span = span_it != move_spans_.end() ? span_it->second : 0;
-  const ScopedTraceParent trace_parent(ctx_->tracer, span);
+  const ScopedTraceParent trace_parent(ctx_->tracer, MoveSpan(vm.id()));
   if (vm.spec().stateless) {
     ctx_->placement->MoveVmToHost(vm, host);
     EndMoveSpan(vm.id(), "completed");
   } else {
     ctx_->engine->LiveMigrate(vm, [this, &vm, &host](const MigrationOutcome&) {
-      const auto it = move_spans_.find(vm.id());
-      const ScopedTraceParent parent(
-          ctx_->tracer, it != move_spans_.end() ? it->second : 0);
+      const ScopedTraceParent parent(ctx_->tracer, MoveSpan(vm.id()));
       ctx_->placement->MoveVmToHost(vm, host);
       EndMoveSpan(vm.id(), "completed");
     });
@@ -294,23 +288,28 @@ void RepatriationScheduler::OnPlannedMoveHostReady(NestedVm& vm, HostVm& host,
 void RepatriationScheduler::OnPlannedMoveLaunchFailed(const MarketKey& market,
                                                       bool is_spot,
                                                       NestedVmId vm) {
-  pending_moves_.erase(vm);
+  pending_moves_.Erase(vm);
   EndMoveSpan(vm, "launch-failed");
   if (ctx_->config->enable_repatriation && is_spot) {
     EnqueueRepatriation(market, vm);
   }
 }
 
+SpanId RepatriationScheduler::MoveSpan(NestedVmId vm) const {
+  const SpanId* span = move_spans_.Find(vm);
+  return span != nullptr ? *span : 0;
+}
+
 void RepatriationScheduler::EndMoveSpan(NestedVmId vm, const char* status) {
-  const auto it = move_spans_.find(vm);
-  if (it == move_spans_.end()) {
+  const SpanId* span = move_spans_.Find(vm);
+  if (span == nullptr) {
     return;
   }
   if (ctx_->tracer != nullptr) {
-    ctx_->tracer->AttrStr(it->second, "status", status);
-    ctx_->tracer->End(it->second, ctx_->Now());
+    ctx_->tracer->AttrStr(*span, "status", status);
+    ctx_->tracer->End(*span, ctx_->Now());
   }
-  move_spans_.erase(it);
+  move_spans_.Erase(vm);
 }
 
 bool RepatriationScheduler::ValidateInvariants(std::string* error) const {
@@ -322,14 +321,14 @@ bool RepatriationScheduler::ValidateInvariants(std::string* error) const {
   };
   // Repatriation waitlists hold each VM at most once, in the pool the
   // mirror map says it waits for.
-  std::set<NestedVmId> queued;
+  IdSet<NestedVmTag> queued;
   for (const auto& [key, list] : repatriation_waitlist_) {
     for (NestedVmId vm : list) {
-      if (!queued.insert(vm).second) {
+      if (!queued.Insert(vm)) {
         return fail(vm.ToString() + " queued for repatriation twice");
       }
-      const auto w = waitlisted_.find(vm);
-      if (w == waitlisted_.end() || !(w->second == key)) {
+      const MarketKey* waiting_for = waitlisted_.Find(vm);
+      if (waiting_for == nullptr || !(*waiting_for == key)) {
         return fail(vm.ToString() + " waitlist mirror drifted");
       }
     }

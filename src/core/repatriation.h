@@ -18,10 +18,11 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "src/common/fleet_store.h"
+#include "src/common/id_set.h"
 #include "src/common/ids.h"
 #include "src/core/controller_context.h"
 #include "src/market/instance_types.h"
@@ -99,9 +100,9 @@ class RepatriationScheduler {
                                  NestedVmId vm);
 
   // Planned-move guard (also used by the evacuation staging path).
-  void AddPendingMove(NestedVmId vm) { pending_moves_.insert(vm); }
+  void AddPendingMove(NestedVmId vm) { pending_moves_.Insert(vm); }
   bool HasPendingMove(NestedVmId vm) const {
-    return pending_moves_.contains(vm);
+    return pending_moves_.Contains(vm);
   }
 
   int64_t repatriations() const { return repatriations_; }
@@ -111,7 +112,7 @@ class RepatriationScheduler {
   const std::map<MarketKey, std::vector<NestedVmId>>& waitlist() const {
     return repatriation_waitlist_;
   }
-  const std::map<NestedVmId, MarketKey>& waitlisted() const {
+  const FleetTable<NestedVmTag, MarketKey>& waitlisted() const {
     return waitlisted_;
   }
 
@@ -120,6 +121,8 @@ class RepatriationScheduler {
   bool ValidateInvariants(std::string* error) const;
 
  private:
+  // `vm`'s open move span; 0 when none is open (always, untraced).
+  SpanId MoveSpan(NestedVmId vm) const;
   // Closes `vm`'s open move span (if any) with a status attribute; no-op
   // when no span is open for it.
   void EndMoveSpan(NestedVmId vm, const char* status);
@@ -129,13 +132,13 @@ class RepatriationScheduler {
   std::map<MarketKey, std::vector<NestedVmId>> repatriation_waitlist_;
   // Mirror of repatriation_waitlist_ (vm -> pool it waits for), kept in sync
   // by EnqueueRepatriation/TryRepatriate to suppress duplicate entries.
-  std::map<NestedVmId, MarketKey> waitlisted_;
+  FleetTable<NestedVmTag, MarketKey> waitlisted_;
   // VMs with a planned move (repatriation / proactive drain) whose target
   // host is still launching; guards against double-scheduling a move.
-  std::set<NestedVmId> pending_moves_;
+  IdSet<NestedVmTag> pending_moves_;
   // Open "repatriation" / "proactive_drain" spans, schedule -> settle.
   // Empty when tracing is off.
-  std::map<NestedVmId, SpanId> move_spans_;
+  FleetTable<NestedVmTag, SpanId> move_spans_;
 
   int64_t repatriations_ = 0;
   int64_t proactive_migrations_ = 0;

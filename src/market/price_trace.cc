@@ -22,6 +22,7 @@ bool ParseFinite(const std::string& field, double* out) {
 PriceTrace::PriceTrace(std::vector<PricePoint> points) {
   times_us_.reserve(points.size());
   prices_.reserve(points.size());
+  segment_cost_.reserve(points.size());
   for (const PricePoint& p : points) {
     Append(p.time, p.price);
   }
@@ -90,6 +91,11 @@ void PriceTrace::Append(SimTime t, double price) {
     return;  // Ignore out-of-order appends.
   }
   const size_t index = times_us_.size();
+  if (index > 0) {
+    segment_cost_.push_back(
+        prices_.back() *
+        SimDuration::Micros(t.micros() - times_us_.back()).seconds());
+  }
   times_us_.push_back(t.micros());
   prices_.push_back(price);
   const size_t block = index >> kBlockLog2;
@@ -109,24 +115,28 @@ double PriceTrace::MeanPrice(SimTime from, SimTime to) const {
   const size_t n = times_us_.size();
   const int64_t* times = times_us_.data();
   const double* prices = prices_.data();
+  const double* costs = segment_cost_.data();
+  const int64_t from_us = from.micros();
   const int64_t to_us = to.micros();
-  // i: first change point after the sweep position; j: governing point.
-  size_t i = UpperBound(from.micros());
-  size_t j = i == 0 ? 0 : i - 1;
-  int64_t cursor_us = from.micros();
+  // i: first change point after `from`; j: the point governing `from`.
+  const size_t i = UpperBound(from_us);
+  const size_t j = i == 0 ? 0 : i - 1;
+  // The same terms, in the same order, as a walk over every segment: the
+  // partial first segment, the whole segments (precomputed), the partial
+  // last one. The sum starts from 0.0 as the walk's did, so even a -0.0
+  // first term rounds the same way.
   double weighted = 0.0;
-  // Tight segment walk: one multiply and one add per change point, exactly
-  // the terms (and order) of the original cursor-based sweep.
-  while (cursor_us < to_us) {
-    const int64_t next_us = (i < n && times[i] < to_us) ? times[i] : to_us;
-    weighted +=
-        prices[j] * SimDuration::Micros(next_us - cursor_us).seconds();
-    cursor_us = next_us;
-    if (i < n && times[i] <= cursor_us) {
-      j = i;
-      ++i;
-    }
+  if (i == n || times[i] >= to_us) {
+    weighted += prices[j] * SimDuration::Micros(to_us - from_us).seconds();
+    return weighted / (to - from).seconds();
   }
+  weighted += prices[j] * SimDuration::Micros(times[i] - from_us).seconds();
+  size_t k = i;  // governing point of the segment being added
+  while (k + 1 < n && times[k + 1] < to_us) {
+    weighted += costs[k];
+    ++k;
+  }
+  weighted += prices[k] * SimDuration::Micros(to_us - times[k]).seconds();
   return weighted / (to - from).seconds();
 }
 

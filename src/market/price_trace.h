@@ -11,9 +11,10 @@
 // threshold coverage -- walk a single packed column, so they autovectorize
 // and touch half the cache lines of an array-of-structs walk. Threshold
 // and band queries additionally skip 64-point blocks via a per-block
-// min/max summary maintained on Append. All fast paths preserve the exact
-// floating-point accumulation order of the scalar walk, so results are
-// bit-identical.
+// min/max summary maintained on Append, and time-weighted means add a
+// per-segment cost column filled on Append. All fast paths preserve the
+// exact floating-point terms and accumulation order of the scalar walk, so
+// results are bit-identical.
 
 #ifndef SRC_MARKET_PRICE_TRACE_H_
 #define SRC_MARKET_PRICE_TRACE_H_
@@ -83,7 +84,9 @@ class PriceTrace {
   // Appends a change point; must not go backwards in time.
   void Append(SimTime t, double price);
 
-  // Time-weighted mean price over [from, to).
+  // Time-weighted mean price over [from, to). Whole segments inside the
+  // window add their precomputed cost; only the first and last partial
+  // segments are computed per call.
   double MeanPrice(SimTime from, SimTime to) const;
 
   // Fraction of [from, to) during which price <= bid. This is the
@@ -129,6 +132,10 @@ class PriceTrace {
   // partial); lets threshold and band scans skip blocks that cannot match.
   std::vector<double> block_min_;
   std::vector<double> block_max_;
+  // Per-segment cost: segment_cost_[k] = prices_[k] * the seconds from point
+  // k to point k+1, exactly the term MeanPrice's scalar walk adds for a
+  // whole segment (size() - 1 entries; a zero-length segment holds its 0).
+  std::vector<double> segment_cost_;
 };
 
 }  // namespace spotcheck

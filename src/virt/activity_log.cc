@@ -25,8 +25,7 @@ SimDuration TotalOf(const std::vector<ActivityInterval>& intervals,
 }  // namespace
 
 ActivityLog::VmRecord& ActivityLog::RecordFor(NestedVmId vm) {
-  VmRecord* record = vms_.Find(vm);
-  return record != nullptr ? *record : vms_.Emplace(vm);
+  return vms_.FindOrEmplace(vm);
 }
 
 void ActivityLog::Record(NestedVmId vm, SimTime start, SimTime end,

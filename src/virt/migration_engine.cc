@@ -160,7 +160,7 @@ void MigrationEngine::BeginEvacuation(NestedVm& vm, MigrationMechanism mechanism
     commit = plan.unoptimized_commit_downtime;
     pause_start = now;
   }
-  pause_start_[vm.id()] = pause_start;
+  pause_start_.FindOrEmplace(vm.id()) = pause_start;
 
   const SimTime commit_done = std::min(pause_start + commit, deadline);
   if (tracer_ != nullptr) {
@@ -181,7 +181,7 @@ void MigrationEngine::BeginEvacuation(NestedVm& vm, MigrationMechanism mechanism
 
 void MigrationEngine::BeginCrashRecovery(NestedVm& vm, SimTime failed_at) {
   vm.set_state(NestedVmState::kMigrating);
-  pause_start_[vm.id()] = failed_at;
+  pause_start_.FindOrEmplace(vm.id()) = failed_at;
   ++crash_recoveries_;
   MetricInc(crash_recoveries_metric_);
   if (tracer_ != nullptr) {
@@ -195,12 +195,9 @@ void MigrationEngine::CompleteEvacuation(NestedVm& vm,
                                          int concurrent,
                                          MigrationDoneCallback done) {
   concurrent = std::max(concurrent, 1);
-  const auto pause_it = pause_start_.find(vm.id());
-  const SimTime pause_start =
-      pause_it != pause_start_.end() ? pause_it->second : sim_->Now();
-  if (pause_it != pause_start_.end()) {
-    pause_start_.erase(pause_it);
-  }
+  const SimTime* paused_at = pause_start_.Find(vm.id());
+  const SimTime pause_start = paused_at != nullptr ? *paused_at : sim_->Now();
+  pause_start_.Erase(vm.id());
 
   const RestoreKind kind = MechanismUsesLazyRestore(mechanism) ? RestoreKind::kLazy
                                                                : RestoreKind::kFull;

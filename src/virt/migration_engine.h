@@ -25,9 +25,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string_view>
 
+#include "src/common/fleet_store.h"
+#include "src/common/ids.h"
 #include "src/common/time.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -136,7 +137,7 @@ class MigrationEngine {
   MigrationEngineConfig config_;
   SpanTracer* tracer_ = nullptr;
   // Pause instants of evacuations between phase 1 and phase 2.
-  std::map<NestedVmId, SimTime> pause_start_;
+  FleetTable<NestedVmTag, SimTime> pause_start_;
   int64_t live_migrations_ = 0;
   int64_t evacuations_ = 0;
   int64_t failed_migrations_ = 0;

@@ -46,6 +46,20 @@ TEST(FleetTableTest, EmplaceFindAndSize) {
   EXPECT_FALSE(table.Contains(NestedVmId()));
 }
 
+TEST(FleetTableTest, FindOrEmplaceKeepsALiveRecord) {
+  FleetTable<NestedVmTag, int, /*kBlockSlots=*/4> table;
+  IdGenerator<NestedVmTag> ids;
+  const NestedVmId a = ids.Next();
+  int& fresh = table.FindOrEmplace(a);
+  EXPECT_EQ(fresh, 0);  // value-initialized, as std::map::operator[]
+  fresh = 7;
+  EXPECT_EQ(&table.FindOrEmplace(a), &fresh);
+  EXPECT_EQ(table.At(a), 7);
+  EXPECT_EQ(table.size(), 1u);
+  ASSERT_TRUE(table.Erase(a));
+  EXPECT_EQ(table.FindOrEmplace(a), 0);
+}
+
 TEST(FleetTableTest, PointersStayStableAcrossBlockGrowth) {
   TestTable table;
   IdGenerator<NestedVmTag> ids;

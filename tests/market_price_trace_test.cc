@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
+
+#include "src/market/instance_types.h"
+#include "src/market/spot_price_process.h"
 
 namespace spotcheck {
 namespace {
@@ -53,6 +61,160 @@ TEST(PriceTraceTest, MeanPriceIsTimeWeighted) {
   // [50,150): 50s at 0.02 + 50s at 0.10 -> 0.06.
   EXPECT_NEAR(trace.MeanPrice(SimTime::FromSeconds(50), SimTime::FromSeconds(150)),
               0.06, 1e-12);
+}
+
+// MeanPrice as a walk over every segment, one term per segment in time
+// order: the loop the per-segment cost column replaced, kept as the
+// reference the column's results must match bit for bit.
+double SegmentWalkMeanPrice(const PriceTrace& trace, SimTime from, SimTime to) {
+  if (trace.empty() || to <= from) {
+    return 0.0;
+  }
+  const std::vector<int64_t>& times = trace.times_us();
+  const std::vector<double>& prices = trace.prices();
+  const size_t n = times.size();
+  const int64_t to_us = to.micros();
+  size_t i = static_cast<size_t>(
+      std::upper_bound(times.begin(), times.end(), from.micros()) -
+      times.begin());
+  size_t j = i == 0 ? 0 : i - 1;
+  int64_t cursor_us = from.micros();
+  double weighted = 0.0;
+  while (cursor_us < to_us) {
+    const int64_t next_us = (i < n && times[i] < to_us) ? times[i] : to_us;
+    weighted +=
+        prices[j] * SimDuration::Micros(next_us - cursor_us).seconds();
+    cursor_us = next_us;
+    if (i < n && times[i] <= cursor_us) {
+      j = i;
+      ++i;
+    }
+  }
+  return weighted / (to - from).seconds();
+}
+
+// Compares MeanPrice with the segment walk bitwise over many windows and
+// reports the first few mismatches.
+class MeanPriceChecker {
+ public:
+  void Check(const PriceTrace& trace, SimTime from, SimTime to,
+             const std::string& what) {
+    ++checks_;
+    const double got = trace.MeanPrice(from, to);
+    const double want = SegmentWalkMeanPrice(trace, from, to);
+    if (std::bit_cast<uint64_t>(got) != std::bit_cast<uint64_t>(want) &&
+        ++mismatches_ <= 5) {
+      ADD_FAILURE() << what << ": MeanPrice[" << from.micros() << ", "
+                    << to.micros() << ") us = " << got
+                    << ", segment walk = " << want;
+    }
+  }
+  int checks() const { return checks_; }
+  int mismatches() const { return mismatches_; }
+
+ private:
+  int checks_ = 0;
+  int mismatches_ = 0;
+};
+
+// The same points as a trace built three ways: by Append, by the points
+// constructor and by FromCsv (which sorts its rows, so an equal-time run
+// may come back in another order; each trace is checked against its own
+// walk).
+std::vector<std::pair<std::string, PriceTrace>> BuiltThreeWays(
+    const std::vector<PricePoint>& points) {
+  std::vector<std::pair<std::string, PriceTrace>> traces;
+  PriceTrace appended;
+  std::string csv;
+  for (const PricePoint& p : points) {
+    appended.Append(p.time, p.price);
+    char row[96];
+    std::snprintf(row, sizeof(row), "%.17g,%.17g\n", p.time.seconds(),
+                  p.price);
+    csv += row;
+  }
+  traces.emplace_back("Append", std::move(appended));
+  traces.emplace_back("points constructor", PriceTrace(points));
+  traces.emplace_back("FromCsv", PriceTrace::FromCsv(csv));
+  return traces;
+}
+
+TEST(PriceTraceTest, MeanPriceMatchesSegmentWalk) {
+  MeanPriceChecker checker;
+  const auto at = [](double seconds) { return SimTime::FromSeconds(seconds); };
+
+  // Hand-built traces: equal-time runs (at the start, in the middle, at the
+  // end), a -0.0 price on a segment of positive length, negative prices
+  // whose zero-length segments add -0.0, and a one-point trace.
+  const std::vector<std::vector<PricePoint>> hand_built = {
+      {{at(10), 0.5}, {at(10), 0.25}, {at(20), 1.0}, {at(30), -0.0},
+       {at(40), 0.75}, {at(40), 0.125}, {at(40), 3.0}, {at(55), 2.0},
+       {at(60), 0.3}, {at(60), 0.3}},
+      {{at(5), -1.0}, {at(5), -0.5}, {at(15), -0.0}, {at(25), -2.0}},
+      {{at(100), 0.07}},
+  };
+  for (const std::vector<PricePoint>& points : hand_built) {
+    // Every ordered pair of these instants is a window, to <= from
+    // included: before the first point, one microsecond either side of and
+    // on every point time, and past the end.
+    std::vector<SimTime> instants = {
+        SimTime(), points.front().time - SimDuration::Seconds(1),
+        points.back().time + SimDuration::Seconds(1),
+        points.back().time + SimDuration::Seconds(100)};
+    for (const PricePoint& p : points) {
+      for (const int64_t d : {-1, 0, 1}) {
+        instants.push_back(p.time + SimDuration::Micros(d));
+      }
+    }
+    for (const auto& [how, trace] : BuiltThreeWays(points)) {
+      ASSERT_EQ(trace.size(), points.size()) << how;
+      for (const SimTime from : instants) {
+        for (const SimTime to : instants) {
+          checker.Check(trace, from, to, "hand-built, " + how);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(PriceTrace().MeanPrice(at(0), at(10)), 0.0);
+
+  // A generated 180-day trace: random windows of every scale, and windows
+  // that start or end on (or one microsecond off) a point time.
+  const MarketKey key{InstanceType::kM3Medium, AvailabilityZone{0}};
+  const PriceTrace generated =
+      GenerateMarketTrace(key, SimDuration::Days(180), /*master_seed=*/1);
+  ASSERT_GT(generated.size(), 1000u);
+  std::mt19937_64 rng(20261018);
+  const int64_t day_us = SimDuration::Days(1).micros();
+  const auto uniform = [&rng](int64_t lo, int64_t hi) {
+    return lo +
+           static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  for (int k = 0; k < 3000; ++k) {
+    const int64_t from_us = uniform(-day_us, 181 * day_us);
+    const int64_t scale_us = k % 3 == 0   ? SimDuration::Hours(2).micros()
+                             : k % 3 == 1 ? 10 * day_us
+                                          : 200 * day_us;
+    const int64_t to_us = from_us + uniform(-scale_us / 10, scale_us);
+    checker.Check(generated, SimTime::FromMicros(from_us),
+                  SimTime::FromMicros(to_us), "generated, random window");
+  }
+  for (int k = 0; k < 2000; ++k) {
+    const size_t a = static_cast<size_t>(rng() % generated.size());
+    const size_t b = std::min(generated.size() - 1,
+                              a + static_cast<size_t>(rng() % 2000));
+    const SimTime from =
+        generated.time(a) + SimDuration::Micros(uniform(-1, 1));
+    const SimTime to =
+        k % 2 == 0 ? generated.time(b) + SimDuration::Micros(uniform(-1, 1))
+                   : from + SimDuration::Micros(uniform(1, day_us));
+    checker.Check(generated, from, to, "generated, on a point time");
+  }
+  checker.Check(generated, generated.time(0),
+                generated.time(generated.size() - 1), "generated, whole trace");
+  checker.Check(generated, SimTime(), SimTime() + SimDuration::Days(400),
+                "generated, past the end");
+  EXPECT_GT(checker.checks(), 5000);
+  EXPECT_EQ(checker.mismatches(), 0);
 }
 
 TEST(PriceTraceTest, FractionAtOrBelow) {

@@ -7,7 +7,11 @@
 
 #include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/backup/backup_pool.h"
 #include "src/cloud/native_cloud.h"
@@ -149,7 +153,7 @@ TEST(RepatriationSchedulerTest, EnqueueDedupesPerPool) {
   h.scheduler->EnqueueRepatriation(kHomePool, vm.id());
   h.scheduler->EnqueueRepatriation(kHomePool, vm.id());
   ASSERT_EQ(h.scheduler->waitlist().at(kHomePool).size(), 1u);
-  EXPECT_EQ(h.scheduler->waitlisted().at(vm.id()), kHomePool);
+  EXPECT_EQ(h.scheduler->waitlisted().At(vm.id()), kHomePool);
 
   std::string error;
   EXPECT_TRUE(h.scheduler->ValidateInvariants(&error)) << error;
@@ -162,7 +166,7 @@ TEST(RepatriationSchedulerTest, ReExileToDifferentPoolWins) {
   h.scheduler->EnqueueRepatriation(kOtherPool, vm.id());
   EXPECT_TRUE(h.scheduler->waitlist().at(kHomePool).empty());
   ASSERT_EQ(h.scheduler->waitlist().at(kOtherPool).size(), 1u);
-  EXPECT_EQ(h.scheduler->waitlisted().at(vm.id()), kOtherPool);
+  EXPECT_EQ(h.scheduler->waitlisted().At(vm.id()), kOtherPool);
 
   std::string error;
   EXPECT_TRUE(h.scheduler->ValidateInvariants(&error)) << error;
@@ -240,7 +244,7 @@ TEST(RepatriationSchedulerTest, TryRepatriateLiveMigratesExiledVmBackToSpot) {
 
   EXPECT_EQ(vm.host(), spot_instance);
   EXPECT_EQ(vm.state(), NestedVmState::kRunning);
-  EXPECT_FALSE(h.scheduler->waitlisted().contains(vm.id()));
+  EXPECT_FALSE(h.scheduler->waitlisted().Contains(vm.id()));
   // The vacated on-demand host is released once empty.
   EXPECT_EQ(h.pool->GetHost(od_host->instance()), nullptr);
 
@@ -258,7 +262,7 @@ TEST(RepatriationSchedulerTest, AlreadyOnSpotVmIsDroppedFromWaitlist) {
   h.scheduler->EnqueueRepatriation(kHomePool, vm.id());
   h.scheduler->TryRepatriate(kHomePool);
   EXPECT_EQ(h.scheduler->repatriations(), 0);
-  EXPECT_FALSE(h.scheduler->waitlisted().contains(vm.id()));
+  EXPECT_FALSE(h.scheduler->waitlisted().Contains(vm.id()));
 }
 
 TEST(RepatriationSchedulerTest, PendingMoveKeepsVmWaitlisted) {
@@ -273,7 +277,7 @@ TEST(RepatriationSchedulerTest, PendingMoveKeepsVmWaitlisted) {
   // The in-flight move blocks a second one, but the exile stays recorded for
   // the next price event.
   EXPECT_EQ(h.scheduler->repatriations(), 0);
-  EXPECT_EQ(h.scheduler->waitlisted().at(vm.id()), kHomePool);
+  EXPECT_EQ(h.scheduler->waitlisted().At(vm.id()), kHomePool);
 }
 
 TEST(RepatriationSchedulerTest, PlannedMoveLaunchFailureRequeuesExile) {
@@ -283,7 +287,144 @@ TEST(RepatriationSchedulerTest, PlannedMoveLaunchFailureRequeuesExile) {
   h.scheduler->AddPendingMove(vm.id());
   h.scheduler->OnPlannedMoveLaunchFailed(kHomePool, /*is_spot=*/true, vm.id());
   EXPECT_FALSE(h.scheduler->HasPendingMove(vm.id()));
-  EXPECT_EQ(h.scheduler->waitlisted().at(vm.id()), kHomePool);
+  EXPECT_EQ(h.scheduler->waitlisted().At(vm.id()), kHomePool);
+}
+
+// The vm -> pool mirror and the pending-move guard against a std::map /
+// std::set model, over random sequences of enqueues (re-exiles to the other
+// pool included), pending moves, failed planned moves and TryRepatriate
+// fires. Each VM's state fixes what a fire does with it when it has no
+// pending move: keep it waiting (mid-migration), start a move that waits
+// on a spot launch, drop it (already on spot), or drop it (dead).
+TEST(RepatriationSchedulerTest, WaitlistMatchesMapReferenceModel) {
+  SchedulerHarness h;
+  // The VMs already home sit in a third pool, so a fire for the two
+  // waitlist pools never finds a host with capacity: every started move
+  // waits on a spot launch, which the test never lets come up.
+  constexpr MarketKey kSpotPool{InstanceType::kM3Medium, AvailabilityZone{2}};
+  {
+    PriceTrace trace;
+    trace.Append(SimTime(), 0.008);
+    ASSERT_NE(h.markets.AddWithTrace(kSpotPool, std::move(trace)), nullptr);
+  }
+  HostVm* spot_host = h.LaunchHost(kSpotPool, /*is_spot=*/true);
+  ASSERT_NE(spot_host, nullptr);
+
+  enum class Kind { kMidMigration, kMoves, kOnSpot, kDead };
+  const auto set_kind = [&](NestedVm& vm, Kind kind) {
+    switch (kind) {
+      case Kind::kMidMigration:
+        vm.set_state(NestedVmState::kMigrating);
+        vm.set_host(InstanceId());
+        break;
+      case Kind::kMoves:
+        vm.set_state(NestedVmState::kRunning);
+        vm.set_host(InstanceId());
+        break;
+      case Kind::kOnSpot:
+        vm.set_state(NestedVmState::kRunning);
+        vm.set_host(spot_host->instance());
+        break;
+      case Kind::kDead:
+        vm.set_state(NestedVmState::kTerminated);
+        vm.set_host(InstanceId());
+        break;
+    }
+  };
+  std::vector<NestedVm*> vms;
+  std::map<NestedVmId, Kind> kind;
+  for (int i = 0; i < 24; ++i) {
+    NestedVm& vm = h.NewVm();
+    vms.push_back(&vm);
+    kind[vm.id()] = static_cast<Kind>(i % 4);
+    set_kind(vm, kind[vm.id()]);
+  }
+
+  std::map<NestedVmId, MarketKey> waitlisted;
+  std::set<NestedVmId> pending;
+  const MarketKey pools[] = {kHomePool, kOtherPool};
+  std::mt19937_64 rng(20261018);
+  int re_exiles = 0;
+  int kept_by_pending = 0;
+  int moves_started = 0;
+  int dropped = 0;
+  for (int step = 0; step < 3000; ++step) {
+    NestedVm& vm = *vms[rng() % vms.size()];
+    const MarketKey pool = pools[rng() % 2];
+    switch (rng() % 6) {
+      case 0:
+      case 1: {
+        const auto it = waitlisted.find(vm.id());
+        re_exiles += it != waitlisted.end() && !(it->second == pool);
+        h.scheduler->EnqueueRepatriation(pool, vm.id());
+        waitlisted[vm.id()] = pool;
+        break;
+      }
+      case 2:
+        h.scheduler->AddPendingMove(vm.id());
+        pending.insert(vm.id());
+        break;
+      case 3:
+        h.scheduler->OnPlannedMoveLaunchFailed(pool, /*is_spot=*/true,
+                                               vm.id());
+        pending.erase(vm.id());
+        waitlisted[vm.id()] = pool;
+        break;
+      case 4: {
+        h.scheduler->TryRepatriate(pool);
+        for (auto it = waitlisted.begin(); it != waitlisted.end();) {
+          const NestedVmId id = it->first;
+          const Kind k = kind.at(id);
+          if (!(it->second == pool)) {
+            ++it;
+          } else if (k != Kind::kDead &&
+                     (pending.contains(id) || k == Kind::kMidMigration)) {
+            kept_by_pending += pending.contains(id) ? 1 : 0;
+            ++it;  // requeued for the next fire
+          } else {
+            it = waitlisted.erase(it);
+            if (k == Kind::kMoves) {
+              pending.insert(id);
+              ++moves_started;
+            } else {
+              ++dropped;
+            }
+          }
+        }
+        break;
+      }
+      default: {
+        const Kind next = static_cast<Kind>(rng() % 4);
+        kind[vm.id()] = next;
+        set_kind(vm, next);
+        break;
+      }
+    }
+
+    const FleetTable<NestedVmTag, MarketKey>& table =
+        h.scheduler->waitlisted();
+    ASSERT_EQ(table.size(), waitlisted.size()) << "step " << step;
+    for (const NestedVm* each : vms) {
+      const auto it = waitlisted.find(each->id());
+      ASSERT_EQ(table.Contains(each->id()), it != waitlisted.end())
+          << "step " << step << " " << each->id().ToString();
+      if (it != waitlisted.end()) {
+        ASSERT_EQ(table.At(each->id()), it->second)
+            << "step " << step << " " << each->id().ToString();
+      }
+      ASSERT_EQ(h.scheduler->HasPendingMove(each->id()),
+                pending.contains(each->id()))
+          << "step " << step << " " << each->id().ToString();
+    }
+    std::string error;
+    ASSERT_TRUE(h.scheduler->ValidateInvariants(&error))
+        << "step " << step << ": " << error;
+  }
+  // Every path was taken.
+  EXPECT_GT(re_exiles, 50);
+  EXPECT_GT(kept_by_pending, 50);
+  EXPECT_GT(moves_started, 50);
+  EXPECT_GT(dropped, 50);
 }
 
 TEST(RepatriationSchedulerTest, MarketWatcherGatesRepatriationOnPrice) {
@@ -318,7 +459,7 @@ TEST(RepatriationSchedulerTest, ProactiveDrainMovesVmsOffRiskyPool) {
   EXPECT_EQ(h.scheduler->proactive_migrations(), 1);
   EXPECT_TRUE(h.scheduler->HasPendingMove(vm.id()));
   // ... and the VM is pre-registered to return once the spike abates.
-  EXPECT_EQ(h.scheduler->waitlisted().at(vm.id()), kHomePool);
+  EXPECT_EQ(h.scheduler->waitlisted().At(vm.id()), kHomePool);
 
   h.sim.RunUntil(h.sim.Now() + SimDuration::Seconds(600));
   EXPECT_FALSE(h.scheduler->HasPendingMove(vm.id()));
