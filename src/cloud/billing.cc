@@ -17,26 +17,8 @@ void BillingMeter::Stop(InstanceId id, SimTime now) {
   if (it == open_.end()) {
     return;
   }
-  const SimTime billed_until = BilledUntil(it->second, now);
-  closed_cost_ += StreamCost(it->second, billed_until);
-  closed_hours_ += (billed_until - it->second.started).hours();
+  closed_cost_ += StreamCost(it->second, now);
   open_.erase(it);
-}
-
-SimTime BillingMeter::BilledUntil(const Stream& stream, SimTime until) const {
-  if (!hourly_quantum_ || until <= stream.started) {
-    // Stopping at (or before) the launch instant bills zero.
-    return until;
-  }
-  // Integer hour arithmetic on the microsecond clock: a stop exactly on an
-  // hour boundary bills exactly that many hours, and any positive partial
-  // hour rounds up to one whole quantum. The previous floating-point
-  // ceil(hours - 1e-9) had a 3.6 us dead zone (1e-9 is in HOURS) in which a
-  // short-lived stream billed zero instead of one hour.
-  constexpr int64_t kHourUs = 3'600'000'000;
-  const int64_t us = (until - stream.started).micros();
-  const int64_t billed_hours = (us + kHourUs - 1) / kHourUs;
-  return stream.started + SimDuration::Micros(billed_hours * kHourUs);
 }
 
 double BillingMeter::StreamCost(const Stream& stream, SimTime until) const {
@@ -62,14 +44,6 @@ double BillingMeter::TotalCost(SimTime now) const {
   double total = closed_cost_;
   for (const auto& [id, stream] : open_) {
     total += StreamCost(stream, now);
-  }
-  return total;
-}
-
-double BillingMeter::TotalInstanceHours(SimTime now) const {
-  double total = closed_hours_;
-  for (const auto& [id, stream] : open_) {
-    total += (now - stream.started).hours();
   }
   return total;
 }

@@ -20,11 +20,6 @@ class PriceTrace;
 
 class BillingMeter {
  public:
-  // EC2 (2014) billed whole instance-hours: a stream stopped mid-hour is
-  // charged to the end of that hour. Off by default (continuous metering);
-  // flip on to reproduce quantized billing.
-  void set_hourly_quantum(bool enabled) { hourly_quantum_ = enabled; }
-
   // Registers a fixed-rate (on-demand) charge stream for `id` at $`rate`/hr.
   void StartFixed(InstanceId id, SimTime now, double rate_per_hour);
 
@@ -41,9 +36,6 @@ class BillingMeter {
   // Total cost across all streams, open ones evaluated at `now`.
   double TotalCost(SimTime now) const;
 
-  // Total instance-hours across all streams, open ones evaluated at `now`.
-  double TotalInstanceHours(SimTime now) const;
-
  private:
   struct Stream {
     SimTime started;
@@ -52,13 +44,9 @@ class BillingMeter {
   };
 
   double StreamCost(const Stream& stream, SimTime until) const;
-  // Rounds the stop time up to the next whole billed hour when quantized.
-  SimTime BilledUntil(const Stream& stream, SimTime until) const;
 
   std::unordered_map<InstanceId, Stream> open_;
   double closed_cost_ = 0.0;
-  double closed_hours_ = 0.0;
-  bool hourly_quantum_ = false;
 };
 
 }  // namespace spotcheck

@@ -15,7 +15,6 @@ NativeCloud::NativeCloud(Simulator* sim, MarketPlace* markets,
       config_(config),
       latency_(Rng(config.latency_seed)),
       rng_(Rng(config.latency_seed).Split(0x10ad)) {
-  billing_.set_hourly_quantum(config.hourly_billing);
   if (config_.metrics != nullptr) {
     MetricsRegistry& metrics = *config_.metrics;
     launch_requests_metric_ = &metrics.Counter("cloud.launch_requests");
@@ -23,7 +22,6 @@ NativeCloud::NativeCloud(Simulator* sim, MarketPlace* markets,
     launch_failures_metric_ = &metrics.Counter("cloud.launch_failures");
     terminations_metric_ = &metrics.Counter("cloud.terminations");
     revocation_warnings_metric_ = &metrics.Counter("cloud.revocation_warnings");
-    bid_crossings_metric_ = &metrics.Counter("market.bid_crossings");
     instance_failures_metric_ = &metrics.Counter("cloud.instance_failures");
     // Table 1 latencies: spot launches dominate at up to ~10 minutes.
     op_latency_metric_ =
@@ -54,8 +52,7 @@ SpotMarket& NativeCloud::MarketFor(MarketKey key) {
   return markets_->GetOrCreate(key, config_.market_horizon, config_.market_seed);
 }
 
-InstanceId NativeCloud::RequestSpotInstance(MarketKey market, double bid,
-                                            InstanceReadyCallback ready) {
+InstanceId NativeCloud::RequestSpotInstance(MarketKey market, double bid) {
   const InstanceId id = instance_ids_.Next();
   Instance& instance = instances_.Emplace(id);
   instance.id = id;
@@ -70,15 +67,11 @@ InstanceId NativeCloud::RequestSpotInstance(MarketKey market, double bid,
     config_.tracer->AttrStr(TraceOp("cloud.launch_spot", id, delay), "market",
                             market.ToString());
   }
-  if (ready) {
-    launch_ready_.Emplace(id, std::move(ready));
-  }
   sim_->ScheduleAfter(delay, [this, id]() { OnInstanceStarted(id); });
   return id;
 }
 
-InstanceId NativeCloud::RequestOnDemandInstance(MarketKey market,
-                                                InstanceReadyCallback ready) {
+InstanceId NativeCloud::RequestOnDemandInstance(MarketKey market) {
   const InstanceId id = instance_ids_.Next();
   Instance& instance = instances_.Emplace(id);
   instance.id = id;
@@ -94,9 +87,6 @@ InstanceId NativeCloud::RequestOnDemandInstance(MarketKey market,
     config_.tracer->AttrStr(TraceOp("cloud.launch_ondemand", id, delay),
                             "market", market.ToString());
   }
-  if (ready) {
-    launch_ready_.Emplace(id, std::move(ready));
-  }
   if (out_of_capacity) {
     // Out of capacity: fail after the request latency.
     sim_->ScheduleAfter(delay, [this, id]() { FailLaunch(instances_.At(id)); });
@@ -110,18 +100,9 @@ void NativeCloud::FailLaunch(Instance& instance) {
   instance.state = InstanceState::kTerminated;
   instance.terminated_at = sim_->Now();
   MetricInc(launch_failures_metric_);
-  ResolveLaunch(instance.id, false);
-}
-
-void NativeCloud::ResolveLaunch(InstanceId id, bool ok) {
-  InstanceReadyCallback* stored = launch_ready_.Find(id);
-  if (stored == nullptr) {
-    return;
+  if (launch_handler_) {
+    launch_handler_(instance.id, false);
   }
-  // Out of the table before it runs: the callback may launch again.
-  InstanceReadyCallback ready = std::move(*stored);
-  launch_ready_.Erase(id);
-  ready(id, ok);
 }
 
 void NativeCloud::OnInstanceStarted(InstanceId id) {
@@ -161,7 +142,9 @@ void NativeCloud::OnInstanceStarted(InstanceId id) {
   instance.running_since = sim_->Now();
   ++launches_;
   MetricInc(launches_metric_);
-  ResolveLaunch(id, true);
+  if (launch_handler_) {
+    launch_handler_(id, true);
+  }
 }
 
 void NativeCloud::OnMarketPriceChange(MarketKey key, double price) {
@@ -237,7 +220,6 @@ void NativeCloud::WarnInstance(Instance& instance, SimTime deadline) {
   instance.state = InstanceState::kWarned;
   ++spot_revocations_;
   MetricInc(revocation_warnings_metric_);
-  MetricInc(bid_crossings_metric_);
   const InstanceId id = instance.id;
   SPOTCHECK_LOG(kInfo) << "revocation warning for " << id.ToString() << " in "
                        << instance.market.ToString() << ", termination at t+"
@@ -428,34 +410,13 @@ std::vector<const Instance*> NativeCloud::Instances(InstanceState state) const {
   return result;
 }
 
-template <typename Finish>
-void NativeCloud::ScheduleOp(SimDuration delay, Finish finish,
-                             std::function<void(bool)> done) {
-  if (!done) {
-    sim_->ScheduleAfter(delay, std::move(finish));
-    return;
-  }
-  sim_->ScheduleAfter(delay, [finish = std::move(finish),
-                              done = std::move(done)]() mutable {
-    done(finish());
-  });
-}
-
-void NativeCloud::Refuse(std::function<void(bool)> done) {
-  if (done) {
-    sim_->ScheduleAfter(SimDuration::Zero(),
-                        [done = std::move(done)]() { done(false); });
-  }
-}
-
 VolumeId NativeCloud::CreateVolume(double size_gb) {
   const VolumeId id = volume_ids_.Next();
   volumes_.Emplace(id).size_gb = size_gb;
   return id;
 }
 
-void NativeCloud::AttachVolume(VolumeId volume, InstanceId instance,
-                               std::function<void(bool)> done) {
+void NativeCloud::AttachVolume(VolumeId volume, InstanceId instance) {
   VolumeRecord* record = volumes_.Find(volume);
   const Instance* target = GetInstance(instance);
   const bool valid = record != nullptr && !record->busy &&
@@ -463,48 +424,35 @@ void NativeCloud::AttachVolume(VolumeId volume, InstanceId instance,
                      (target->state == InstanceState::kRunning ||
                       target->state == InstanceState::kWarned);
   if (!valid) {
-    Refuse(std::move(done));
     return;
   }
   record->busy = true;
   const SimDuration delay = OperationDelay(CloudOperation::kAttachVolume);
   TraceOp("cloud.ebs_attach", instance, delay);
-  ScheduleOp(
-      delay,
-      [this, volume, instance]() {
-        VolumeRecord& entry = volumes_.At(volume);
-        entry.busy = false;
-        const Instance* target2 = GetInstance(instance);
-        const bool ok =
-            target2 != nullptr && target2->state != InstanceState::kTerminated;
-        if (ok) {
-          LinkVolume(volume, entry, instance);
-        }
-        return ok;
-      },
-      std::move(done));
+  sim_->ScheduleAfter(delay, [this, volume, instance]() {
+    VolumeRecord& entry = volumes_.At(volume);
+    entry.busy = false;
+    if (instances_.At(instance).state != InstanceState::kTerminated) {
+      LinkVolume(volume, entry, instance);
+    }
+  });
 }
 
-void NativeCloud::DetachVolume(VolumeId volume, std::function<void(bool)> done) {
+void NativeCloud::DetachVolume(VolumeId volume) {
   VolumeRecord* record = volumes_.Find(volume);
   const bool valid =
       record != nullptr && !record->busy && record->attached_to.valid();
   if (!valid) {
-    Refuse(std::move(done));
     return;
   }
   record->busy = true;
   const SimDuration delay = OperationDelay(CloudOperation::kDetachVolume);
   TraceOp("cloud.ebs_detach", record->attached_to, delay);
-  ScheduleOp(
-      delay,
-      [this, volume]() {
-        VolumeRecord& entry = volumes_.At(volume);
-        entry.busy = false;
-        UnlinkVolume(volume, entry);
-        return true;
-      },
-      std::move(done));
+  sim_->ScheduleAfter(delay, [this, volume]() {
+    VolumeRecord& entry = volumes_.At(volume);
+    entry.busy = false;
+    UnlinkVolume(volume, entry);
+  });
 }
 
 InstanceId NativeCloud::VolumeAttachment(VolumeId volume) const {
@@ -518,8 +466,7 @@ AddressId NativeCloud::AllocateAddress() {
   return id;
 }
 
-void NativeCloud::AssignAddress(AddressId address, InstanceId instance,
-                                std::function<void(bool)> done) {
+void NativeCloud::AssignAddress(AddressId address, InstanceId instance) {
   AddressRecord* record = addresses_.Find(address);
   const Instance* target = GetInstance(instance);
   const bool valid = record != nullptr && !record->busy &&
@@ -527,48 +474,35 @@ void NativeCloud::AssignAddress(AddressId address, InstanceId instance,
                      (target->state == InstanceState::kRunning ||
                       target->state == InstanceState::kWarned);
   if (!valid) {
-    Refuse(std::move(done));
     return;
   }
   record->busy = true;
   const SimDuration delay = OperationDelay(CloudOperation::kAttachInterface);
   TraceOp("cloud.eni_assign", instance, delay);
-  ScheduleOp(
-      delay,
-      [this, address, instance]() {
-        AddressRecord& entry = addresses_.At(address);
-        entry.busy = false;
-        const Instance* target2 = GetInstance(instance);
-        const bool ok =
-            target2 != nullptr && target2->state != InstanceState::kTerminated;
-        if (ok) {
-          LinkAddress(address, entry, instance);
-        }
-        return ok;
-      },
-      std::move(done));
+  sim_->ScheduleAfter(delay, [this, address, instance]() {
+    AddressRecord& entry = addresses_.At(address);
+    entry.busy = false;
+    if (instances_.At(instance).state != InstanceState::kTerminated) {
+      LinkAddress(address, entry, instance);
+    }
+  });
 }
 
-void NativeCloud::UnassignAddress(AddressId address, std::function<void(bool)> done) {
+void NativeCloud::UnassignAddress(AddressId address) {
   AddressRecord* record = addresses_.Find(address);
   const bool valid =
       record != nullptr && !record->busy && record->assigned_to.valid();
   if (!valid) {
-    Refuse(std::move(done));
     return;
   }
   record->busy = true;
   const SimDuration delay = OperationDelay(CloudOperation::kDetachInterface);
   TraceOp("cloud.eni_unassign", record->assigned_to, delay);
-  ScheduleOp(
-      delay,
-      [this, address]() {
-        AddressRecord& entry = addresses_.At(address);
-        entry.busy = false;
-        UnlinkAddress(address, entry);
-        return true;
-      },
-      std::move(done));
+  sim_->ScheduleAfter(delay, [this, address]() {
+    AddressRecord& entry = addresses_.At(address);
+    entry.busy = false;
+    UnlinkAddress(address, entry);
+  });
 }
 
 InstanceId NativeCloud::AddressAssignment(AddressId address) const {

@@ -69,12 +69,8 @@ struct NativeCloudConfig {
   // Probability that an on-demand request fails because the platform is out
   // of capacity (Section 4.3 discusses this rare case).
   double on_demand_unavailable_probability = 0.0;
-  // Bill whole instance-hours (as 2014-era EC2 did) instead of continuous
-  // metering. The paper's analysis uses average $/hr, so continuous is the
-  // default.
-  bool hourly_billing = false;
-  // Optional observability registry (cloud.* counters, operation-latency
-  // histogram, market.bid_crossings). Purely observational; must outlive the
+  // Optional observability registry (cloud.* counters and the
+  // operation-latency histogram). Purely observational; must outlive the
   // cloud when set.
   MetricsRegistry* metrics = nullptr;
   // Optional span tracer: every control-plane operation records a span of
@@ -83,10 +79,11 @@ struct NativeCloudConfig {
   SpanTracer* tracer = nullptr;
 };
 
-// (instance, success). Launch failures happen when a spot request's bid is
-// already below the market price when it would start, when on-demand
-// capacity is exhausted, or when the zone is down.
-using InstanceReadyCallback = std::function<void(InstanceId, bool)>;
+// (instance, success). Fired once per launch when it resolves. Launch
+// failures happen when a spot request's bid is already below the market
+// price when it would start, when on-demand capacity is exhausted, when the
+// instance is terminated while pending, or when the zone is down.
+using LaunchHandler = std::function<void(InstanceId, bool)>;
 // (instance, termination deadline). Fired once when a spot instance enters
 // the warning period.
 using RevocationWarningHandler = std::function<void(InstanceId, SimTime)>;
@@ -102,16 +99,19 @@ class NativeCloud {
 
   // --- Instances ---------------------------------------------------------
 
-  InstanceId RequestSpotInstance(MarketKey market, double bid,
-                                 InstanceReadyCallback ready = {});
-  InstanceId RequestOnDemandInstance(MarketKey market,
-                                     InstanceReadyCallback ready = {});
+  // Both report the launch's outcome to the launch handler.
+  InstanceId RequestSpotInstance(MarketKey market, double bid);
+  InstanceId RequestOnDemandInstance(MarketKey market);
   // Graceful, customer-initiated termination. Billing stops immediately;
   // the instance disappears after the terminate-operation latency.
   void TerminateInstance(InstanceId id);
 
   const Instance* GetInstance(InstanceId id) const;
   std::vector<const Instance*> Instances(InstanceState state) const;
+  // Invoked whenever any launch of this cloud resolves.
+  void set_launch_handler(LaunchHandler handler) {
+    launch_handler_ = std::move(handler);
+  }
   // Invoked whenever any spot instance receives its termination warning.
   void set_revocation_handler(RevocationWarningHandler handler) {
     revocation_handler_ = std::move(handler);
@@ -149,20 +149,21 @@ class NativeCloud {
   // --- Volumes (network-attached storage) --------------------------------
 
   VolumeId CreateVolume(double size_gb);
-  // Fails (callback false) if the volume is already attached or the target
-  // instance is not running.
-  void AttachVolume(VolumeId volume, InstanceId instance,
-                    std::function<void(bool)> done = {});
-  void DetachVolume(VolumeId volume, std::function<void(bool)> done = {});
+  // Links the volume to the instance after the attach latency. Refused --
+  // no latency sample, no event -- when either id is unknown, an operation
+  // on the volume is in flight, the volume is attached, or the instance is
+  // not running; an instance that dies meanwhile is never linked.
+  void AttachVolume(VolumeId volume, InstanceId instance);
+  void DetachVolume(VolumeId volume);
   // Invalid id or detached volume -> invalid InstanceId.
   InstanceId VolumeAttachment(VolumeId volume) const;
 
   // --- VPC addresses ------------------------------------------------------
 
   AddressId AllocateAddress();
-  void AssignAddress(AddressId address, InstanceId instance,
-                     std::function<void(bool)> done = {});
-  void UnassignAddress(AddressId address, std::function<void(bool)> done = {});
+  // Refused and completed like AttachVolume.
+  void AssignAddress(AddressId address, InstanceId instance);
+  void UnassignAddress(AddressId address);
   InstanceId AddressAssignment(AddressId address) const;
 
   // --- Billing & stats ----------------------------------------------------
@@ -171,14 +172,11 @@ class NativeCloud {
   double AccruedCost(InstanceId id) const {
     return billing_.AccruedCost(id, sim_->Now());
   }
-  const BillingMeter& billing() const { return billing_; }
 
   int64_t spot_revocations() const { return spot_revocations_; }
   int64_t launches() const { return launches_; }
 
-  const NativeCloudConfig& config() const { return config_; }
   SpotMarket& MarketFor(MarketKey key);
-  Simulator* simulator() { return sim_; }
 
  private:
   struct VolumeRecord {
@@ -201,15 +199,6 @@ class NativeCloud {
   // A launch that will never run: terminates it, counts the failure and
   // reports it.
   void FailLaunch(Instance& instance);
-  // Takes the launch's ready callback, if any, and fires it.
-  void ResolveLaunch(InstanceId id, bool ok);
-  // Attach/assign/detach/unassign plumbing: schedules `finish` after
-  // `delay` and reports its result to `done` when set; a refused call
-  // reports false at once. Without `done` the event holds only `finish`.
-  template <typename Finish>
-  void ScheduleOp(SimDuration delay, Finish finish,
-                  std::function<void(bool)> done);
-  void Refuse(std::function<void(bool)> done);
   void OnMarketPriceChange(MarketKey key, double price);
   // Flips the instance to kWarned, counts the revocation, and fires the
   // revocation handler. Does NOT schedule the termination: the sweep in
@@ -244,9 +233,6 @@ class NativeCloud {
   // id-order iteration. Instances, volumes, and addresses are never erased
   // within a simulation, matching the old map semantics.
   FleetTable<InstanceTag, Instance> instances_;
-  // Ready callbacks of unresolved launches. Kept here rather than in the
-  // start event, so that event fits UniqueCallback's inline buffer.
-  FleetTable<InstanceTag, InstanceReadyCallback> launch_ready_;
   // Running spot instances per market, so price changes only touch the
   // affected market's instances (terminated ids are compacted lazily).
   // `min_bid` is a conservative lower bound over the listed instances
@@ -269,6 +255,7 @@ class NativeCloud {
   FleetTable<VolumeTag, VolumeRecord> volumes_;
   FleetTable<AddressTag, AddressRecord> addresses_;
 
+  LaunchHandler launch_handler_;
   RevocationWarningHandler revocation_handler_;
   InstanceFailureHandler failure_handler_;
   SpotLaunchFaultHook spot_launch_fault_hook_;
@@ -283,7 +270,6 @@ class NativeCloud {
   MetricCounter* launch_failures_metric_ = nullptr;
   MetricCounter* terminations_metric_ = nullptr;
   MetricCounter* revocation_warnings_metric_ = nullptr;
-  MetricCounter* bid_crossings_metric_ = nullptr;
   MetricCounter* instance_failures_metric_ = nullptr;
   MetricHistogram* op_latency_metric_ = nullptr;
 };

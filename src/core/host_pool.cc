@@ -17,6 +17,11 @@
 
 namespace spotcheck {
 
+HostPoolManager::HostPoolManager(ControllerContext* ctx) : ctx_(ctx) {
+  ctx_->cloud->set_launch_handler(
+      [this](InstanceId instance, bool ok) { OnHostReady(instance, ok); });
+}
+
 const HostVm* HostPoolManager::GetHost(InstanceId instance) const {
   return hosts_.Find(instance);
 }
@@ -111,11 +116,9 @@ void HostPoolManager::AcquireHost(MarketKey market, bool is_spot,
   InstanceId instance;
   if (is_spot) {
     instance = ctx_->cloud->RequestSpotInstance(
-        market, ctx_->bid->BidFor(market.type),
-        [this](InstanceId id, bool ok) { OnHostReady(id, ok); });
+        market, ctx_->bid->BidFor(market.type));
   } else {
-    instance = ctx_->cloud->RequestOnDemandInstance(
-        market, [this](InstanceId id, bool ok) { OnHostReady(id, ok); });
+    instance = ctx_->cloud->RequestOnDemandInstance(market);
   }
   PendingHost& pending = pending_hosts_.Emplace(instance);
   pending.market = market;

@@ -80,7 +80,8 @@ struct Waiter {
 
 class HostPoolManager : public HostOccupancyListener {
  public:
-  explicit HostPoolManager(ControllerContext* ctx) : ctx_(ctx) {}
+  // Registers OnHostReady as `ctx->cloud`'s launch handler.
+  explicit HostPoolManager(ControllerContext* ctx);
 
   HostPoolManager(const HostPoolManager&) = delete;
   HostPoolManager& operator=(const HostPoolManager&) = delete;

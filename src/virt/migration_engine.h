@@ -56,7 +56,6 @@ bool MechanismIsOptimized(MigrationMechanism mechanism);
 bool MechanismNeedsBackup(MigrationMechanism mechanism);
 
 struct MigrationEngineConfig {
-  SimDuration warning = SimDuration::Seconds(120);
   SimDuration bound = SimDuration::Seconds(30);
   // Host-to-host / host-to-backup link (1 Gbps typical within a zone).
   double link_mbps = 125.0;

@@ -4,7 +4,10 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "src/obs/metrics.h"
 
 namespace spotcheck {
 namespace {
@@ -23,41 +26,49 @@ class NativeCloudTest : public testing::Test {
     markets_.AddWithTrace(kMedium, std::move(trace));
     NativeCloudConfig config;
     config.sample_latencies = false;  // medians: spot start 227s, od 61s
+    config.metrics = &metrics_;
     cloud_ = std::make_unique<NativeCloud>(&sim_, &markets_, config);
+    cloud_->set_launch_handler(
+        [this](InstanceId id, bool ok) { launches_[id].push_back(ok); });
+  }
+
+  // (queued events, latency samples drawn). A refused attach or assign
+  // changes neither.
+  std::pair<size_t, int64_t> Footprint() const {
+    return {sim_.pending_events(),
+            metrics_.FindHistogram("cloud.op_latency_s")->total()};
   }
 
   Simulator sim_;
   MarketPlace markets_;
+  MetricsRegistry metrics_;
   std::unique_ptr<NativeCloud> cloud_;
+  // Every outcome the launch handler heard, by instance.
+  std::map<InstanceId, std::vector<bool>> launches_;
 };
 
 TEST_F(NativeCloudTest, SpotInstanceStartsAfterTable1Latency) {
-  bool ready = false;
-  InstanceId id = cloud_->RequestSpotInstance(kMedium, 0.070,
-                                              [&](InstanceId, bool ok) { ready = ok; });
+  InstanceId id = cloud_->RequestSpotInstance(kMedium, 0.070);
   sim_.RunUntil(SimTime::FromSeconds(226));
-  EXPECT_FALSE(ready);
+  EXPECT_TRUE(launches_.empty());
   EXPECT_EQ(cloud_->GetInstance(id)->state, InstanceState::kPending);
   sim_.RunUntil(SimTime::FromSeconds(228));
-  EXPECT_TRUE(ready);
+  EXPECT_EQ(launches_[id], std::vector<bool>{true});
   EXPECT_EQ(cloud_->GetInstance(id)->state, InstanceState::kRunning);
 }
 
 TEST_F(NativeCloudTest, OnDemandStartsFaster) {
-  bool ready = false;
-  cloud_->RequestOnDemandInstance(kMedium, [&](InstanceId, bool ok) { ready = ok; });
+  const InstanceId id = cloud_->RequestOnDemandInstance(kMedium);
   sim_.RunUntil(SimTime::FromSeconds(62));
-  EXPECT_TRUE(ready);
+  EXPECT_EQ(launches_[id], std::vector<bool>{true});
 }
 
 TEST_F(NativeCloudTest, SpotLaunchFailsWhenBidOutOfMoney) {
   // Request at t=900; starts at t=1127, inside the spike; bid 0.07 < 1.00.
-  bool ok = true;
   sim_.RunUntil(SimTime::FromSeconds(900));
-  cloud_->RequestSpotInstance(kMedium, 0.070,
-                              [&](InstanceId, bool success) { ok = success; });
+  const InstanceId id = cloud_->RequestSpotInstance(kMedium, 0.070);
   sim_.RunUntil(SimTime::FromSeconds(1200));
-  EXPECT_FALSE(ok);
+  EXPECT_EQ(launches_[id], std::vector<bool>{false});
 }
 
 TEST_F(NativeCloudTest, RevocationWarningThenForcedTermination) {
@@ -123,17 +134,10 @@ TEST_F(NativeCloudTest, TerminateStopsBilling) {
 }
 
 TEST_F(NativeCloudTest, TerminatePendingInstanceFailsLaunch) {
-  bool called = false;
-  bool ok = true;
-  InstanceId id = cloud_->RequestSpotInstance(kMedium, 0.070,
-                                              [&](InstanceId, bool success) {
-                                                called = true;
-                                                ok = success;
-                                              });
+  InstanceId id = cloud_->RequestSpotInstance(kMedium, 0.070);
   cloud_->TerminateInstance(id);
   sim_.RunUntil(SimTime::FromSeconds(500));
-  EXPECT_TRUE(called);
-  EXPECT_FALSE(ok);
+  EXPECT_EQ(launches_[id], std::vector<bool>{false});
 }
 
 TEST_F(NativeCloudTest, OnDemandCapacityFailure) {
@@ -141,25 +145,27 @@ TEST_F(NativeCloudTest, OnDemandCapacityFailure) {
   config.sample_latencies = false;
   config.on_demand_unavailable_probability = 1.0;
   NativeCloud cloud(&sim_, &markets_, config);
-  bool ok = true;
-  cloud.RequestOnDemandInstance(kMedium, [&](InstanceId, bool success) { ok = success; });
+  std::vector<bool> outcomes;
+  cloud.set_launch_handler(
+      [&](InstanceId, bool ok) { outcomes.push_back(ok); });
+  cloud.RequestOnDemandInstance(kMedium);
   sim_.RunUntil(SimTime::FromSeconds(100));
-  EXPECT_FALSE(ok);
+  EXPECT_EQ(outcomes, std::vector<bool>{false});
 }
 
 TEST_F(NativeCloudTest, VolumeAttachDetachLifecycle) {
   InstanceId instance = cloud_->RequestOnDemandInstance(kMedium);
   sim_.RunUntil(SimTime::FromSeconds(62));
   const VolumeId volume = cloud_->CreateVolume(100.0);
-  bool attached = false;
-  cloud_->AttachVolume(volume, instance, [&](bool ok) { attached = ok; });
-  sim_.RunUntil(SimTime::FromSeconds(62 + 6));  // attach median 5s
-  EXPECT_TRUE(attached);
+  cloud_->AttachVolume(volume, instance);
+  sim_.RunUntil(SimTime::FromSeconds(62 + 4));  // attach median 5s
+  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
+  sim_.RunUntil(SimTime::FromSeconds(62 + 6));
   EXPECT_EQ(cloud_->VolumeAttachment(volume), instance);
-  bool detached = false;
-  cloud_->DetachVolume(volume, [&](bool ok) { detached = ok; });
-  sim_.RunUntil(SimTime::FromSeconds(62 + 6 + 11));  // detach median 10.3s
-  EXPECT_TRUE(detached);
+  cloud_->DetachVolume(volume);
+  sim_.RunUntil(SimTime::FromSeconds(62 + 6 + 10));  // detach median 10.3s
+  EXPECT_EQ(cloud_->VolumeAttachment(volume), instance);
+  sim_.RunUntil(SimTime::FromSeconds(62 + 6 + 11));
   EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
 }
 
@@ -169,19 +175,22 @@ TEST_F(NativeCloudTest, DoubleAttachFails) {
   const VolumeId volume = cloud_->CreateVolume(10.0);
   cloud_->AttachVolume(volume, instance);
   sim_.RunUntil(SimTime::FromSeconds(70));
-  bool second_ok = true;
-  cloud_->AttachVolume(volume, instance, [&](bool ok) { second_ok = ok; });
+  const auto before = Footprint();
+  cloud_->AttachVolume(volume, instance);
+  EXPECT_EQ(Footprint(), before);
   sim_.RunUntil(SimTime::FromSeconds(80));
-  EXPECT_FALSE(second_ok);
+  EXPECT_EQ(cloud_->VolumeAttachment(volume), instance);
 }
 
 TEST_F(NativeCloudTest, AttachToPendingInstanceFails) {
   InstanceId instance = cloud_->RequestSpotInstance(kMedium, 0.070);
   const VolumeId volume = cloud_->CreateVolume(10.0);
-  bool ok = true;
-  cloud_->AttachVolume(volume, instance, [&](bool success) { ok = success; });
-  sim_.RunUntil(SimTime::FromSeconds(10));
-  EXPECT_FALSE(ok);
+  const auto before = Footprint();
+  cloud_->AttachVolume(volume, instance);
+  EXPECT_EQ(Footprint(), before);
+  sim_.RunUntil(SimTime::FromSeconds(300));  // the instance runs from 227 s
+  ASSERT_EQ(cloud_->GetInstance(instance)->state, InstanceState::kRunning);
+  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
 }
 
 TEST_F(NativeCloudTest, AddressReassignmentAcrossInstances) {
@@ -189,10 +198,8 @@ TEST_F(NativeCloudTest, AddressReassignmentAcrossInstances) {
   InstanceId b = cloud_->RequestOnDemandInstance(kMedium);
   sim_.RunUntil(SimTime::FromSeconds(62));
   const AddressId address = cloud_->AllocateAddress();
-  bool ok = false;
-  cloud_->AssignAddress(address, a, [&](bool success) { ok = success; });
+  cloud_->AssignAddress(address, a);
   sim_.RunUntil(SimTime::FromSeconds(70));
-  EXPECT_TRUE(ok);
   EXPECT_EQ(cloud_->AddressAssignment(address), a);
   // Move the address: unassign from a, assign to b (Fig. 4's flow).
   cloud_->UnassignAddress(address);
@@ -227,50 +234,47 @@ TEST_F(NativeCloudTest, InstancesQueryFiltersByState) {
   EXPECT_EQ(cloud_->Instances(InstanceState::kTerminated).size(), 1u);
 }
 
-// The launch contract the host pool relies on: every launch resolves its
-// ready callback exactly once, with ok == true only when the instance
-// runs, on every path a launch can take. A callback that launches again
-// from inside itself gets its own callback too.
+// The launch contract the host pool relies on: the launch handler hears
+// every launch exactly once, with ok == true only when the instance runs,
+// on every path a launch can take -- a launch made from inside the handler
+// included. A second cloud reports to its own handler only.
 TEST_F(NativeCloudTest, EveryLaunchPathFiresReadyExactlyOnce) {
   const MarketKey other_zone{InstanceType::kM3Medium, AvailabilityZone{1}};
   PriceTrace flat;
   flat.Append(SimTime(), 0.01);
   markets_.AddWithTrace(other_zone, std::move(flat));
-  std::map<InstanceId, std::vector<bool>> calls;
-  const auto record = [&calls](InstanceId id, bool ok) {
-    calls[id].push_back(ok);
-  };
-
-  const InstanceId spot = cloud_->RequestSpotInstance(kMedium, 0.070, record);
-  const InstanceId on_demand = cloud_->RequestOnDemandInstance(kMedium, record);
-  const InstanceId terminated =
-      cloud_->RequestSpotInstance(kMedium, 0.070, record);
-  cloud_->TerminateInstance(terminated);  // while still pending
+  InstanceId relauncher;
   InstanceId relaunched;
-  const InstanceId relauncher = cloud_->RequestOnDemandInstance(
-      kMedium, [&](InstanceId id, bool ok) {
-        record(id, ok);
-        relaunched = cloud_->RequestOnDemandInstance(kMedium, record);
-      });
+  cloud_->set_launch_handler([&](InstanceId id, bool ok) {
+    launches_[id].push_back(ok);
+    if (id == relauncher) {
+      relaunched = cloud_->RequestOnDemandInstance(kMedium);
+    }
+  });
+
+  const InstanceId spot = cloud_->RequestSpotInstance(kMedium, 0.070);
+  const InstanceId on_demand = cloud_->RequestOnDemandInstance(kMedium);
+  const InstanceId terminated = cloud_->RequestSpotInstance(kMedium, 0.070);
+  cloud_->TerminateInstance(terminated);  // while still pending
+  relauncher = cloud_->RequestOnDemandInstance(kMedium);
   // Zone 1 goes down at t=10, before either launch into it starts.
   cloud_->ScheduleZoneOutage(AvailabilityZone{1}, SimTime::FromSeconds(10),
                              SimTime::FromSeconds(2000));
-  const InstanceId zone_spot =
-      cloud_->RequestSpotInstance(other_zone, 0.070, record);
-  const InstanceId zone_on_demand =
-      cloud_->RequestOnDemandInstance(other_zone, record);
-  const InstanceId silent = cloud_->RequestSpotInstance(kMedium, 0.070);
+  const InstanceId zone_spot = cloud_->RequestSpotInstance(other_zone, 0.070);
+  const InstanceId zone_on_demand = cloud_->RequestOnDemandInstance(other_zone);
   // Requested at t=900, the spot launch starts at t=1127 inside the spike.
   sim_.RunUntil(SimTime::FromSeconds(900));
-  const InstanceId priced_out =
-      cloud_->RequestSpotInstance(kMedium, 0.070, record);
+  const InstanceId priced_out = cloud_->RequestSpotInstance(kMedium, 0.070);
   NativeCloudConfig full_config;
   full_config.sample_latencies = false;
   full_config.on_demand_unavailable_probability = 1.0;
   NativeCloud full(&sim_, &markets_, full_config);
-  std::vector<bool> full_calls;
-  full.RequestOnDemandInstance(
-      kMedium, [&](InstanceId, bool ok) { full_calls.push_back(ok); });
+  // Each cloud numbers its instances from 1, so a launch reported to the
+  // wrong handler would land on one of the other cloud's ids.
+  std::map<InstanceId, std::vector<bool>> full_launches;
+  full.set_launch_handler(
+      [&](InstanceId id, bool ok) { full_launches[id].push_back(ok); });
+  const InstanceId full_id = full.RequestOnDemandInstance(kMedium);
   sim_.RunUntil(SimTime::FromSeconds(6000));
 
   const std::map<InstanceId, std::vector<bool>> expected = {
@@ -279,18 +283,19 @@ TEST_F(NativeCloudTest, EveryLaunchPathFiresReadyExactlyOnce) {
       {relaunched, {true}},     {zone_spot, {false}},
       {zone_on_demand, {false}}, {priced_out, {false}},
   };
-  EXPECT_EQ(calls, expected);
-  EXPECT_EQ(full_calls, std::vector<bool>{false});
-  // A launch without a callback runs all the same.
-  EXPECT_NE(cloud_->GetInstance(silent)->state, InstanceState::kPending);
-  // spot, on_demand, relauncher, relaunched and silent.
-  EXPECT_EQ(cloud_->launches(), 5);
+  EXPECT_EQ(launches_, expected);
+  const std::map<InstanceId, std::vector<bool>> expected_full = {
+      {full_id, {false}}};
+  EXPECT_EQ(full_launches, expected_full);
+  // spot, on_demand, relauncher and relaunched.
+  EXPECT_EQ(cloud_->launches(), 4);
 }
 
-// AttachVolume and AssignAddress report through `done`: success after the
-// operation's latency, and false for each refusal -- an unknown id, an
-// operation already in flight, an attachment that already exists, a target
-// that is not running, and a target that dies while the operation runs.
+// AttachVolume and AssignAddress link after the operation's latency. A
+// refused call -- an unknown id, an operation already in flight, an
+// attachment that already exists, a target that is not running -- draws no
+// latency sample and schedules no event. A target that dies while the
+// operation runs is never linked.
 TEST_F(NativeCloudTest, AttachAndAssignReportSuccessAndEachRefusal) {
   const InstanceId host = cloud_->RequestOnDemandInstance(kMedium);
   const InstanceId doomed = cloud_->RequestOnDemandInstance(kMedium);
@@ -298,58 +303,61 @@ TEST_F(NativeCloudTest, AttachAndAssignReportSuccessAndEachRefusal) {
   sim_.RunUntil(SimTime::FromSeconds(62));
   ASSERT_EQ(cloud_->GetInstance(pending)->state, InstanceState::kPending);
 
-  std::map<std::string, std::vector<bool>> attach;
-  std::map<std::string, std::vector<bool>> assign;
-  const auto into = [](std::vector<bool>& out) {
-    return [&out](bool ok) { out.push_back(ok); };
+  const auto accepted = [&](const std::string& what, auto call) {
+    const auto [events, samples] = Footprint();
+    call();
+    EXPECT_EQ(Footprint(), std::make_pair(events + 1, samples + 1)) << what;
+  };
+  const auto refused = [&](const std::string& what, auto call) {
+    const auto before = Footprint();
+    call();
+    EXPECT_EQ(Footprint(), before) << what;
   };
   const VolumeId volume = cloud_->CreateVolume(8.0);
   const VolumeId spare_volume = cloud_->CreateVolume(8.0);
   const VolumeId dying_volume = cloud_->CreateVolume(8.0);
-  const VolumeId quiet_volume = cloud_->CreateVolume(8.0);
-  cloud_->AttachVolume(volume, host, into(attach["ok"]));
-  cloud_->AttachVolume(volume, host, into(attach["busy"]));
-  cloud_->AttachVolume(VolumeId(999), host, into(attach["unknown volume"]));
-  cloud_->AttachVolume(spare_volume, InstanceId(999),
-                       into(attach["unknown instance"]));
-  cloud_->AttachVolume(spare_volume, pending, into(attach["pending"]));
-  cloud_->AttachVolume(dying_volume, doomed, into(attach["died"]));
-  cloud_->AttachVolume(quiet_volume, host);
+  accepted("attach", [&] { cloud_->AttachVolume(volume, host); });
+  refused("attach busy", [&] { cloud_->AttachVolume(volume, host); });
+  refused("attach unknown volume",
+          [&] { cloud_->AttachVolume(VolumeId(999), host); });
+  refused("attach unknown instance",
+          [&] { cloud_->AttachVolume(spare_volume, InstanceId(999)); });
+  refused("attach pending",
+          [&] { cloud_->AttachVolume(spare_volume, pending); });
+  accepted("attach died", [&] { cloud_->AttachVolume(dying_volume, doomed); });
 
   const AddressId address = cloud_->AllocateAddress();
   const AddressId spare_address = cloud_->AllocateAddress();
   const AddressId dying_address = cloud_->AllocateAddress();
-  const AddressId quiet_address = cloud_->AllocateAddress();
-  cloud_->AssignAddress(address, host, into(assign["ok"]));
-  cloud_->AssignAddress(address, host, into(assign["busy"]));
-  cloud_->AssignAddress(AddressId(999), host, into(assign["unknown address"]));
-  cloud_->AssignAddress(spare_address, InstanceId(999),
-                        into(assign["unknown instance"]));
-  cloud_->AssignAddress(spare_address, pending, into(assign["pending"]));
-  cloud_->AssignAddress(dying_address, doomed, into(assign["died"]));
-  cloud_->AssignAddress(quiet_address, host);
+  accepted("assign", [&] { cloud_->AssignAddress(address, host); });
+  refused("assign busy", [&] { cloud_->AssignAddress(address, host); });
+  refused("assign unknown address",
+          [&] { cloud_->AssignAddress(AddressId(999), host); });
+  refused("assign unknown instance",
+          [&] { cloud_->AssignAddress(spare_address, InstanceId(999)); });
+  refused("assign pending",
+          [&] { cloud_->AssignAddress(spare_address, pending); });
+  accepted("assign died",
+           [&] { cloud_->AssignAddress(dying_address, doomed); });
   cloud_->TerminateInstance(doomed);
-  sim_.RunUntil(SimTime::FromSeconds(100));
-  cloud_->AttachVolume(volume, host, into(attach["attached"]));
-  cloud_->AssignAddress(address, host, into(assign["attached"]));
-  sim_.RunUntil(SimTime::FromSeconds(200));
 
-  const std::map<std::string, std::vector<bool>> expected_attach = {
-      {"ok", {true}},       {"busy", {false}},    {"unknown volume", {false}},
-      {"unknown instance", {false}}, {"pending", {false}},
-      {"died", {false}},    {"attached", {false}},
-  };
-  const std::map<std::string, std::vector<bool>> expected_assign = {
-      {"ok", {true}},       {"busy", {false}},    {"unknown address", {false}},
-      {"unknown instance", {false}}, {"pending", {false}},
-      {"died", {false}},    {"attached", {false}},
-  };
-  EXPECT_EQ(attach, expected_attach);
-  EXPECT_EQ(assign, expected_assign);
+  // Medians: ENI attach 3 s, EBS attach 5 s, both called at t=62.
+  sim_.RunUntil(SimTime::FromSeconds(64));
+  EXPECT_FALSE(cloud_->AddressAssignment(address).valid());
+  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
+  sim_.RunUntil(SimTime::FromSeconds(66));
+  EXPECT_EQ(cloud_->AddressAssignment(address), host);
+  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
+  sim_.RunUntil(SimTime::FromSeconds(100));
+  EXPECT_EQ(cloud_->VolumeAttachment(volume), host);
+  refused("attach attached", [&] { cloud_->AttachVolume(volume, host); });
+  refused("assign attached", [&] { cloud_->AssignAddress(address, host); });
+  sim_.RunUntil(SimTime::FromSeconds(300));  // `pending` runs from 227 s
+
   EXPECT_EQ(cloud_->VolumeAttachment(volume), host);
   EXPECT_EQ(cloud_->AddressAssignment(address), host);
-  EXPECT_EQ(cloud_->VolumeAttachment(quiet_volume), host);
-  EXPECT_EQ(cloud_->AddressAssignment(quiet_address), host);
+  EXPECT_FALSE(cloud_->VolumeAttachment(spare_volume).valid());
+  EXPECT_FALSE(cloud_->AddressAssignment(spare_address).valid());
   EXPECT_FALSE(cloud_->VolumeAttachment(dying_volume).valid());
   EXPECT_FALSE(cloud_->AddressAssignment(dying_address).valid());
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "src/cloud/native_cloud.h"
 #include "src/core/controller.h"
 
@@ -25,11 +28,15 @@ class ZoneOutageTest : public testing::Test {
     NativeCloudConfig config;
     config.sample_latencies = false;
     cloud_ = std::make_unique<NativeCloud>(&sim_, &markets_, config);
+    cloud_->set_launch_handler(
+        [this](InstanceId id, bool ok) { launches_[id].push_back(ok); });
   }
 
   Simulator sim_;
   MarketPlace markets_;
   std::unique_ptr<NativeCloud> cloud_;
+  // Every outcome the launch handler heard, by instance.
+  std::map<InstanceId, std::vector<bool>> launches_;
 };
 
 TEST_F(ZoneOutageTest, RunningInstancesDieWithoutWarning) {
@@ -58,17 +65,13 @@ TEST_F(ZoneOutageTest, LaunchesFailWhileZoneIsDown) {
   sim_.RunUntil(SimTime::FromSeconds(20));
   EXPECT_FALSE(cloud_->ZoneAvailable(kZone0));
   EXPECT_TRUE(cloud_->ZoneAvailable(kZone1));
-  bool ok = true;
-  cloud_->RequestOnDemandInstance(kMediumZ0,
-                                  [&](InstanceId, bool success) { ok = success; });
+  const InstanceId down = cloud_->RequestOnDemandInstance(kMediumZ0);
   sim_.RunUntil(SimTime::FromSeconds(200));
-  EXPECT_FALSE(ok);
+  EXPECT_EQ(launches_[down], std::vector<bool>{false});
   // The untouched zone still works.
-  bool ok1 = false;
-  cloud_->RequestOnDemandInstance(kMediumZ1,
-                                  [&](InstanceId, bool success) { ok1 = success; });
+  const InstanceId up = cloud_->RequestOnDemandInstance(kMediumZ1);
   sim_.RunUntil(SimTime::FromSeconds(400));
-  EXPECT_TRUE(ok1);
+  EXPECT_EQ(launches_[up], std::vector<bool>{true});
 }
 
 TEST_F(ZoneOutageTest, ZoneRecoversAfterWindow) {
@@ -76,11 +79,9 @@ TEST_F(ZoneOutageTest, ZoneRecoversAfterWindow) {
                              SimTime::FromSeconds(1000));
   sim_.RunUntil(SimTime::FromSeconds(1001));
   EXPECT_TRUE(cloud_->ZoneAvailable(kZone0));
-  bool ok = false;
-  cloud_->RequestOnDemandInstance(kMediumZ0,
-                                  [&](InstanceId, bool success) { ok = success; });
+  const InstanceId id = cloud_->RequestOnDemandInstance(kMediumZ0);
   sim_.RunUntil(SimTime::FromSeconds(1200));
-  EXPECT_TRUE(ok);
+  EXPECT_EQ(launches_[id], std::vector<bool>{true});
 }
 
 TEST_F(ZoneOutageTest, BillingStopsAtTheFailure) {
