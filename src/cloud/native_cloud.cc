@@ -237,7 +237,6 @@ void NativeCloud::ForceTerminate(InstanceId id) {
   instance.state = InstanceState::kTerminated;
   instance.terminated_at = sim_->Now();
   billing_.Stop(id, sim_->Now());
-  ReleaseAttachments(id);
   MetricInc(terminations_metric_);
 }
 
@@ -274,7 +273,6 @@ void NativeCloud::FailInstance(Instance& instance) {
   instance.state = InstanceState::kTerminated;
   instance.terminated_at = sim_->Now();
   billing_.Stop(id, sim_->Now());
-  ReleaseAttachments(id);
   ++instance_failures_;
   MetricInc(instance_failures_metric_);
   MetricInc(terminations_metric_);
@@ -303,10 +301,8 @@ void NativeCloud::TerminateInstance(InstanceId id) {
   Instance& instance = *found;
   // Billing stops at the customer's terminate call; the instance object
   // lingers through the terminate-operation latency, matching how EC2
-  // reports "shutting-down" instances, but attachment bookkeeping is
-  // released immediately.
+  // reports "shutting-down" instances.
   billing_.Stop(id, sim_->Now());
-  ReleaseAttachments(id);
   instance.state = InstanceState::kTerminated;
   MetricInc(terminations_metric_);
   const SimDuration delay = OperationDelay(CloudOperation::kTerminateInstance);
@@ -314,86 +310,6 @@ void NativeCloud::TerminateInstance(InstanceId id) {
   sim_->ScheduleAfter(delay, [this, id]() {
     instances_.At(id).terminated_at = sim_->Now();
   });
-}
-
-void NativeCloud::ReleaseAttachments(InstanceId id) {
-  Instance& instance = instances_.At(id);
-  for (VolumeId volume = instance.first_volume; volume.valid();) {
-    VolumeRecord& record = volumes_.At(volume);
-    const VolumeId next = record.next_on_instance;
-    record.attached_to = InstanceId();
-    record.next_on_instance = VolumeId();
-    volume = next;
-  }
-  instance.first_volume = VolumeId();
-  for (AddressId address = instance.first_address; address.valid();) {
-    AddressRecord& record = addresses_.At(address);
-    const AddressId next = record.next_on_instance;
-    record.assigned_to = InstanceId();
-    record.next_on_instance = AddressId();
-    address = next;
-  }
-  instance.first_address = AddressId();
-}
-
-void NativeCloud::LinkVolume(VolumeId volume, VolumeRecord& record,
-                             InstanceId instance) {
-  Instance& target = instances_.At(instance);
-  record.attached_to = instance;
-  record.next_on_instance = target.first_volume;
-  target.first_volume = volume;
-}
-
-void NativeCloud::UnlinkVolume(VolumeId volume, VolumeRecord& record) {
-  const InstanceId owner = record.attached_to;
-  record.attached_to = InstanceId();
-  if (!owner.valid()) {
-    return;  // already released (e.g. the instance died mid-detach)
-  }
-  Instance& instance = instances_.At(owner);
-  if (instance.first_volume == volume) {
-    instance.first_volume = record.next_on_instance;
-  } else {
-    for (VolumeId walk = instance.first_volume; walk.valid();) {
-      VolumeRecord& prev = volumes_.At(walk);
-      if (prev.next_on_instance == volume) {
-        prev.next_on_instance = record.next_on_instance;
-        break;
-      }
-      walk = prev.next_on_instance;
-    }
-  }
-  record.next_on_instance = VolumeId();
-}
-
-void NativeCloud::LinkAddress(AddressId address, AddressRecord& record,
-                              InstanceId instance) {
-  Instance& target = instances_.At(instance);
-  record.assigned_to = instance;
-  record.next_on_instance = target.first_address;
-  target.first_address = address;
-}
-
-void NativeCloud::UnlinkAddress(AddressId address, AddressRecord& record) {
-  const InstanceId owner = record.assigned_to;
-  record.assigned_to = InstanceId();
-  if (!owner.valid()) {
-    return;
-  }
-  Instance& instance = instances_.At(owner);
-  if (instance.first_address == address) {
-    instance.first_address = record.next_on_instance;
-  } else {
-    for (AddressId walk = instance.first_address; walk.valid();) {
-      AddressRecord& prev = addresses_.At(walk);
-      if (prev.next_on_instance == address) {
-        prev.next_on_instance = record.next_on_instance;
-        break;
-      }
-      walk = prev.next_on_instance;
-    }
-  }
-  record.next_on_instance = AddressId();
 }
 
 const Instance* NativeCloud::GetInstance(InstanceId id) const {
@@ -408,106 +324,6 @@ std::vector<const Instance*> NativeCloud::Instances(InstanceState state) const {
     }
   });
   return result;
-}
-
-VolumeId NativeCloud::CreateVolume(double size_gb) {
-  const VolumeId id = volume_ids_.Next();
-  volumes_.Emplace(id).size_gb = size_gb;
-  return id;
-}
-
-void NativeCloud::AttachVolume(VolumeId volume, InstanceId instance) {
-  VolumeRecord* record = volumes_.Find(volume);
-  const Instance* target = GetInstance(instance);
-  const bool valid = record != nullptr && !record->busy &&
-                     !record->attached_to.valid() && target != nullptr &&
-                     (target->state == InstanceState::kRunning ||
-                      target->state == InstanceState::kWarned);
-  if (!valid) {
-    return;
-  }
-  record->busy = true;
-  const SimDuration delay = OperationDelay(CloudOperation::kAttachVolume);
-  TraceOp("cloud.ebs_attach", instance, delay);
-  sim_->ScheduleAfter(delay, [this, volume, instance]() {
-    VolumeRecord& entry = volumes_.At(volume);
-    entry.busy = false;
-    if (instances_.At(instance).state != InstanceState::kTerminated) {
-      LinkVolume(volume, entry, instance);
-    }
-  });
-}
-
-void NativeCloud::DetachVolume(VolumeId volume) {
-  VolumeRecord* record = volumes_.Find(volume);
-  const bool valid =
-      record != nullptr && !record->busy && record->attached_to.valid();
-  if (!valid) {
-    return;
-  }
-  record->busy = true;
-  const SimDuration delay = OperationDelay(CloudOperation::kDetachVolume);
-  TraceOp("cloud.ebs_detach", record->attached_to, delay);
-  sim_->ScheduleAfter(delay, [this, volume]() {
-    VolumeRecord& entry = volumes_.At(volume);
-    entry.busy = false;
-    UnlinkVolume(volume, entry);
-  });
-}
-
-InstanceId NativeCloud::VolumeAttachment(VolumeId volume) const {
-  const VolumeRecord* record = volumes_.Find(volume);
-  return record == nullptr ? InstanceId() : record->attached_to;
-}
-
-AddressId NativeCloud::AllocateAddress() {
-  const AddressId id = address_ids_.Next();
-  addresses_.Emplace(id);
-  return id;
-}
-
-void NativeCloud::AssignAddress(AddressId address, InstanceId instance) {
-  AddressRecord* record = addresses_.Find(address);
-  const Instance* target = GetInstance(instance);
-  const bool valid = record != nullptr && !record->busy &&
-                     !record->assigned_to.valid() && target != nullptr &&
-                     (target->state == InstanceState::kRunning ||
-                      target->state == InstanceState::kWarned);
-  if (!valid) {
-    return;
-  }
-  record->busy = true;
-  const SimDuration delay = OperationDelay(CloudOperation::kAttachInterface);
-  TraceOp("cloud.eni_assign", instance, delay);
-  sim_->ScheduleAfter(delay, [this, address, instance]() {
-    AddressRecord& entry = addresses_.At(address);
-    entry.busy = false;
-    if (instances_.At(instance).state != InstanceState::kTerminated) {
-      LinkAddress(address, entry, instance);
-    }
-  });
-}
-
-void NativeCloud::UnassignAddress(AddressId address) {
-  AddressRecord* record = addresses_.Find(address);
-  const bool valid =
-      record != nullptr && !record->busy && record->assigned_to.valid();
-  if (!valid) {
-    return;
-  }
-  record->busy = true;
-  const SimDuration delay = OperationDelay(CloudOperation::kDetachInterface);
-  TraceOp("cloud.eni_unassign", record->assigned_to, delay);
-  sim_->ScheduleAfter(delay, [this, address]() {
-    AddressRecord& entry = addresses_.At(address);
-    entry.busy = false;
-    UnlinkAddress(address, entry);
-  });
-}
-
-InstanceId NativeCloud::AddressAssignment(AddressId address) const {
-  const AddressRecord* record = addresses_.Find(address);
-  return record == nullptr ? InstanceId() : record->assigned_to;
 }
 
 }  // namespace spotcheck

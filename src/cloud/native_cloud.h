@@ -6,10 +6,12 @@
 //   * spot revocation: when a market's price rises above an instance's bid,
 //     the instance receives a revocation warning and is forcibly terminated
 //     a fixed warning period later (120 s on EC2),
-//   * network-attached volumes (EBS) with attach/detach latencies,
-//   * VPC private addresses that can be moved between instances (the
-//     mechanism SpotCheck uses to keep nested VM addresses stable, Fig. 4),
 //   * usage-based billing (spot at market price, on-demand at list price).
+//
+// The EBS volume and ENI address moves of a migration are not modeled here:
+// the migration engine charges their Table-1 latencies as one downtime term
+// (MigrationEngineConfig::ec2_ops_downtime), and each nested VM's private
+// address lives in the VirtualPrivateCloud (src/net).
 
 #ifndef SRC_CLOUD_NATIVE_CLOUD_H_
 #define SRC_CLOUD_NATIVE_CLOUD_H_
@@ -48,12 +50,6 @@ struct Instance {
   SimTime requested_at;
   SimTime running_since;
   SimTime terminated_at;
-  // Intrusive attachment-list heads: the volumes/addresses attached to this
-  // instance, linked through VolumeRecord/AddressRecord::next_on_instance.
-  // Releasing an instance's attachments walks these short chains instead of
-  // scanning every volume and address in the cloud.
-  VolumeId first_volume;
-  AddressId first_address;
 };
 
 struct NativeCloudConfig {
@@ -146,26 +142,6 @@ class NativeCloud {
     spot_launch_fault_hook_ = std::move(hook);
   }
 
-  // --- Volumes (network-attached storage) --------------------------------
-
-  VolumeId CreateVolume(double size_gb);
-  // Links the volume to the instance after the attach latency. Refused --
-  // no latency sample, no event -- when either id is unknown, an operation
-  // on the volume is in flight, the volume is attached, or the instance is
-  // not running; an instance that dies meanwhile is never linked.
-  void AttachVolume(VolumeId volume, InstanceId instance);
-  void DetachVolume(VolumeId volume);
-  // Invalid id or detached volume -> invalid InstanceId.
-  InstanceId VolumeAttachment(VolumeId volume) const;
-
-  // --- VPC addresses ------------------------------------------------------
-
-  AddressId AllocateAddress();
-  // Refused and completed like AttachVolume.
-  void AssignAddress(AddressId address, InstanceId instance);
-  void UnassignAddress(AddressId address);
-  InstanceId AddressAssignment(AddressId address) const;
-
   // --- Billing & stats ----------------------------------------------------
 
   double TotalCost() const { return billing_.TotalCost(sim_->Now()); }
@@ -179,18 +155,6 @@ class NativeCloud {
   SpotMarket& MarketFor(MarketKey key);
 
  private:
-  struct VolumeRecord {
-    double size_gb = 0.0;
-    InstanceId attached_to;
-    VolumeId next_on_instance;  // intrusive list link (see Instance)
-    bool busy = false;          // an attach/detach operation is in flight
-  };
-  struct AddressRecord {
-    InstanceId assigned_to;
-    AddressId next_on_instance;
-    bool busy = false;
-  };
-
   SimDuration OperationDelay(CloudOperation op);
   // Records an operation span [Now, Now + delay) on `instance`'s host track,
   // adopting the ambient trace parent; 0 when tracing is off.
@@ -207,16 +171,9 @@ class NativeCloud {
   void WarnInstance(Instance& instance, SimTime deadline);
   void ForceTerminate(InstanceId id);
   void FailZoneInstances(AvailabilityZone zone);
-  // Shared no-warning kill: terminates, stops billing, releases attachments,
-  // counts the failure, and fires the failure handler.
+  // Shared no-warning kill: terminates, stops billing, counts the failure,
+  // and fires the failure handler.
   void FailInstance(Instance& instance);
-  void ReleaseAttachments(InstanceId id);
-  // Intrusive attachment-list maintenance (O(attachments-per-instance)).
-  void LinkVolume(VolumeId volume, VolumeRecord& record, InstanceId instance);
-  void UnlinkVolume(VolumeId volume, VolumeRecord& record);
-  void LinkAddress(AddressId address, AddressRecord& record,
-                   InstanceId instance);
-  void UnlinkAddress(AddressId address, AddressRecord& record);
 
   Simulator* sim_;
   MarketPlace* markets_;
@@ -226,12 +183,9 @@ class NativeCloud {
   BillingMeter billing_;
 
   IdGenerator<InstanceTag> instance_ids_;
-  IdGenerator<VolumeTag> volume_ids_;
-  IdGenerator<AddressTag> address_ids_;
 
   // Arena storage (fleet-scale): O(1) id lookups, no per-record heap nodes,
-  // id-order iteration. Instances, volumes, and addresses are never erased
-  // within a simulation, matching the old map semantics.
+  // id-order iteration. Instances are never erased within a simulation.
   FleetTable<InstanceTag, Instance> instances_;
   // Running spot instances per market, so price changes only touch the
   // affected market's instances (terminated ids are compacted lazily).
@@ -252,8 +206,6 @@ class NativeCloud {
   static void DeclareQuietBand(const SpotIndex& index);
   std::map<MarketKey, SpotIndex> running_spot_;
   std::vector<InstanceId> to_warn_scratch_;  // reused sweep buffer
-  FleetTable<VolumeTag, VolumeRecord> volumes_;
-  FleetTable<AddressTag, AddressRecord> addresses_;
 
   LaunchHandler launch_handler_;
   RevocationWarningHandler revocation_handler_;

@@ -1,10 +1,11 @@
 // Strongly-typed integer identifiers.
 //
 // Every entity in the system (native instances, nested VMs, customers, pools,
-// backup servers, EBS volumes, IP addresses, ...) is referred to by a typed
-// 64-bit ID so that, e.g., an InstanceId can never be passed where a
-// NestedVmId is expected. IDs are allocated monotonically by IdGenerator and
-// are never reused within a simulation.
+// backup servers, ...) is referred to by a typed 64-bit ID so that, e.g., an
+// InstanceId can never be passed where a NestedVmId is expected. IDs are
+// allocated monotonically by IdGenerator and are never reused within a
+// simulation. A nested VM's private address is not such an ID: the VPC
+// hands out PrivateIp values (src/net/vpc.h).
 
 #ifndef SRC_COMMON_IDS_H_
 #define SRC_COMMON_IDS_H_
@@ -49,8 +50,6 @@ struct NestedVmTag { static constexpr const char* kPrefix = "nvm"; };
 struct CustomerTag { static constexpr const char* kPrefix = "cust"; };
 struct PoolTag { static constexpr const char* kPrefix = "pool"; };
 struct BackupServerTag { static constexpr const char* kPrefix = "bak"; };
-struct VolumeTag { static constexpr const char* kPrefix = "vol"; };
-struct AddressTag { static constexpr const char* kPrefix = "ip"; };
 struct EventTag { static constexpr const char* kPrefix = "ev"; };
 struct RequestTag { static constexpr const char* kPrefix = "req"; };
 
@@ -59,8 +58,6 @@ using NestedVmId = TypedId<NestedVmTag>;
 using CustomerId = TypedId<CustomerTag>;
 using PoolId = TypedId<PoolTag>;
 using BackupServerId = TypedId<BackupServerTag>;
-using VolumeId = TypedId<VolumeTag>;
-using AddressId = TypedId<AddressTag>;
 using EventId = TypedId<EventTag>;
 using RequestId = TypedId<RequestTag>;
 

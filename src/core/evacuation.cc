@@ -391,13 +391,6 @@ void EvacuationCoordinator::FinalizeEvacuation(NestedVm& vm,
   if (ctx_->config->enable_repatriation) {
     ctx_->repatriation->EnqueueRepatriation(evac.old_market, vm.id());
   }
-  const HostVm* dest = ctx_->pool->GetHost(vm.host());
-  if (dest != nullptr) {
-    // The trailing EBS/ENI rebinds are part of the evacuation's causal tree.
-    const ScopedTraceParent trace_parent(ctx_->tracer, evac.span);
-    ctx_->cloud->AttachVolume(vm.root_volume(), dest->instance());
-    ctx_->cloud->AssignAddress(vm.address(), dest->instance());
-  }
   ctx_->placement->RebindNetwork(vm);
   TraceAttrNum(ctx_->tracer, evac.span, "downtime_s",
                outcome.downtime.seconds());

@@ -67,8 +67,8 @@ void PlacementEngine::OnInitialPlacementHostReady(NestedVm& vm, HostVm& host) {
 void PlacementEngine::AttachVmToHost(NestedVm& vm, HostVm& host) {
   const SpanId* placing = placing_spans_.Find(vm.id());
   const SpanId span = placing != nullptr ? *placing : 0;
-  // Cloud operations triggered while binding (volume/address attachment,
-  // retried spot launches) nest under the open placement span.
+  // Cloud operations triggered while binding (retried spot launches) nest
+  // under the open placement span.
   const ScopedTraceParent trace_parent(ctx_->tracer, span);
   if (!host.AddVm(vm.id(), vm.spec())) {
     // Lost a capacity race (or a mis-sized host); place the VM afresh.
@@ -85,11 +85,6 @@ void PlacementEngine::AttachVmToHost(NestedVm& vm, HostVm& host) {
     ctx_->activity_log->MarkBirth(vm.id(), ctx_->Now());
     ctx_->event_log->Record(ctx_->Now(), ControllerEventKind::kVmPlaced,
                             vm.id(), host.instance(), host.market());
-    // Persistent root volume and stable private address (Sections 3.4, 5).
-    vm.set_root_volume(ctx_->cloud->CreateVolume(8.0));
-    vm.set_address(ctx_->cloud->AllocateAddress());
-    ctx_->cloud->AttachVolume(vm.root_volume(), host.instance());
-    ctx_->cloud->AssignAddress(vm.address(), host.instance());
     // VPC private address + NAT binding in the nested hypervisor (Fig. 4);
     // the customer's first VM becomes the public head of its subnet.
     const auto ip = ctx_->vpc->AssignPrivateIp(vm.customer(), vm.id());
@@ -138,8 +133,6 @@ void PlacementEngine::MoveVmToHost(NestedVm& vm, HostVm& destination) {
                             destination.market());
   }
   AssignBackup(vm);
-  ctx_->cloud->AttachVolume(vm.root_volume(), destination.instance());
-  ctx_->cloud->AssignAddress(vm.address(), destination.instance());
   RebindNetwork(vm);
   ctx_->pool->MaybeReleaseHost(old_host_id);
 }

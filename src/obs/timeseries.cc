@@ -1,6 +1,7 @@
 #include "src/obs/timeseries.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -10,6 +11,13 @@
 #include "src/obs/json.h"
 
 namespace spotcheck {
+namespace {
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+}  // namespace
 
 TimeSeriesRecorder::TimeSeriesRecorder(TimeSeriesConfig config)
     : config_(config) {
@@ -25,12 +33,14 @@ void TimeSeriesRecorder::AddSeries(std::string name, SampleFn sampler) {
   Series series;
   series.name = std::move(name);
   series.sampler = std::move(sampler);
-  series.ring.reserve(std::min<size_t>(config_.max_samples, 256));
-  // Late registration would leave this ring shorter than the time column;
+  // Late registration would leave this series shorter than the time column;
   // keep them aligned by back-filling the samples it missed as its first
   // reading would not be meaningful anyway. In practice all series are
   // registered before the first event runs, so this stays empty.
-  series.ring.resize(retained_samples(), 0.0);
+  if (retained_samples() > 0) {
+    series.runs.push_back(
+        Run{0.0, static_cast<int64_t>(retained_samples())});
+  }
   series_.push_back(std::move(series));
 }
 
@@ -39,16 +49,15 @@ void TimeSeriesRecorder::Sample(SimTime now) {
     return;  // this instant is recorded already
   }
   ReadSamplers();
-  AppendRow(now.micros());
+  AppendRows(now.micros(), 1);
 }
 
 void TimeSeriesRecorder::SampleThrough(int64_t limit_us) {
   // Every boundary up to `limit_us` sees the same state, so one read serves
   // them all.
   ReadSamplers();
-  while (next_due_us_ <= limit_us) {
-    AppendRow(next_due_us_);
-  }
+  AppendRows(next_due_us_,
+             (limit_us - next_due_us_) / config_.interval.micros() + 1);
 }
 
 void TimeSeriesRecorder::ReadSamplers() {
@@ -57,27 +66,16 @@ void TimeSeriesRecorder::ReadSamplers() {
   }
 }
 
-void TimeSeriesRecorder::AppendRow(int64_t time_us) {
-  next_due_us_ = time_us + config_.interval.micros();
-
-  const size_t cap = config_.max_samples;
-  const size_t write =
-      static_cast<size_t>(total_samples_ % static_cast<int64_t>(cap));
-  const bool grow = static_cast<size_t>(total_samples_) < cap;
-
-  if (grow) {
-    time_us_.push_back(time_us);
-  } else {
-    time_us_[write] = time_us;
-  }
+void TimeSeriesRecorder::AppendRows(int64_t first_us, int64_t rows) {
+  const int64_t interval_us = config_.interval.micros();
+  const int64_t cap = static_cast<int64_t>(config_.max_samples);
+  // Retained samples that the new rows push out of the window.
+  const int64_t evicted =
+      std::max<int64_t>(0, std::min(total_samples_, cap) + rows - cap);
 
   for (Series& series : series_) {
+    // Only the first row can move the summary; the rest repeat its value.
     const double v = series.reading;
-    if (grow) {
-      series.ring.push_back(v);
-    } else {
-      series.ring[write] = v;
-    }
     if (total_samples_ == 0) {
       series.min = series.max = v;
     } else {
@@ -87,15 +85,40 @@ void TimeSeriesRecorder::AppendRow(int64_t time_us) {
       if (delta > series.largest_delta) {
         series.largest_delta = delta;
         series.delta_from_s = static_cast<double>(prev_time_us_) / 1e6;
-        series.delta_to_s = static_cast<double>(time_us) / 1e6;
+        series.delta_to_s = static_cast<double>(first_us) / 1e6;
       }
     }
     series.prev = v;
     series.last = v;
+
+    std::deque<Run>& runs = series.runs;
+    if (!runs.empty() && SameBits(runs.back().value, v)) {
+      runs.back().count += rows;
+    } else {
+      runs.push_back(Run{v, rows});
+    }
+    for (int64_t drop = evicted; drop > 0;) {
+      Run& front = runs.front();
+      const int64_t n = std::min(front.count, drop);
+      front.count -= n;
+      drop -= n;
+      if (front.count == 0) {
+        runs.pop_front();
+      }
+    }
   }
 
-  prev_time_us_ = time_us;
-  ++total_samples_;
+  for (int64_t row = 0; row < rows; ++row) {
+    const int64_t time_us = first_us + row * interval_us;
+    if (total_samples_ < cap) {
+      time_us_.push_back(time_us);
+    } else {
+      time_us_[static_cast<size_t>(total_samples_ % cap)] = time_us;
+    }
+    ++total_samples_;
+  }
+  prev_time_us_ = first_us + (rows - 1) * interval_us;
+  next_due_us_ = prev_time_us_ + interval_us;
 }
 
 size_t TimeSeriesRecorder::retained_samples() const { return time_us_.size(); }
@@ -183,8 +206,10 @@ void TimeSeriesRecorder::WriteJson(JsonWriter& json) const {
   for (const Series* series : sorted) {
     json.Key(series->name);
     json.BeginArray();
-    for (size_t i = 0; i < retained; ++i) {
-      json.Double(series->ring[(start + i) % cap]);
+    for (const Run& run : series->runs) {
+      for (int64_t i = 0; i < run.count; ++i) {
+        json.Double(run.value);
+      }
     }
     json.EndArray();
   }

@@ -1,15 +1,19 @@
 // Sim-time telemetry time-series: fixed-interval sampling of registered
-// gauges into columnar ring buffers.
+// gauges into a bounded columnar store.
 //
 // MetricGauge keeps min/max/last of a value but discards its trajectory; for
 // diagnosing fleet-scale behavior (placement bursts, evacuation storms,
 // queue-depth ramps) the *shape over sim time* is the signal. A
 // TimeSeriesRecorder holds named sampler callbacks and, at every boundary
 // of a TimeSeriesConfig::interval grid of simulated time, evaluates all of
-// them into a shared time column plus one value ring per series
-// (overwrite-oldest once max_samples is reached, running summaries over ALL
-// samples). Each sample is stamped with its boundary and holds the state
-// at that instant: the state every event at or before the boundary left.
+// them into a shared time column plus one value store per series
+// (oldest-first eviction once max_samples is reached, running summaries
+// over ALL samples). Each sample is stamped with its boundary and holds the
+// state at that instant: the state every event at or before the boundary
+// left. A series stores its retained samples as runs of bitwise-identical
+// values: most gauges hold still for hours, so a series holds far fewer
+// runs than samples, and the one read of a catch-up (below) is one run
+// however many boundaries it covers.
 //
 // Contract (same as MetricsRegistry/SpanTracer/EventCostProfiler):
 //   * Zero behavioral footprint: the recorder is driven from the simulator's
@@ -30,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -44,9 +49,9 @@ struct TimeSeriesConfig {
   // Simulated time between samples. Hourly => 4320 samples over a six-month
   // horizon (the newest max_samples are retained) -- enough to see every
   // ramp and storm, and cheap enough (samples x series sampler calls) that
-  // the recorder stays inside the flight recorder's 5% overhead contract.
+  // the flight recorder stays inside its 15% overhead budget.
   SimDuration interval = SimDuration::Hours(1);
-  // Ring capacity per series (shared time column included). Summaries
+  // Samples retained per series (shared time column included). Summaries
   // (min/max/last, largest delta) always cover every sample ever taken.
   size_t max_samples = 4096;
 };
@@ -71,7 +76,7 @@ class TimeSeriesRecorder {
   // SampleBefore samples those strictly before `t`: call it before an
   // event at `t` runs. No event runs between the boundaries one call
   // catches up on, so the samplers are read once per call and that row is
-  // recorded at each of them.
+  // recorded at each of them (one run per series).
   void SampleIfDue(SimTime now) {
     if (now.micros() >= next_due_us_) {
       SampleThrough(now.micros());
@@ -104,12 +109,19 @@ class TimeSeriesRecorder {
   bool WriteTo(const std::string& path) const;
 
  private:
+  // `count` consecutive samples of `value`.
+  struct Run {
+    double value = 0.0;
+    int64_t count = 0;
+  };
   struct Series {
     std::string name;
     SampleFn sampler;
-    std::vector<double> ring;  // parallel to time ring, same head/rotation
-    double reading = 0.0;      // the sampler's value at the latest read
-    // Running summary over ALL samples, not just the retained ring.
+    // The retained samples, oldest first; the counts sum to
+    // retained_samples(). Adjacent runs differ bitwise.
+    std::deque<Run> runs;
+    double reading = 0.0;  // the sampler's value at the latest read
+    // Running summary over ALL samples, not just the retained ones.
     double min = 0.0;
     double max = 0.0;
     double last = 0.0;
@@ -123,10 +135,11 @@ class TimeSeriesRecorder {
   void SampleThrough(int64_t limit_us);
   // Stores every sampler's current value in its series' `reading`.
   void ReadSamplers();
-  // Records the readings as the sample at `time_us`.
-  void AppendRow(int64_t time_us);
-  // Chronological ring order: element i of the returned sequence lives at
-  // ring index (start + i) % capacity.
+  // Records the readings as the samples at `rows` boundaries, the first at
+  // `first_us` and the rest one interval apart.
+  void AppendRows(int64_t first_us, int64_t rows);
+  // Chronological order of the time ring: element i of the returned
+  // sequence lives at index (start + i) % capacity.
   size_t RingStart() const;
 
   TimeSeriesConfig config_;

@@ -1,10 +1,12 @@
 // Nested VM state.
 //
 // A NestedVm is the customer-visible server: it lives inside a host VM's
-// nested hypervisor, carries a stable private IP address and a
-// network-attached root volume, and (when hosted on a spot server) streams
-// checkpoints to a backup server. The migration engine and the controller
-// move it between hosts; this class is the bookkeeping record.
+// nested hypervisor and (when hosted on a spot server) streams checkpoints
+// to a backup server. The migration engine and the controller move it
+// between hosts; this class is the bookkeeping record. Its stable private
+// IP address lives in the VirtualPrivateCloud (src/net), and the EBS/ENI
+// moves that carry its root volume and address to a new host are charged
+// as the migration engine's Table-1 downtime, not modeled per VM.
 
 #ifndef SRC_VIRT_NESTED_VM_H_
 #define SRC_VIRT_NESTED_VM_H_
@@ -68,10 +70,6 @@ class NestedVm {
   void set_host(InstanceId host) { host_ = host; }
   BackupServerId backup() const { return backup_; }
   void set_backup(BackupServerId backup) { backup_ = backup; }
-  VolumeId root_volume() const { return root_volume_; }
-  void set_root_volume(VolumeId volume) { root_volume_ = volume; }
-  AddressId address() const { return address_; }
-  void set_address(AddressId address) { address_ = address; }
 
   int64_t migrations() const { return migrations_; }
   void count_migration() { ++migrations_; }
@@ -84,8 +82,6 @@ class NestedVm {
   int64_t* state_counters_ = nullptr;  // nullable; see BindStateCounters
   InstanceId host_;
   BackupServerId backup_;
-  VolumeId root_volume_;
-  AddressId address_;
   int64_t migrations_ = 0;
 };
 

@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
-
-#include "src/obs/metrics.h"
 
 namespace spotcheck {
 namespace {
@@ -26,22 +23,13 @@ class NativeCloudTest : public testing::Test {
     markets_.AddWithTrace(kMedium, std::move(trace));
     NativeCloudConfig config;
     config.sample_latencies = false;  // medians: spot start 227s, od 61s
-    config.metrics = &metrics_;
     cloud_ = std::make_unique<NativeCloud>(&sim_, &markets_, config);
     cloud_->set_launch_handler(
         [this](InstanceId id, bool ok) { launches_[id].push_back(ok); });
   }
 
-  // (queued events, latency samples drawn). A refused attach or assign
-  // changes neither.
-  std::pair<size_t, int64_t> Footprint() const {
-    return {sim_.pending_events(),
-            metrics_.FindHistogram("cloud.op_latency_s")->total()};
-  }
-
   Simulator sim_;
   MarketPlace markets_;
-  MetricsRegistry metrics_;
   std::unique_ptr<NativeCloud> cloud_;
   // Every outcome the launch handler heard, by instance.
   std::map<InstanceId, std::vector<bool>> launches_;
@@ -153,77 +141,6 @@ TEST_F(NativeCloudTest, OnDemandCapacityFailure) {
   EXPECT_EQ(outcomes, std::vector<bool>{false});
 }
 
-TEST_F(NativeCloudTest, VolumeAttachDetachLifecycle) {
-  InstanceId instance = cloud_->RequestOnDemandInstance(kMedium);
-  sim_.RunUntil(SimTime::FromSeconds(62));
-  const VolumeId volume = cloud_->CreateVolume(100.0);
-  cloud_->AttachVolume(volume, instance);
-  sim_.RunUntil(SimTime::FromSeconds(62 + 4));  // attach median 5s
-  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
-  sim_.RunUntil(SimTime::FromSeconds(62 + 6));
-  EXPECT_EQ(cloud_->VolumeAttachment(volume), instance);
-  cloud_->DetachVolume(volume);
-  sim_.RunUntil(SimTime::FromSeconds(62 + 6 + 10));  // detach median 10.3s
-  EXPECT_EQ(cloud_->VolumeAttachment(volume), instance);
-  sim_.RunUntil(SimTime::FromSeconds(62 + 6 + 11));
-  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
-}
-
-TEST_F(NativeCloudTest, DoubleAttachFails) {
-  InstanceId instance = cloud_->RequestOnDemandInstance(kMedium);
-  sim_.RunUntil(SimTime::FromSeconds(62));
-  const VolumeId volume = cloud_->CreateVolume(10.0);
-  cloud_->AttachVolume(volume, instance);
-  sim_.RunUntil(SimTime::FromSeconds(70));
-  const auto before = Footprint();
-  cloud_->AttachVolume(volume, instance);
-  EXPECT_EQ(Footprint(), before);
-  sim_.RunUntil(SimTime::FromSeconds(80));
-  EXPECT_EQ(cloud_->VolumeAttachment(volume), instance);
-}
-
-TEST_F(NativeCloudTest, AttachToPendingInstanceFails) {
-  InstanceId instance = cloud_->RequestSpotInstance(kMedium, 0.070);
-  const VolumeId volume = cloud_->CreateVolume(10.0);
-  const auto before = Footprint();
-  cloud_->AttachVolume(volume, instance);
-  EXPECT_EQ(Footprint(), before);
-  sim_.RunUntil(SimTime::FromSeconds(300));  // the instance runs from 227 s
-  ASSERT_EQ(cloud_->GetInstance(instance)->state, InstanceState::kRunning);
-  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
-}
-
-TEST_F(NativeCloudTest, AddressReassignmentAcrossInstances) {
-  InstanceId a = cloud_->RequestOnDemandInstance(kMedium);
-  InstanceId b = cloud_->RequestOnDemandInstance(kMedium);
-  sim_.RunUntil(SimTime::FromSeconds(62));
-  const AddressId address = cloud_->AllocateAddress();
-  cloud_->AssignAddress(address, a);
-  sim_.RunUntil(SimTime::FromSeconds(70));
-  EXPECT_EQ(cloud_->AddressAssignment(address), a);
-  // Move the address: unassign from a, assign to b (Fig. 4's flow).
-  cloud_->UnassignAddress(address);
-  sim_.RunUntil(SimTime::FromSeconds(75));
-  cloud_->AssignAddress(address, b);
-  sim_.RunUntil(SimTime::FromSeconds(85));
-  EXPECT_EQ(cloud_->AddressAssignment(address), b);
-}
-
-TEST_F(NativeCloudTest, ForcedTerminationReleasesAttachments) {
-  InstanceId id = cloud_->RequestSpotInstance(kMedium, 0.070);
-  sim_.RunUntil(SimTime::FromSeconds(300));
-  const VolumeId volume = cloud_->CreateVolume(10.0);
-  const AddressId address = cloud_->AllocateAddress();
-  cloud_->AttachVolume(volume, id);
-  cloud_->AssignAddress(address, id);
-  sim_.RunUntil(SimTime::FromSeconds(320));
-  EXPECT_EQ(cloud_->VolumeAttachment(volume), id);
-  // Spike at 1000 terminates at 1120; attachments must be released.
-  sim_.RunUntil(SimTime::FromSeconds(1200));
-  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
-  EXPECT_FALSE(cloud_->AddressAssignment(address).valid());
-}
-
 TEST_F(NativeCloudTest, InstancesQueryFiltersByState) {
   cloud_->RequestSpotInstance(kMedium, 0.070);
   cloud_->RequestOnDemandInstance(kMedium);
@@ -289,77 +206,6 @@ TEST_F(NativeCloudTest, EveryLaunchPathFiresReadyExactlyOnce) {
   EXPECT_EQ(full_launches, expected_full);
   // spot, on_demand, relauncher and relaunched.
   EXPECT_EQ(cloud_->launches(), 4);
-}
-
-// AttachVolume and AssignAddress link after the operation's latency. A
-// refused call -- an unknown id, an operation already in flight, an
-// attachment that already exists, a target that is not running -- draws no
-// latency sample and schedules no event. A target that dies while the
-// operation runs is never linked.
-TEST_F(NativeCloudTest, AttachAndAssignReportSuccessAndEachRefusal) {
-  const InstanceId host = cloud_->RequestOnDemandInstance(kMedium);
-  const InstanceId doomed = cloud_->RequestOnDemandInstance(kMedium);
-  const InstanceId pending = cloud_->RequestSpotInstance(kMedium, 0.070);
-  sim_.RunUntil(SimTime::FromSeconds(62));
-  ASSERT_EQ(cloud_->GetInstance(pending)->state, InstanceState::kPending);
-
-  const auto accepted = [&](const std::string& what, auto call) {
-    const auto [events, samples] = Footprint();
-    call();
-    EXPECT_EQ(Footprint(), std::make_pair(events + 1, samples + 1)) << what;
-  };
-  const auto refused = [&](const std::string& what, auto call) {
-    const auto before = Footprint();
-    call();
-    EXPECT_EQ(Footprint(), before) << what;
-  };
-  const VolumeId volume = cloud_->CreateVolume(8.0);
-  const VolumeId spare_volume = cloud_->CreateVolume(8.0);
-  const VolumeId dying_volume = cloud_->CreateVolume(8.0);
-  accepted("attach", [&] { cloud_->AttachVolume(volume, host); });
-  refused("attach busy", [&] { cloud_->AttachVolume(volume, host); });
-  refused("attach unknown volume",
-          [&] { cloud_->AttachVolume(VolumeId(999), host); });
-  refused("attach unknown instance",
-          [&] { cloud_->AttachVolume(spare_volume, InstanceId(999)); });
-  refused("attach pending",
-          [&] { cloud_->AttachVolume(spare_volume, pending); });
-  accepted("attach died", [&] { cloud_->AttachVolume(dying_volume, doomed); });
-
-  const AddressId address = cloud_->AllocateAddress();
-  const AddressId spare_address = cloud_->AllocateAddress();
-  const AddressId dying_address = cloud_->AllocateAddress();
-  accepted("assign", [&] { cloud_->AssignAddress(address, host); });
-  refused("assign busy", [&] { cloud_->AssignAddress(address, host); });
-  refused("assign unknown address",
-          [&] { cloud_->AssignAddress(AddressId(999), host); });
-  refused("assign unknown instance",
-          [&] { cloud_->AssignAddress(spare_address, InstanceId(999)); });
-  refused("assign pending",
-          [&] { cloud_->AssignAddress(spare_address, pending); });
-  accepted("assign died",
-           [&] { cloud_->AssignAddress(dying_address, doomed); });
-  cloud_->TerminateInstance(doomed);
-
-  // Medians: ENI attach 3 s, EBS attach 5 s, both called at t=62.
-  sim_.RunUntil(SimTime::FromSeconds(64));
-  EXPECT_FALSE(cloud_->AddressAssignment(address).valid());
-  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
-  sim_.RunUntil(SimTime::FromSeconds(66));
-  EXPECT_EQ(cloud_->AddressAssignment(address), host);
-  EXPECT_FALSE(cloud_->VolumeAttachment(volume).valid());
-  sim_.RunUntil(SimTime::FromSeconds(100));
-  EXPECT_EQ(cloud_->VolumeAttachment(volume), host);
-  refused("attach attached", [&] { cloud_->AttachVolume(volume, host); });
-  refused("assign attached", [&] { cloud_->AssignAddress(address, host); });
-  sim_.RunUntil(SimTime::FromSeconds(300));  // `pending` runs from 227 s
-
-  EXPECT_EQ(cloud_->VolumeAttachment(volume), host);
-  EXPECT_EQ(cloud_->AddressAssignment(address), host);
-  EXPECT_FALSE(cloud_->VolumeAttachment(spare_volume).valid());
-  EXPECT_FALSE(cloud_->AddressAssignment(spare_address).valid());
-  EXPECT_FALSE(cloud_->VolumeAttachment(dying_volume).valid());
-  EXPECT_FALSE(cloud_->AddressAssignment(dying_address).valid());
 }
 
 }  // namespace

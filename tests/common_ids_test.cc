@@ -24,8 +24,6 @@ TEST(TypedIdTest, PrefixedNames) {
   EXPECT_EQ(NestedVmId(7).ToString(), "nvm-7");
   EXPECT_EQ(CustomerId(1).ToString(), "cust-1");
   EXPECT_EQ(BackupServerId(2).ToString(), "bak-2");
-  EXPECT_EQ(VolumeId(3).ToString(), "vol-3");
-  EXPECT_EQ(AddressId(4).ToString(), "ip-4");
 }
 
 TEST(TypedIdTest, HashableInUnorderedContainers) {

@@ -58,8 +58,10 @@ TEST_F(ControllerTest, SpotHostedVmGetsBackupAndPlumbing) {
   sim_.RunUntil(SimTime::FromSeconds(300));
   const NestedVm* record = controller_->GetVm(vm);
   EXPECT_TRUE(record->backup().valid());
-  EXPECT_TRUE(record->root_volume().valid());
-  EXPECT_TRUE(record->address().valid());
+  // The VM's stable private address lives in the VPC and routes to its host.
+  const auto ip = controller_->vpc().IpOf(vm);
+  ASSERT_TRUE(ip.has_value());
+  EXPECT_EQ(controller_->vpc().HostFor(*ip), record->host());
   EXPECT_EQ(controller_->backup_pool().num_servers(), 1);
   EXPECT_TRUE(controller_->backup_pool().ServerFor(vm)->HasStream(vm));
 }

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/obs/json.h"
 #include "tests/json_test_util.h"
 
@@ -240,6 +246,199 @@ TEST(TimeSeriesRecorderTest, SummaryReportsSamplingFacts) {
   ASSERT_TRUE(ParseJson(json.str(), &doc)) << json.str();
   EXPECT_DOUBLE_EQ(doc.Find("interval_s")->number, 1800.0);
   EXPECT_DOUBLE_EQ(doc.Find("total_samples")->number, 2.0);
+}
+
+// The recorder as a plain ring: one row per boundary, written into a
+// fixed-capacity ring of doubles per series, with the summary updated row by
+// row. The run store must retain and summarize exactly what it would.
+class PlainRingModel {
+ public:
+  PlainRingModel(int64_t interval_us, size_t capacity)
+      : interval_us_(interval_us), capacity_(capacity) {}
+
+  struct Series {
+    std::vector<double> ring;
+    double min = 0.0;
+    double max = 0.0;
+    double last = 0.0;
+    double prev = 0.0;
+    double largest_delta = 0.0;
+    double delta_from_s = 0.0;
+    double delta_to_s = 0.0;
+  };
+
+  void AddSeries() {
+    series_.emplace_back();
+    series_.back().ring.assign(times_.size(), 0.0);
+  }
+  void SampleIfDue(int64_t now_us, const std::vector<double>& readings) {
+    while (next_due_us_ <= now_us) {
+      Row(next_due_us_, readings);
+    }
+  }
+  void SampleBefore(int64_t t_us, const std::vector<double>& readings) {
+    SampleIfDue(t_us - 1, readings);
+  }
+  void Sample(int64_t now_us, const std::vector<double>& readings) {
+    if (total_ == 0 || now_us != prev_time_us_) {
+      Row(now_us, readings);
+    }
+  }
+
+  // Chronological copies of the retained samples.
+  std::vector<int64_t> Times() const { return Unroll(times_); }
+  std::vector<double> Values(size_t series) const {
+    return Unroll(series_[series].ring);
+  }
+  const Series& series(size_t i) const { return series_[i]; }
+
+ private:
+  void Row(int64_t time_us, const std::vector<double>& readings) {
+    const size_t write = static_cast<size_t>(total_) % capacity_;
+    const bool grow = times_.size() < capacity_;
+    if (grow) {
+      times_.push_back(time_us);
+    } else {
+      times_[write] = time_us;
+    }
+    for (size_t i = 0; i < series_.size(); ++i) {
+      Series& s = series_[i];
+      const double v = readings[i];
+      if (grow) {
+        s.ring.push_back(v);
+      } else {
+        s.ring[write] = v;
+      }
+      if (total_ == 0) {
+        s.min = s.max = v;
+      } else {
+        s.min = std::min(s.min, v);
+        s.max = std::max(s.max, v);
+        const double delta = std::abs(v - s.prev);
+        if (delta > s.largest_delta) {
+          s.largest_delta = delta;
+          s.delta_from_s = static_cast<double>(prev_time_us_) / 1e6;
+          s.delta_to_s = static_cast<double>(time_us) / 1e6;
+        }
+      }
+      s.prev = v;
+      s.last = v;
+    }
+    prev_time_us_ = time_us;
+    next_due_us_ = time_us + interval_us_;
+    ++total_;
+  }
+  template <typename T>
+  std::vector<T> Unroll(const std::vector<T>& ring) const {
+    const size_t start =
+        times_.size() < capacity_ ? 0 : static_cast<size_t>(total_) % capacity_;
+    std::vector<T> out;
+    for (size_t i = 0; i < ring.size(); ++i) {
+      out.push_back(ring[(start + i) % ring.size()]);
+    }
+    return out;
+  }
+
+  int64_t interval_us_;
+  size_t capacity_;
+  std::vector<int64_t> times_;
+  std::vector<Series> series_;
+  int64_t total_ = 0;
+  int64_t prev_time_us_ = 0;
+  int64_t next_due_us_ = 0;
+};
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Random readings that mostly repeat (so runs form and break, including on
+// 0.0 against -0.0, which compare equal but print differently), random
+// catch-up lengths (some longer than the store), a small max_samples, and a
+// series registered after sampling began.
+TEST(TimeSeriesRecorderTest, RunStoreMatchesPlainRingModel) {
+  const double kPool[] = {0.0, -0.0, 1.0, 2.5, -3.0};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    TimeSeriesConfig config;
+    config.interval = SimDuration::Minutes(1);
+    config.max_samples = static_cast<size_t>(rng.UniformInt(2, 9));
+    const int64_t interval_us = config.interval.micros();
+    TimeSeriesRecorder recorder(config);
+    PlainRingModel model(interval_us, config.max_samples);
+
+    std::vector<double> readings;
+    // Named so that name order is registration order.
+    const auto add_series = [&] {
+      const size_t index = readings.size();
+      readings.push_back(kPool[rng.UniformInt(0, 4)]);
+      recorder.AddSeries("s" + std::to_string(index),
+                         [&readings, index] { return readings[index]; });
+      model.AddSeries();
+    };
+    for (int i = 0; i < 3; ++i) {
+      add_series();
+    }
+    const int late_step = static_cast<int>(rng.UniformInt(1, 60));
+    int64_t now_us = 0;
+    for (int step = 0; step < 120; ++step) {
+      if (step == late_step) {
+        add_series();
+      }
+      for (double& reading : readings) {
+        if (rng.Bernoulli(0.3)) {
+          reading = kPool[rng.UniformInt(0, 4)];
+        }
+      }
+      const int64_t stride = rng.Bernoulli(0.1) ? rng.UniformInt(0, 25)
+                                                : rng.UniformInt(0, 3);
+      now_us += stride * interval_us + rng.UniformInt(0, 2) * interval_us / 2;
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          recorder.SampleIfDue(SimTime::FromMicros(now_us));
+          model.SampleIfDue(now_us, readings);
+          break;
+        case 1:
+          recorder.SampleBefore(SimTime::FromMicros(now_us));
+          model.SampleBefore(now_us, readings);
+          break;
+        default:
+          recorder.Sample(SimTime::FromMicros(now_us));
+          model.Sample(now_us, readings);
+          break;
+      }
+    }
+
+    JsonWriter json;
+    recorder.WriteJson(json);
+    JsonValue doc;
+    ASSERT_TRUE(ParseJson(json.str(), &doc)) << json.str();
+    const std::vector<int64_t> times = model.Times();
+    const JsonValue* time_s = doc.Find("time_s");
+    ASSERT_EQ(time_s->array.size(), times.size()) << "seed " << seed;
+    for (size_t i = 0; i < times.size(); ++i) {
+      EXPECT_EQ(time_s->array[i].number, static_cast<double>(times[i]) / 1e6)
+          << "seed " << seed << " row " << i;
+    }
+    const JsonValue* summary = doc.Find("summary")->Find("series");
+    for (size_t s = 0; s < readings.size(); ++s) {
+      const std::string name = "s" + std::to_string(s);
+      const std::vector<double> expected = model.Values(s);
+      const JsonValue* values = doc.Find("series")->Find(name);
+      ASSERT_EQ(values->array.size(), expected.size()) << "seed " << seed;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(Bits(values->array[i].number), Bits(expected[i]))
+            << "seed " << seed << " " << name << " row " << i;
+      }
+      const PlainRingModel::Series& want = model.series(s);
+      const JsonValue* got = summary->Find(name);
+      EXPECT_EQ(Bits(got->Find("min")->number), Bits(want.min)) << name;
+      EXPECT_EQ(Bits(got->Find("max")->number), Bits(want.max)) << name;
+      EXPECT_EQ(Bits(got->Find("last")->number), Bits(want.last)) << name;
+      const JsonValue* delta = got->Find("largest_delta");
+      EXPECT_EQ(delta->Find("delta")->number, want.largest_delta) << name;
+      EXPECT_EQ(delta->Find("from_s")->number, want.delta_from_s) << name;
+      EXPECT_EQ(delta->Find("to_s")->number, want.delta_to_s) << name;
+    }
+  }
 }
 
 }  // namespace

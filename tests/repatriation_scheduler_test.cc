@@ -114,14 +114,11 @@ struct SchedulerHarness {
     return newest;
   }
 
-  // Settles `vm` on `host` as a repatriation-eligible resident: running,
-  // with the volume/address the move machinery re-attaches.
+  // Settles `vm` on `host` as a running, repatriation-eligible resident.
   void Settle(NestedVm& vm, HostVm& host) {
     ASSERT_TRUE(host.AddVm(vm.id(), vm.spec()));
     vm.set_host(host.instance());
     vm.set_state(NestedVmState::kRunning);
-    vm.set_root_volume(cloud.CreateVolume(8.0));
-    vm.set_address(cloud.AllocateAddress());
   }
 
   Simulator sim;

@@ -89,8 +89,8 @@ TEST(TracePipelineTest, ChaosCellProducesLifecycleSpans) {
   }
   for (const char* expected :
        {"sim.dispatch", "cloud.launch_spot", "cloud.launch_ondemand",
-        "cloud.terminate", "cloud.ebs_attach", "cloud.eni_assign",
-        "pool.acquire", "placement.place", "evacuation"}) {
+        "cloud.terminate", "evac.ec2_ops", "pool.acquire", "placement.place",
+        "evacuation"}) {
     EXPECT_TRUE(names.contains(expected)) << "missing span type " << expected;
   }
   // Every span closed (CloseOpenSpans ran) with a sane interval and parent.

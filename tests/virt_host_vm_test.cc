@@ -74,12 +74,8 @@ TEST(NestedVmTest, PlacementBookkeeping) {
   EXPECT_FALSE(vm.host().valid());
   vm.set_host(InstanceId(4));
   vm.set_backup(BackupServerId(5));
-  vm.set_root_volume(VolumeId(6));
-  vm.set_address(AddressId(7));
   EXPECT_EQ(vm.host(), InstanceId(4));
   EXPECT_EQ(vm.backup(), BackupServerId(5));
-  EXPECT_EQ(vm.root_volume(), VolumeId(6));
-  EXPECT_EQ(vm.address(), AddressId(7));
   EXPECT_EQ(vm.customer(), CustomerId(2));
   EXPECT_EQ(vm.migrations(), 0);
   vm.count_migration();
