@@ -18,13 +18,10 @@ tier:
       cost must not grow with fleet size; a cost linear in it reads ~0.1)
 
 At every tier that carries an event-cost profile (the "profile" section),
-the gate also checks two exact counts, so these rules cannot flake:
+the gate also checks one exact count, so this rule cannot flake:
 
     * counters.backup_probes == categories.backup_assign.count
       (backup assignment names its server in one probe, never a scan)
-    * when counters.ring_rebases == 0:
-      counters.lazy_sorted_events <= ring_inserts + overflow_spills
-      (each calendar event is sorted at most once)
 
 and prints the top-3 hotspot categories by estimated total time at the
 highest profiled tier -- informational only (scripts/profile_fleet.py
@@ -36,7 +33,7 @@ Exit codes:
     1  gate FAILED: a budget or floor was breached
     2  the input could not be judged at all (missing file, malformed JSON,
        missing tiers, non-positive numbers, a profile without a counter
-       the count rules need) -- never a soft pass
+       the count rule needs) -- never a soft pass
 
 The throughput floor is deliberately conservative: it exists to catch a
 storage change that makes event dispatch accidentally quadratic (an order
@@ -83,9 +80,9 @@ def count(section, name, key, path):
 
 
 def check_profile_counts(bench, path):
-    """Applies the exact count rules at every profiled tier.
+    """Applies the exact count rule at every profiled tier.
 
-    Returns True when every rule holds. A tier whose profile is absent or
+    Returns True when it holds everywhere. A tier whose profile is absent or
     null is skipped; a profile missing a needed key is a parse error.
     """
     ok = True
@@ -106,28 +103,15 @@ def check_profile_counts(bench, path):
             fail_parse(f"{path}: '{key}' profile has no 'backup_assign' category")
         assignments = count(assign, "count", key, path)
         probes = count(counters, "backup_probes", key, path)
-        rebases = count(counters, "ring_rebases", key, path)
-        sorted_events = count(counters, "lazy_sorted_events", key, path)
-        bound = (count(counters, "ring_inserts", key, path) +
-                 count(counters, "overflow_spills", key, path))
         print(
             f"check_fleet_scale: {key}: {probes:.0f} backup probes for "
-            f"{assignments:.0f} assignments, {sorted_events:.0f} lazily "
-            f"sorted events (bound {bound:.0f}, {rebases:.0f} rebases)"
+            f"{assignments:.0f} assignments"
         )
         if probes != assignments:
             print(
                 f"check_fleet_scale: FAILED: {key} made {probes:.0f} backup "
                 f"probes for {assignments:.0f} assignments -- assignment "
                 f"must take one probe",
-                file=sys.stderr,
-            )
-            ok = False
-        if rebases == 0 and sorted_events > bound:
-            print(
-                f"check_fleet_scale: FAILED: {key} sorted {sorted_events:.0f} "
-                f"calendar events, over the {bound:.0f} that entered the "
-                f"ring or the ladder -- an event was sorted more than once",
                 file=sys.stderr,
             )
             ok = False

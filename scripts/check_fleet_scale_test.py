@@ -4,10 +4,9 @@
 Covers the parse/judge path end to end via subprocess: the bytes/VM budget
 and events/s floor at the 10k tier, the flat-memory and events/s growth
 checks against the 100k tier, the smoke-run case (100k absent skips both
-growth checks, never the budget), the exact count rules at every profiled
-tier (one backup probe per assignment; each calendar event sorted at most
-once unless the ring was rebased), and every malformed-input mode as a
-distinct exit 2.
+growth checks, never the budget), the exact count rule at every profiled
+tier (one backup probe per assignment), and every malformed-input mode as
+a distinct exit 2.
 """
 
 import json
@@ -31,20 +30,16 @@ def tier(num_vms, bytes_per_vm, events_per_second, invariants_ok=True):
     }
 
 
-def profile(assignments=10000, probes=10000, sorted_events=30000,
-            ring_inserts=30007, overflow_spills=133, ring_rebases=0):
+def profile(assignments=10000, probes=10000):
     """A tier profile as bench_fleet_scale writes it (trimmed)."""
     return {
         "sample_interval": 64,
         "categories": {
-            "dispatch_callback": {"count": 30000, "est_total_ns": 9e7},
+            "dispatch_callback": {"count": 10000, "est_total_ns": 9e7},
             "backup_assign": {"count": assignments, "est_total_ns": 1e6},
         },
         "counters": {
-            "overflow_spills": overflow_spills,
-            "ring_inserts": ring_inserts,
-            "lazy_sorted_events": sorted_events,
-            "ring_rebases": ring_rebases,
+            "index_inserts": 20000,
             "backup_probes": probes,
         },
     }
@@ -171,8 +166,8 @@ class GateTest(unittest.TestCase):
         doc["tiers/100000"]["profile"]["categories"] = {
             "dispatch_callback": {"est_total_ns": 9e9},
             "pool_placeable_index": {"est_total_ns": 5e9},
-            "ladder_merge": {"est_total_ns": 1e9},
-            "calendar_wrap": {"est_total_ns": 1e8},
+            "pool_capacity_index": {"est_total_ns": 1e9},
+            "pool_pending_join": {"est_total_ns": 1e8},
             "backup_assign": {"count": 100000, "est_total_ns": 1e6},
         }
         proc = run_gate(json.dumps(doc))
@@ -180,7 +175,7 @@ class GateTest(unittest.TestCase):
         self.assertIn("hotspots at 100000 VMs", proc.stdout)
         self.assertIn("dispatch_callback", proc.stdout)
         self.assertIn("pool_placeable_index", proc.stdout)
-        self.assertNotIn("calendar_wrap", proc.stdout)
+        self.assertNotIn("pool_pending_join", proc.stdout)
 
     def test_unprofiled_bench_passes_without_hotspots(self):
         proc = run_gate(json.dumps(bench_json()))
@@ -189,7 +184,7 @@ class GateTest(unittest.TestCase):
 
     def test_profiled_counts_within_the_rules_pass(self):
         doc = bench_json()
-        doc["tiers/10000"]["profile"] = profile(sorted_events=30140)
+        doc["tiers/10000"]["profile"] = profile()
         doc["tiers/100000"]["profile"] = profile(
             assignments=100000, probes=100000)
         proc = run_gate(json.dumps(doc))
@@ -207,25 +202,6 @@ class GateTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("tiers/1000 made 1001 backup probes", proc.stderr)
 
-    def test_sorting_an_event_twice_fails(self):
-        doc = bench_json()
-        doc["tiers/10000"]["profile"] = profile(sorted_events=34918)
-        proc = run_gate(json.dumps(doc))
-        self.assertEqual(proc.returncode, 1, proc.stdout)
-        self.assertIn("sorted more than once", proc.stderr)
-
-    def test_sort_rule_skipped_after_a_ring_rebase(self):
-        # A rebase re-sorts surviving buckets whole, so the bound no longer
-        # applies; the probe rule still does.
-        doc = bench_json()
-        doc["tiers/10000"]["profile"] = profile(sorted_events=34918,
-                                                ring_rebases=1)
-        proc = run_gate(json.dumps(doc))
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        doc["tiers/10000"]["profile"]["counters"]["backup_probes"] = 10001
-        proc = run_gate(json.dumps(doc))
-        self.assertEqual(proc.returncode, 1, proc.stdout)
-
     def test_null_profile_skips_the_count_rules(self):
         doc = bench_json()
         doc["tiers/10000"]["profile"] = None
@@ -234,14 +210,12 @@ class GateTest(unittest.TestCase):
         self.assertNotIn("backup probes", proc.stdout)
 
     def test_profile_missing_a_counter_is_a_parse_error(self):
-        for name in ("backup_probes", "ring_rebases", "lazy_sorted_events",
-                     "ring_inserts", "overflow_spills"):
-            doc = bench_json()
-            doc["tiers/10000"]["profile"] = profile()
-            del doc["tiers/10000"]["profile"]["counters"][name]
-            proc = run_gate(json.dumps(doc))
-            self.assertEqual(proc.returncode, 2, name)
-            self.assertIn(name, proc.stderr)
+        doc = bench_json()
+        doc["tiers/10000"]["profile"] = profile()
+        del doc["tiers/10000"]["profile"]["counters"]["backup_probes"]
+        proc = run_gate(json.dumps(doc))
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn("backup_probes", proc.stderr)
 
     def test_profile_missing_backup_assign_is_a_parse_error(self):
         doc = bench_json()

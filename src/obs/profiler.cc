@@ -12,8 +12,6 @@ std::string_view ProfileCategoryName(ProfileCategory c) {
       return "dispatch_callback";
     case ProfileCategory::kDispatchPeriodic:
       return "dispatch_periodic";
-    case ProfileCategory::kLadderMerge:
-      return "ladder_merge";
     case ProfileCategory::kCalendarWrap:
       return "calendar_wrap";
     case ProfileCategory::kLazyBucketSort:
@@ -34,18 +32,10 @@ std::string_view ProfileStatName(ProfileStat s) {
   switch (s) {
     case ProfileStat::kOverflowSpills:
       return "overflow_spills";
-    case ProfileStat::kRingInserts:
-      return "ring_inserts";
     case ProfileStat::kBucketDegrades:
       return "bucket_degrades";
     case ProfileStat::kLazySortedEvents:
       return "lazy_sorted_events";
-    case ProfileStat::kLadderMergedEvents:
-      return "ladder_merged_events";
-    case ProfileStat::kCalendarRetunes:
-      return "calendar_retunes";
-    case ProfileStat::kRingRebases:
-      return "ring_rebases";
     case ProfileStat::kIndexInserts:
       return "index_inserts";
     case ProfileStat::kIndexErases:

@@ -7,13 +7,12 @@
 // answer). EventCostProfiler closes the gap with two instruments:
 //
 //   * Timed categories: each occurrence of a category is counted exactly;
-//     a deterministic 1-in-N subset (rare maintenance episodes: every
-//     occurrence) is additionally timed with std::chrono::steady_clock.
-//     count is exact, total_ns/max_ns cover the timed subset, and
-//     est_total_ns = mean_ns * count extrapolates.
-//   * Structural counters: exact tallies of the churn suspects (overflow
-//     spills, ladder merges, bucket degrades, per-market set insert/erase
-//     traffic) that explain *why* a category got slow.
+//     a deterministic 1-in-N subset is additionally timed with
+//     std::chrono::steady_clock. count is exact, total_ns/max_ns cover the
+//     timed subset, and est_total_ns = mean_ns * count extrapolates.
+//   * Structural counters: exact tallies of the churn suspects (per-market
+//     index insert/erase traffic, backup probes) that explain *why* a
+//     category got slow.
 //
 // Contract (same as MetricsRegistry/SpanTracer):
 //   * Zero behavioral footprint: only wall-clock reads, never sim state, so
@@ -38,7 +37,7 @@ namespace spotcheck {
 
 class JsonWriter;
 
-// Where one dispatched event or queue/index maintenance episode spends its
+// Where one dispatched event or index maintenance episode spends its
 // wall-clock time. Dispatch categories partition RunOne() by the kernel's
 // own event taxonomy (callbacks carry no type info beyond this).
 enum class ProfileCategory : uint8_t {
@@ -46,40 +45,33 @@ enum class ProfileCategory : uint8_t {
   kDispatchCallback,     // scheduled callback
   kDispatchPeriodic,     // nothing records it: the kernel has no periodic
                          // events; kept because perfbench reads it
-  kLadderMerge,          // Wrap(): sort the ladder's tail, merge it in
-  kCalendarWrap,         // Wrap(): window advance + ladder drain + retune
-  kLazyBucketSort,       // FindEarliest: sort a bucket's tail, merge it in
+  kCalendarWrap,         // nothing records these two: the calendar queue
+  kLazyBucketSort,       // they timed is gone; kept because perfbench reads
+                         // them
   kPoolCapacityIndex,    // capacity index maintenance in host_pool
   kPoolPlaceableIndex,   // placeable-subindex refresh in host_pool
   kPoolPendingJoin,      // pending/joinable bookkeeping in host_pool
   kBackupAssign,         // backup-server stream placement (BackupPool)
 };
-inline constexpr size_t kNumProfileCategories = 10;
+inline constexpr size_t kNumProfileCategories = 9;
 std::string_view ProfileCategoryName(ProfileCategory c);
 
 // Exact (never sampled) structural counters: they explain why a category got
-// slow, and scripts/check_fleet_scale.py gates on the exact relations the
-// calendar queue and the backup pool promise.
+// slow, and scripts/check_fleet_scale.py gates on the exact relation the
+// backup pool promises.
 enum class ProfileStat : uint8_t {
-  kOverflowSpills = 0,   // events appended beyond the calendar window
-  kRingInserts,          // events inserted into the bucket ring
-  kBucketDegrades,       // appends giving a sorted bucket an unsorted tail
-  kLazySortedEvents,     // bucket tail events sorted on contact (once each
-                         // unless a ring rebase re-sorts a bucket whole)
-  kLadderMergedEvents,   // tail events merged into the sorted ladder
-  kCalendarRetunes,      // bucket-width changes at Wrap()
-  kRingRebases,          // RebaseRingTo flushes of live ring events
+  kOverflowSpills = 0,   // nothing records these three: the calendar queue
+  kBucketDegrades,       // they counted is gone; kept because perfbench
+  kLazySortedEvents,     // reads them
   kIndexInserts,         // per-market std::set inserts (pool indexes)
   kIndexErases,          // per-market std::set erases (pool indexes)
   kBackupProbes,         // backup servers probed: one per stream assignment
 };
-inline constexpr size_t kNumProfileStats = 10;
+inline constexpr size_t kNumProfileStats = 6;
 std::string_view ProfileStatName(ProfileStat s);
 
 struct ProfilerConfig {
-  // Frequent categories (dispatch, lazy bucket sorts, pool indexes) time 1
-  // occurrence in sample_interval; rare maintenance episodes (ladder merge,
-  // wrap) are always timed. Must be >= 1.
+  // Every category times 1 occurrence in sample_interval. Must be >= 1.
   int64_t sample_interval = 64;
   // Staggers each category's first timed occurrence deterministically so
   // co-periodic work (e.g. a tick every N events) cannot alias with the
@@ -106,12 +98,10 @@ class EventCostProfiler {
     const size_t i = static_cast<size_t>(c);
     CategoryStats& s = categories_[i];
     ++s.count;
-    if (!AlwaysTimed(c)) {
-      if (--countdown_[i] > 0) {
-        return false;
-      }
-      countdown_[i] = config_.sample_interval;
+    if (--countdown_[i] > 0) {
+      return false;
     }
+    countdown_[i] = config_.sample_interval;
     ++s.timed;
     return true;
   }
@@ -134,17 +124,6 @@ class EventCostProfiler {
     return stats_[static_cast<size_t>(s)];
   }
   int64_t sample_interval() const { return config_.sample_interval; }
-
-  // Rare maintenance episodes are always timed: they are orders of magnitude
-  // less frequent than dispatch but can each be O(ladder) long, so sampling
-  // 1-in-N would miss the spikes the profiler exists to catch. Lazy bucket
-  // sorts deliberately do NOT qualify: one fires per bucket touch (about as
-  // often as dispatch), and always-timing them costs two clock reads each --
-  // the kLazySortedEvents counter keeps their volume exact instead.
-  static constexpr bool AlwaysTimed(ProfileCategory c) {
-    return c == ProfileCategory::kLadderMerge ||
-           c == ProfileCategory::kCalendarWrap;
-  }
 
   // Accumulates another cell's profile into this one (grid roll-up):
   // counts/timed/total_ns sum, max_ns takes the max.

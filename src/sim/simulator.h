@@ -11,33 +11,21 @@
 //   - Callbacks are UniqueCallback (move-only, 32-byte inline storage), so
 //     typical simulation closures never touch the heap.
 //   - Event records are pooled: the callback lives in a reusable slot, and
-//     the queue holds only a 24-byte {time, seq, slot, index} record.
-//   - The queue is a calendar queue (Brown 1988) with an overflow ladder
-//     instead of a heap: a power-of-two ring of time buckets covers a
-//     sliding window of simulated time, so the near-future churn that
-//     dominates the workload (timers, control-loop ticks, re-arms) inserts
-//     and pops in O(1) instead of O(log n). Events beyond the window land
-//     in an overflow array that is sorted once and drained bucket-window by
-//     bucket-window as the clock advances ("wraps"). Bucket width is
-//     retuned at each wrap from the density of the upcoming overflow chunk;
-//     retuning happens only while the ring is empty, so no event ever needs
-//     remapping.
-//   - Replay streams (price traces) stay out of the calendar: each stream
-//     has at most one queued point, in a small binary heap beside it, and
-//     the stream's seek function picks the next point worth firing after
-//     each fire, so points no listener can act on are never queued (a
+//     the queue holds only a 16-byte {time, seq << 24 | slot} entry.
+//   - The callback queue is a 4-ary min-heap of those entries: a node's four
+//     children fill 64 bytes, and the heap is half as deep as a binary one.
+//     With price points out of it (below), it holds only callbacks and
+//     stays shallow: a mean depth at pop of about 12 on the paper grid.
+//     DESIGN.md section 12.2 has the trade-off against a calendar queue.
+//   - Replay streams (price traces) stay out of the callback heap: each
+//     stream has at most one queued point, in a small binary heap beside
+//     it, and the stream's seek function picks the next point worth firing
+//     after each fire, so points no listener can act on are never queued (a
 //     skipped point keeps its sequence number, so no other event moves).
-//     A pop takes the earlier of the two minima. The calendar therefore holds
-//     only callbacks, and its width policy tunes to their density.
-//   - An occupancy bitmap (one bit per bucket) lets the scan jump over
-//     empty buckets a 64-bit word at a time.
-//   - A bucket is a sorted prefix plus an unsorted tail, like the ladder:
-//     inserts append, and when the scan reaches the bucket it sorts only
-//     the tail and merges it in, so an event is sorted once however
-//     crowded its bucket (a join burst can put thousands in one).
-//   - Pop order is exactly ascending (time, seq) -- identical to the
-//     previous heap -- so results are bit-identical: the calendar layout
-//     and the stream heap affect performance only, never ordering.
+//     A pop takes the earlier of the two minima.
+//   - Pop order is exactly ascending (time, seq): seq is unique and sits
+//     above the slot in the key, so (time, key) order is (time, seq) order
+//     and results never depend on the queue's layout.
 //   - All queue storage allocates from an optional std::pmr resource, so a
 //     grid worker can hand each cell a private arena and keep allocator
 //     traffic off the process-wide malloc locks.
@@ -45,7 +33,6 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <array>
 #include <cstdint>
 #include <memory_resource>
 #include <span>
@@ -68,8 +55,8 @@ using EventCallback = UniqueCallback;
 class Simulator {
  public:
   // `metrics`, when non-null, receives the kernel's counters
-  // (sim.events_scheduled / fired, sim.calendar.wraps) and the
-  // queue depth gauge (sim.heap_depth). sim.events_scheduled counts every
+  // (sim.events_scheduled / fired) and the queue depth gauge
+  // (sim.heap_depth). sim.events_scheduled counts every
   // queued callback and every queued stream point; a stream point is
   // queued when a seek picks it, so skipped points and points the run
   // never reaches are not counted. sim.heap_depth gauges the queued
@@ -144,9 +131,8 @@ class Simulator {
   int64_t events_executed() const { return events_executed_; }
 
   // --- flight recorder (both purely observational, both nullable) ----------
-  // Attaches a sampled event-cost profiler: dispatch cost per event kind
-  // plus the calendar-queue maintenance episodes (ladder merges, wraps,
-  // lazy bucket sorts). Must outlive the simulator; null detaches.
+  // Attaches a sampled event-cost profiler: dispatch cost per event kind.
+  // Must outlive the simulator; null detaches.
   void set_profiler(EventCostProfiler* profiler) { profiler_ = profiler; }
   // Attaches a sim-time telemetry recorder, driven from the dispatch loop:
   // each interval boundary is sampled before the first event past it runs,
@@ -158,52 +144,45 @@ class Simulator {
   void set_timeseries(TimeSeriesRecorder* timeseries) {
     timeseries_ = timeseries;
   }
-  // Registers the kernel's queue-shape gauges on `ts` (depth, ring vs
-  // ladder split). The recorder must then be attached via set_timeseries to
-  // actually sample.
+  // Registers the kernel's gauges on `ts` (queue depth, events executed).
+  // The recorder must then be attached via set_timeseries to actually
+  // sample.
   void RegisterTelemetry(TimeSeriesRecorder& ts);
 
  private:
-  // Ring geometry: 4096 buckets, width 2^width_log2_ microseconds each.
-  // The window is therefore kNumBuckets * 2^width_log2_ us of simulated
-  // time starting at ring_base_abs_ * 2^width_log2_.
-  static constexpr int kNumBucketsLog2 = 12;
-  static constexpr int64_t kNumBuckets = int64_t{1} << kNumBucketsLog2;
-  static constexpr int64_t kBucketMask = kNumBuckets - 1;
-  static constexpr int kMinWidthLog2 = 10;  // 1.024 ms
-  static constexpr int kMaxWidthLog2 = 36;  // ~19 h (window then ~9 years)
-  static constexpr int kInitialWidthLog2 = 20;  // ~1.05 s (window ~72 min)
-
-  // The queue element: deliberately tiny (24 bytes) so bucket sorts and
-  // ladder moves touch cheap PODs. In the calendar `id` is the callback's
-  // slot in the slot pool; in the stream heap it is the stream's number.
+  // The queue element: 16 bytes, so a heap node's four children fill 64
+  // bytes. In the callback heap the key's low kIdBits hold the callback's
+  // slot in the slot pool; in the stream heap they hold the stream's
+  // number. seq (unique, FIFO among equal timestamps) sits above them.
+  static constexpr int kIdBits = 24;
+  static constexpr uint64_t kIdLimit = uint64_t{1} << kIdBits;
+  static constexpr uint64_t kSeqLimit = uint64_t{1} << (64 - kIdBits);
   struct QueuedEvent {
     SimTime when;
-    uint64_t seq;  // Tie-break: FIFO among equal timestamps.
-    uint32_t id;
+    uint64_t key;
+    uint64_t seq() const { return key >> kIdBits; }
+    uint32_t id() const { return static_cast<uint32_t>(key & (kIdLimit - 1)); }
   };
+  static_assert(sizeof(QueuedEvent) == 16);
+  // Packs a key; aborts with a message when `seq` or `id` overflows its
+  // field (2^40 scheduled events, or 2^24 callbacks or streams at once).
+  static uint64_t Key(uint64_t seq, uint32_t id);
   // True iff `a` must run before `b`: earlier time, FIFO among equals.
   static bool Earlier(const QueuedEvent& a, const QueuedEvent& b) {
     if (a.when != b.when) {
       return a.when < b.when;
     }
-    return a.seq < b.seq;
+    return a.key < b.key;
   }
-  // True iff `a` must run after `b`. The ladder and the buckets are sorted
-  // by it (descending, so the minimum is back()), and the stream heap is
-  // ordered by it (std heaps keep the comparator's maximum at the front).
+  // True iff `a` must run after `b`. The stream heap is ordered by it (std
+  // heaps keep the comparator's maximum at the front).
   static bool Later(const QueuedEvent& a, const QueuedEvent& b) {
     return Earlier(b, a);
   }
-  using Bucket = std::pmr::vector<QueuedEvent>;
 
-  size_t calendar_count() const { return ring_count_ + overflow_.size(); }
-  size_t queued_count() const { return calendar_count() + queued_streams_; }
-  int64_t BucketAbs(SimTime when) const {
-    return when.micros() >> width_log2_;
-  }
+  size_t queued_count() const { return heap_.size() + queued_streams_; }
 
-  // Allocates a slot (1-based index) holding `callback`.
+  // Allocates a slot holding `callback`.
   uint32_t AllocSlot(EventCallback callback);
   void PushEvent(SimTime when, uint32_t slot);
   // Seeks `stream` from point `from` and queues the result on the stream
@@ -212,19 +191,13 @@ class Simulator {
   // Counts one queued event or stream point in the metrics.
   void CountQueued();
 
-  // Calendar-queue primitives (see the .cc for the invariants).
-  void InsertEvent(const QueuedEvent& ev);
-  void OverflowAppend(const QueuedEvent& ev);
-  void RebaseRingTo(int64_t abs);
-  void Wrap();
-  // Points scan_abs_ at the bucket holding the calendar's earliest event
-  // (wrapping the window forward if the ring is empty) and returns that
-  // event, or nullptr if the calendar is empty.
-  const QueuedEvent* FindEarliest();
-  // Removes the event FindEarliest() just returned.
-  QueuedEvent PopEarliest();
+  // Callback-heap primitives: the earliest entry is heap_[0], and the
+  // children of entry i are entries 4i+1 .. 4i+4.
+  void HeapPush(const QueuedEvent& ev);
+  // Removes heap_[0].
+  void HeapPop();
 
-  // The next event to run: the earlier of the calendar's minimum and the
+  // The next event to run: the earlier of the callback heap's top and the
   // stream heap's top, or nullptr if nothing is queued. Drops heap entries
   // a reseek superseded on the way.
   const QueuedEvent* PeekNext();
@@ -244,35 +217,8 @@ class Simulator {
 
   std::pmr::memory_resource* memory_;
 
-  // --- calendar ring ---
-  std::pmr::vector<Bucket> buckets_;  // bucket for abs index a: a & kBucketMask
-  // Per-bucket length of the prefix sorted descending by (when, seq), the
-  // same shape as the ladder's overflow_sorted_n_. Inserts append to the
-  // unsorted tail; the scan sorts and merges the tail on contact, so pop
-  // is back().
-  std::vector<uint32_t> bucket_sorted_n_;
-  // Bit (index & 63) of word (index >> 6) is set iff bucket `index` is
-  // non-empty, so the scan finds the next occupied bucket by countr_zero.
-  static constexpr size_t kOccupancyWords = size_t{1} << (kNumBucketsLog2 - 6);
-  std::array<uint64_t, kOccupancyWords> occupied_{};
-  void MarkOccupied(size_t index) {
-    occupied_[index >> 6] |= uint64_t{1} << (index & 63);
-  }
-  void MarkEmpty(size_t index) {
-    occupied_[index >> 6] &= ~(uint64_t{1} << (index & 63));
-  }
-  int width_log2_ = kInitialWidthLog2;
-  int64_t ring_base_abs_ = 0;  // absolute bucket index of the window start
-  int64_t scan_abs_ = 0;       // no queued ring event lives below this bucket
-  size_t ring_count_ = 0;      // events in the ring
-
-  // --- overflow ladder ---
-  // Events beyond the window. The first overflow_sorted_n_ entries are
-  // sorted DESCENDING by (when, seq) (so the minimum is back()); the tail
-  // is unsorted appends merged in at the next Wrap().
-  std::pmr::vector<QueuedEvent> overflow_;
-  size_t overflow_sorted_n_ = 0;
-  QueuedEvent overflow_min_{};  // valid iff !overflow_.empty()
+  // The callback heap: one entry per queued callback.
+  std::pmr::vector<QueuedEvent> heap_;
 
   // One pooled callback per queued callback event, plus a free list of
   // reusable slots.
@@ -295,15 +241,14 @@ class Simulator {
   };
   std::vector<ReplayStream> streams_;
   size_t queued_streams_ = 0;  // streams with a queued point
-  // The queued point of every stream that has one, as {when, seq, stream
-  // number}, plus superseded entries not yet dropped: a binary heap
-  // ordered by Later, so the earliest is front().
+  // The queued point of every stream that has one, keyed by its seq and
+  // the stream's number, plus superseded entries not yet dropped: a binary
+  // heap ordered by Later, so the earliest is front().
   std::pmr::vector<QueuedEvent> stream_heap_;
 
   // Observability instruments; all null when built without a registry.
   MetricCounter* events_scheduled_metric_ = nullptr;
   MetricCounter* events_fired_metric_ = nullptr;
-  MetricCounter* calendar_wraps_metric_ = nullptr;
   MetricGauge* heap_depth_metric_ = nullptr;
 
   // Sampled dispatch tracing; tracer_ null when built without one. The track

@@ -68,8 +68,8 @@ TEST(EventCostProfilerTest, SamplingIsDeterministicInTheSeed) {
 }
 
 TEST(EventCostProfilerTest, DifferentCategoriesGetDifferentPhases) {
-  // The per-category stagger: with one seed, at most a few of the six
-  // sampled categories may share a first-timed index.
+  // The per-category stagger: with one seed, at most a few of the
+  // categories may share a first-timed index.
   ProfilerConfig config;
   config.sample_interval = 64;
   config.seed = 3;
@@ -77,9 +77,6 @@ TEST(EventCostProfilerTest, DifferentCategoriesGetDifferentPhases) {
   std::set<int> first_timed;
   for (size_t c = 0; c < kNumProfileCategories; ++c) {
     const auto category = static_cast<ProfileCategory>(c);
-    if (EventCostProfiler::AlwaysTimed(category)) {
-      continue;
-    }
     EventCostProfiler p(config);
     for (int i = 0; i < 64; ++i) {
       if (p.Begin(category)) {
@@ -91,29 +88,22 @@ TEST(EventCostProfilerTest, DifferentCategoriesGetDifferentPhases) {
   EXPECT_GT(first_timed.size(), 1u);
 }
 
-TEST(EventCostProfilerTest, MaintenanceCategoriesAlwaysTimed) {
-  EventCostProfiler profiler;
-  for (ProfileCategory c : {ProfileCategory::kLadderMerge,
-                            ProfileCategory::kCalendarWrap}) {
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(profiler.Begin(c));
-      profiler.End(c, 100);
-    }
-    EXPECT_EQ(profiler.stats(c).count, 10);
-    EXPECT_EQ(profiler.stats(c).timed, 10);
-    EXPECT_EQ(profiler.stats(c).total_ns, 1000u);
-  }
+// A profiler that times every occurrence.
+ProfilerConfig TimeEveryOccurrence() {
+  ProfilerConfig config;
+  config.sample_interval = 1;
+  return config;
 }
 
 TEST(EventCostProfilerTest, MaxTracksTheLargestTimedOccurrence) {
-  EventCostProfiler profiler;
-  ASSERT_TRUE(profiler.Begin(ProfileCategory::kLadderMerge));
-  profiler.End(ProfileCategory::kLadderMerge, 50);
-  ASSERT_TRUE(profiler.Begin(ProfileCategory::kLadderMerge));
-  profiler.End(ProfileCategory::kLadderMerge, 500);
-  ASSERT_TRUE(profiler.Begin(ProfileCategory::kLadderMerge));
-  profiler.End(ProfileCategory::kLadderMerge, 5);
-  EXPECT_EQ(profiler.stats(ProfileCategory::kLadderMerge).max_ns, 500u);
+  EventCostProfiler profiler(TimeEveryOccurrence());
+  ASSERT_TRUE(profiler.Begin(ProfileCategory::kBackupAssign));
+  profiler.End(ProfileCategory::kBackupAssign, 50);
+  ASSERT_TRUE(profiler.Begin(ProfileCategory::kBackupAssign));
+  profiler.End(ProfileCategory::kBackupAssign, 500);
+  ASSERT_TRUE(profiler.Begin(ProfileCategory::kBackupAssign));
+  profiler.End(ProfileCategory::kBackupAssign, 5);
+  EXPECT_EQ(profiler.stats(ProfileCategory::kBackupAssign).max_ns, 500u);
 }
 
 TEST(EventCostProfilerTest, StructuralCountersAccumulate) {
@@ -123,45 +113,45 @@ TEST(EventCostProfilerTest, StructuralCountersAccumulate) {
   profiler.Add(ProfileStat::kOverflowSpills, 7);
   EXPECT_EQ(profiler.stat(ProfileStat::kIndexInserts), 42);
   EXPECT_EQ(profiler.stat(ProfileStat::kOverflowSpills), 7);
-  EXPECT_EQ(profiler.stat(ProfileStat::kCalendarRetunes), 0);
+  EXPECT_EQ(profiler.stat(ProfileStat::kBackupProbes), 0);
 }
 
 TEST(EventCostProfilerTest, NullTolerantHelpersAreNoOps) {
   ProfileAdd(nullptr, ProfileStat::kIndexInserts, 5);
-  { ProfileScope scope(nullptr, ProfileCategory::kCalendarWrap); }
+  { ProfileScope scope(nullptr, ProfileCategory::kPoolPendingJoin); }
   // With a real profiler, the helpers hit it.
-  EventCostProfiler profiler;
+  EventCostProfiler profiler(TimeEveryOccurrence());
   ProfileAdd(&profiler, ProfileStat::kIndexErases, 3);
-  { ProfileScope scope(&profiler, ProfileCategory::kCalendarWrap); }
+  { ProfileScope scope(&profiler, ProfileCategory::kPoolPendingJoin); }
   EXPECT_EQ(profiler.stat(ProfileStat::kIndexErases), 3);
-  EXPECT_EQ(profiler.stats(ProfileCategory::kCalendarWrap).count, 1);
-  EXPECT_EQ(profiler.stats(ProfileCategory::kCalendarWrap).timed, 1);
+  EXPECT_EQ(profiler.stats(ProfileCategory::kPoolPendingJoin).count, 1);
+  EXPECT_EQ(profiler.stats(ProfileCategory::kPoolPendingJoin).timed, 1);
 }
 
 TEST(EventCostProfilerTest, MergeSumsCountsAndKeepsMaxima) {
-  EventCostProfiler a;
-  ASSERT_TRUE(a.Begin(ProfileCategory::kLadderMerge));
-  a.End(ProfileCategory::kLadderMerge, 100);
-  a.Add(ProfileStat::kRingInserts, 10);
+  EventCostProfiler a(TimeEveryOccurrence());
+  ASSERT_TRUE(a.Begin(ProfileCategory::kBackupAssign));
+  a.End(ProfileCategory::kBackupAssign, 100);
+  a.Add(ProfileStat::kIndexInserts, 10);
 
-  EventCostProfiler b;
-  ASSERT_TRUE(b.Begin(ProfileCategory::kLadderMerge));
-  b.End(ProfileCategory::kLadderMerge, 300);
-  b.Add(ProfileStat::kRingInserts, 5);
+  EventCostProfiler b(TimeEveryOccurrence());
+  ASSERT_TRUE(b.Begin(ProfileCategory::kBackupAssign));
+  b.End(ProfileCategory::kBackupAssign, 300);
+  b.Add(ProfileStat::kIndexInserts, 5);
 
   a.MergeFrom(b);
-  EXPECT_EQ(a.stats(ProfileCategory::kLadderMerge).count, 2);
-  EXPECT_EQ(a.stats(ProfileCategory::kLadderMerge).timed, 2);
-  EXPECT_EQ(a.stats(ProfileCategory::kLadderMerge).total_ns, 400u);
-  EXPECT_EQ(a.stats(ProfileCategory::kLadderMerge).max_ns, 300u);
-  EXPECT_EQ(a.stat(ProfileStat::kRingInserts), 15);
+  EXPECT_EQ(a.stats(ProfileCategory::kBackupAssign).count, 2);
+  EXPECT_EQ(a.stats(ProfileCategory::kBackupAssign).timed, 2);
+  EXPECT_EQ(a.stats(ProfileCategory::kBackupAssign).total_ns, 400u);
+  EXPECT_EQ(a.stats(ProfileCategory::kBackupAssign).max_ns, 300u);
+  EXPECT_EQ(a.stat(ProfileStat::kIndexInserts), 15);
 }
 
 TEST(EventCostProfilerTest, JsonListsEveryCategoryAndCounter) {
-  EventCostProfiler profiler;
-  ASSERT_TRUE(profiler.Begin(ProfileCategory::kCalendarWrap));
-  profiler.End(ProfileCategory::kCalendarWrap, 250);
-  profiler.Add(ProfileStat::kCalendarRetunes, 2);
+  EventCostProfiler profiler(TimeEveryOccurrence());
+  ASSERT_TRUE(profiler.Begin(ProfileCategory::kPoolPendingJoin));
+  profiler.End(ProfileCategory::kPoolPendingJoin, 250);
+  profiler.Add(ProfileStat::kBackupProbes, 2);
 
   JsonWriter json;
   profiler.WriteJson(json);
@@ -171,17 +161,17 @@ TEST(EventCostProfilerTest, JsonListsEveryCategoryAndCounter) {
   const JsonValue* categories = doc.Find("categories");
   ASSERT_NE(categories, nullptr);
   EXPECT_EQ(categories->object.size(), kNumProfileCategories);
-  const JsonValue* wrap = categories->Find("calendar_wrap");
-  ASSERT_NE(wrap, nullptr);
-  EXPECT_DOUBLE_EQ(wrap->Find("count")->number, 1.0);
-  EXPECT_DOUBLE_EQ(wrap->Find("total_ns")->number, 250.0);
-  EXPECT_DOUBLE_EQ(wrap->Find("mean_ns")->number, 250.0);
-  EXPECT_DOUBLE_EQ(wrap->Find("est_total_ns")->number, 250.0);
+  const JsonValue* join = categories->Find("pool_pending_join");
+  ASSERT_NE(join, nullptr);
+  EXPECT_DOUBLE_EQ(join->Find("count")->number, 1.0);
+  EXPECT_DOUBLE_EQ(join->Find("total_ns")->number, 250.0);
+  EXPECT_DOUBLE_EQ(join->Find("mean_ns")->number, 250.0);
+  EXPECT_DOUBLE_EQ(join->Find("est_total_ns")->number, 250.0);
 
   const JsonValue* counters = doc.Find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->object.size(), kNumProfileStats);
-  EXPECT_DOUBLE_EQ(counters->Find("calendar_retunes")->number, 2.0);
+  EXPECT_DOUBLE_EQ(counters->Find("backup_probes")->number, 2.0);
   // Untouched entries are present with zeros (stable schema).
   EXPECT_DOUBLE_EQ(counters->Find("overflow_spills")->number, 0.0);
 }

@@ -1,14 +1,17 @@
-// Stress tests for the calendar-queue event core (src/sim/simulator.cc).
+// Stress tests for the event queue (src/sim/simulator.cc).
 //
-// The queue replaced a binary heap and must preserve its observable
-// contract exactly: pop order is ascending (time, seq) with FIFO among
-// equal timestamps, every queued event fires exactly once, and none of this
-// may depend on how events are distributed across ring buckets, the
-// overflow ladder, or bucket-width retunes. The main test drives the
-// Simulator and a std::priority_queue reference model through one
-// deterministic script of interleaved schedule / attach / RunUntil / Step
-// operations -- including callback-driven scheduling, which inserts at the
-// scan point mid-drain, and replay streams, which the kernel queues one
+// The queue must keep its observable contract exactly: pop order is
+// ascending (time, seq) with FIFO among equal timestamps, every queued
+// event fires exactly once, and none of this may depend on where an event
+// sits in the 4-ary callback heap or on the replay streams beside it. The
+// suite and case names date from the calendar queue the heap replaced; the
+// scripts still cross the shapes that queue found hard (far-future
+// cohorts, crowded instants, clock rollback) and stay as heap tests.
+//
+// The main test drives the Simulator and a std::priority_queue reference
+// model through one deterministic script of interleaved schedule / attach /
+// RunUntil / Step operations -- including callback-driven scheduling,
+// which inserts mid-drain, and replay streams, which the kernel queues one
 // point at a time but the model schedules whole at attach -- and requires
 // identical fire sequences. The streams seek: each has a quiet band of
 // point prices whose fire is a no-op, which callbacks and stream fires
@@ -25,17 +28,17 @@
 #include <map>
 #include <queue>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/obs/profiler.h"
 #include "src/sim/simulator.h"
 
 namespace spotcheck {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference model: the old heap's semantics in ~40 lines.
+// Reference model: the queue's contract on a std::priority_queue.
 // ---------------------------------------------------------------------------
 
 struct RefEvent {
@@ -129,8 +132,8 @@ class ReferenceScheduler {
 // identical decisions without sharing state.
 bool SpawnsChild(int id) { return id % 5 == 0; }
 int64_t ChildOffsetUs(int id) {
-  // Mix of immediate (same-timestamp FIFO at the scan point), near
-  // (in-bucket / next-bucket), and far (overflow ladder) children.
+  // Mix of immediate (same-timestamp FIFO behind the running event), near
+  // (tens of milliseconds) and far (days out) children.
   switch (id % 3) {
     case 0:
       return 0;
@@ -148,7 +151,7 @@ bool AttachesStream(int id) { return id % 211 == 0; }
 // A replay stream's time column. It starts up to two hours before
 // `now_us`, so attach skips a prefix, and always holds a point exactly at
 // `now_us`, which attach must keep. Gaps are drawn from zero (equal times
-// within the trace) to ten days (far beyond the ring window). A pure
+// within the trace) to ten days. A pure
 // function of its arguments, so both sides build the same column.
 std::vector<int64_t> StreamTimes(uint64_t key, int64_t now_us) {
   std::mt19937_64 rng(key);
@@ -446,8 +449,8 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
     }
 
     // Schedule a batch: coarse 1-second quanta force heavy timestamp
-    // collisions (FIFO pressure); the occasional huge offset lands in the
-    // overflow ladder and forces wraps + bucket-width retunes later.
+    // collisions (FIFO pressure); the occasional huge offset parks an
+    // event deep in the heap for many rounds.
     const int batch = 50 + static_cast<int>(rng() % 200);
     for (int i = 0; i < batch; ++i) {
       int64_t offset_us;
@@ -457,7 +460,7 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
       } else if (shape < 8) {
         offset_us = static_cast<int64_t>(rng() % 7'200'000'000);  // <= 2 h
       } else {
-        // Up to ~60 days out: far beyond any ring window.
+        // Up to ~60 days out.
         offset_us = static_cast<int64_t>(rng() % 5'184'000'000'000);
       }
       const int id = sim_next_id++;
@@ -486,7 +489,7 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
     }
 
     // Advance both clocks by the same step. Occasionally jump far ahead so
-    // the drain crosses many empty buckets and window wraps.
+    // one drain pops a long run of events.
     const int64_t advance_us =
         rng() % 20 == 0
             ? static_cast<int64_t>(rng() % 864'000'000'000)  // <= 10 days
@@ -511,21 +514,20 @@ TEST(CalendarQueueStressTest, MatchesPriorityQueueReferenceModel) {
   EXPECT_GT(emptiers_after, 0);
 }
 
-// Equal timestamps must fire in schedule order even when the shared
-// timestamp crosses calendar structures: some of these events are
-// scheduled while the time is far outside the ring window (overflow
-// ladder), the rest after the window has wrapped forward over it (ring
-// bucket). The ladder-before-ring pop rule must not reorder them.
+// Equal timestamps must fire in schedule order however far apart they
+// were scheduled: half of this cohort is queued 30 days ahead, the rest
+// one second before its time, by an event that has sifted through the
+// heap past the first half.
 TEST(CalendarQueueStressTest, FifoPreservedAcrossOverflowAndRing) {
   Simulator sim;
   std::vector<int> order;
   const SimTime shared = SimTime::FromMicros(int64_t{30} * 86'400'000'000);
   for (int i = 0; i < 64; ++i) {
-    // 30 days out: far beyond the initial ~72-minute window -> overflow.
+    // 30 days out.
     sim.ScheduleAt(shared, [&order, i] { order.push_back(i); });
   }
-  // A nearer event whose execution drags the window toward `shared`, then
-  // schedules the second half of the cohort from close range.
+  // A nearer event schedules the second half of the cohort from close
+  // range.
   sim.ScheduleAt(shared - SimDuration::Seconds(1), [&] {
     for (int i = 64; i < 128; ++i) {
       sim.ScheduleAt(shared, [&order, i] { order.push_back(i); });
@@ -539,13 +541,71 @@ TEST(CalendarQueueStressTest, FifoPreservedAcrossOverflowAndRing) {
 }
 
 // ---------------------------------------------------------------------------
-// Crowded buckets and window rebases.
+// Heap depths.
 // ---------------------------------------------------------------------------
 
-// A cohort of 64 events spread over 30 days from `t0` makes the first
-// Wrap() tune buckets to 2^30 us (~17.9 min) wide. Every `t0` below is a
-// multiple of 2^30 us, so [t0, t0 + 60 s) sits inside one bucket for any
-// width of a minute or more.
+// A 4-ary heap fills a level at 1, 5, 21, 85 ... entries. Each depth below
+// is held through `depth` pops and then drained: the root alone, the
+// root's children filling (2-5), the third level with one node's children
+// partly filled (16), then full (17), then the level complete (21), and a
+// ten-level heap (100,001). Events fall due at two timestamps, so each
+// timestamp holds a FIFO cohort, and an event due now sifts up past
+// earlier-scheduled ones due a second later. Every pop moves the last
+// entry to the root and sifts it down.
+TEST(EventQueueStressTest, HeapDepthSweepMatchesReferenceModel) {
+  // Event `id` falls due 0 or 1 s after it is scheduled.
+  const auto delay_us = [](int id) {
+    return static_cast<int64_t>(Mix(static_cast<uint64_t>(id)) % 2) *
+           1'000'000;
+  };
+  for (const int depth : {1, 2, 3, 4, 5, 16, 17, 21, 100'001}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    Simulator sim;
+    ReferenceScheduler ref;
+    std::vector<int> sim_fired;
+    // Each of the first `depth` fires schedules one more event, so the
+    // heap holds `depth` entries through `depth` pops.
+    int sim_next_id = depth;
+    int ref_next_id = depth;
+    std::function<void(int)> sim_fire = [&](int id) {
+      sim_fired.push_back(id);
+      if (sim_next_id < 2 * depth) {
+        const int child = sim_next_id++;
+        sim.ScheduleAt(sim.Now() + SimDuration::Micros(delay_us(child)),
+                       [&sim_fire, child] { sim_fire(child); });
+      }
+    };
+    const std::function<void(int)> ref_fire = [&](int) {
+      if (ref_next_id < 2 * depth) {
+        const int child = ref_next_id++;
+        ref.Schedule(ref.now_us() + delay_us(child), child);
+      }
+    };
+    for (int id = 0; id < depth; ++id) {
+      sim.ScheduleAt(SimTime::FromMicros(delay_us(id)),
+                     [&sim_fire, id] { sim_fire(id); });
+      ref.Schedule(delay_us(id), id);
+    }
+    ASSERT_EQ(sim.pending_events(), static_cast<size_t>(depth));
+
+    sim.Run();
+    ref.RunUntil(INT64_MAX / 2, ref_fire);
+    ASSERT_EQ(sim_fired.size(), static_cast<size_t>(2 * depth));
+    ASSERT_EQ(ref.fired().size(), sim_fired.size());
+    const auto diverged =
+        std::mismatch(sim_fired.begin(), sim_fired.end(), ref.fired().begin());
+    EXPECT_TRUE(diverged.first == sim_fired.end())
+        << "first divergence at pop " << (diverged.first - sim_fired.begin());
+    EXPECT_TRUE(sim.empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Crowded instants and clock rollback.
+// ---------------------------------------------------------------------------
+
+// A cohort of 64 events spread over 30 days from `t0`. Every `t0` below is
+// a multiple of 2^30 us (~17.9 min), the unit the scripts are laid out in.
 constexpr int kCohort = 64;
 constexpr int64_t kCohortSpacingUs = int64_t{30} * 86'400'000'000 / kCohort;
 constexpr int64_t kBucketUs = int64_t{1} << 30;
@@ -557,11 +617,9 @@ int64_t ScatterUs(int id) {
   return static_cast<int64_t>((mixed >> 32) % 6'000) * 10'000;
 }
 
-// Thousands of events share the active bucket while fired callbacks keep
-// scheduling children deep inside it (not at its back). Fire order must
-// match the reference, and each event must be sorted at most once: inserts
-// append to the bucket's unsorted tail, which is merged on contact instead
-// of re-sorting the whole bucket.
+// Thousands of events share one minute while fired callbacks keep
+// scheduling children between now and its end, so most inserts land
+// before events already queued. Fire order must match the reference.
 TEST(CalendarQueueStressTest, CrowdedBucketSortsEachEventOnce) {
   const int64_t t0 = 81 * kBucketUs;  // ~1 day
   constexpr int64_t kCrowdUs = 60'000'000;
@@ -584,9 +642,7 @@ TEST(CalendarQueueStressTest, CrowdedBucketSortsEachEventOnce) {
     }
   };
 
-  EventCostProfiler profiler;
   Simulator sim;
-  sim.set_profiler(&profiler);
   ReferenceScheduler ref;
   std::vector<int> sim_fired;
   int sim_next_id = kCohort;
@@ -615,22 +671,16 @@ TEST(CalendarQueueStressTest, CrowdedBucketSortsEachEventOnce) {
   ASSERT_EQ(sim_next_id, ref_next_id);
   ASSERT_GT(sim_next_id, kCohort + kCrowd + 2'000);
   EXPECT_EQ(sim_fired, ref.fired());
-  EXPECT_EQ(profiler.stat(ProfileStat::kRingRebases), 0);
-  EXPECT_LE(profiler.stat(ProfileStat::kLazySortedEvents),
-            profiler.stat(ProfileStat::kRingInserts) +
-                profiler.stat(ProfileStat::kOverflowSpills));
 }
 
-// The rebase scenario shared by the two tests below:
-//   1. the cohort plus five out-of-order events in the bucket at `t0`;
-//   2. RunUntil(12 h) wraps the window forward to `t0` and sorts that
-//      bucket on contact (its whole content becomes the sorted prefix);
-//   3. three more events append to it as an unsorted tail (one degrade);
-//   4. an event at 12 h + 1 min falls below the window, so RebaseRingTo
-//      slides the window back to it.
+// The rollback scenario shared by the two tests below:
+//   1. the cohort plus five out-of-order events in the minute after `t0`;
+//   2. RunUntil(12 h) peeks at `t0`, past its deadline, and leaves the
+//      clock at 12 h, before everything queued;
+//   3. three more events land among the five;
+//   4. an event at 12 h + 1 min lands before all of them.
 // Returns after step 4 with both sides at the same clock.
 struct RebaseTwin {
-  EventCostProfiler profiler;  // outlives `sim`, which points at it
   Simulator sim;
   ReferenceScheduler ref;
   std::vector<int> sim_fired;
@@ -644,7 +694,6 @@ struct RebaseTwin {
   }
 
   void SetUpRebase(int64_t t0) {
-    sim.set_profiler(&profiler);
     for (int i = 1; i < kCohort; ++i) {
       Schedule(t0 + i * kCohortSpacingUs);
     }
@@ -655,14 +704,10 @@ struct RebaseTwin {
     sim.RunUntil(SimTime::FromMicros(deadline_us));
     ref.RunUntil(deadline_us, [](int) {});
     ASSERT_TRUE(sim_fired.empty());
-    ASSERT_EQ(profiler.stat(ProfileStat::kBucketDegrades), 0);
     for (const int64_t s : {45, 5, 25}) {
       Schedule(t0 + s * 1'000'000);
     }
-    ASSERT_EQ(profiler.stat(ProfileStat::kBucketDegrades), 1);
-    ASSERT_EQ(profiler.stat(ProfileStat::kRingRebases), 0);
     Schedule(deadline_us + 60'000'000);
-    ASSERT_EQ(profiler.stat(ProfileStat::kRingRebases), 1);
   }
 
   void DrainAndCompare() {
@@ -674,23 +719,22 @@ struct RebaseTwin {
   }
 };
 
-// The rebase keeps the bucket with a sorted prefix and an unsorted tail in
-// the ring; its events must still fire in (time, seq) order.
+// Events queued before and after the rollback share the minute after
+// `t0`; they must still fire in (time, seq) order.
 TEST(CalendarQueueStressTest, RebaseKeepsSortedPrefixAndTailInOrder) {
   RebaseTwin twin;
-  // ~1 day: stays inside the new window.
+  // ~1 day.
   ASSERT_NO_FATAL_FAILURE(twin.SetUpRebase(81 * kBucketUs));
   twin.DrainAndCompare();
 }
 
-// The rebase moves that bucket's events to the ladder, and later inserts
-// refill the same bucket slot (one window width earlier) out of order. The
-// slot must not keep the old bucket's sorted-prefix length.
+// After the rollback, later inserts land out of order about 51 days before
+// the minute after `t0` (~100 days out), between the rollback event and
+// the cohort.
 TEST(CalendarQueueStressTest, RebaseEvictedBucketSortsItsRefill) {
-  const int64_t t0 = 8'047 * kBucketUs;  // ~100 days: beyond the new window
+  const int64_t t0 = 8'047 * kBucketUs;  // ~100 days
   RebaseTwin twin;
   ASSERT_NO_FATAL_FAILURE(twin.SetUpRebase(t0));
-  // 4096 buckets of 2^30 us: the slot that held `t0`'s bucket.
   const int64_t refill = t0 - 4'096 * kBucketUs;
   for (const int64_t s : {30, 10, 50, 20, 40, 0}) {
     twin.Schedule(refill + s * 1'000'000);

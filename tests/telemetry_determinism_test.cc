@@ -22,6 +22,7 @@
 
 #include "src/core/evaluation.h"
 #include "src/core/parallel_evaluation.h"
+#include "src/obs/metrics.h"
 #include "src/policy/policy_spec.h"
 
 namespace spotcheck {
@@ -113,9 +114,13 @@ TEST(TelemetryDeterminismTest, RecorderAttachesAndSamples) {
       result.profile->stats(ProfileCategory::kDispatchCallback).count +
       result.profile->stats(ProfileCategory::kDispatchPeriodic).count;
   EXPECT_GT(dispatched, 0);
-  EXPECT_GT(result.profile->stat(ProfileStat::kRingInserts), 0);
 
   ASSERT_NE(result.report, nullptr);
+  ASSERT_NE(result.report->metrics, nullptr);
+  const MetricCounter* fired =
+      result.report->metrics->FindCounter("sim.events_fired");
+  ASSERT_NE(fired, nullptr);
+  EXPECT_EQ(dispatched, fired->value());
   EXPECT_EQ(result.report->profile, result.profile);
   EXPECT_EQ(result.report->timeseries, result.timeseries);
 }
