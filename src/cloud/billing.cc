@@ -1,6 +1,6 @@
 #include "src/cloud/billing.h"
 
-#include "src/market/price_trace.h"
+#include <array>
 
 namespace spotcheck {
 
@@ -17,8 +17,30 @@ void BillingMeter::Stop(InstanceId id, SimTime now) {
   if (it == open_.end()) {
     return;
   }
-  closed_cost_ += StreamCost(it->second, now);
+  const Stream& stream = it->second;
+  const double hours = (now - stream.started).hours();
+  if (hours > 0.0 && stream.trace != nullptr) {
+    queued_.push_back({hours, true});
+    queued_windows_.push_back({stream.trace, stream.started, now});
+  } else {
+    queued_.push_back({StreamCost(stream, now), false});
+  }
   open_.erase(it);
+  if (queued_.size() == kQueueCapacity) {
+    closed_cost_ = AddQueued(closed_cost_);
+    queued_.clear();
+    queued_windows_.clear();
+  }
+}
+
+double BillingMeter::AddQueued(double total) const {
+  std::array<double, kQueueCapacity> means{};
+  PriceTrace::MeanPrices(queued_windows_, means);
+  const double* mean = means.data();
+  for (const Charge& charge : queued_) {
+    total += charge.metered ? *mean++ * charge.amount : charge.amount;
+  }
+  return total;
 }
 
 double BillingMeter::StreamCost(const Stream& stream, SimTime until) const {
@@ -41,7 +63,7 @@ double BillingMeter::AccruedCost(InstanceId id, SimTime now) const {
 }
 
 double BillingMeter::TotalCost(SimTime now) const {
-  double total = closed_cost_;
+  double total = AddQueued(closed_cost_);
   for (const auto& [id, stream] : open_) {
     total += StreamCost(stream, now);
   }

@@ -59,7 +59,6 @@ InstanceId NativeCloud::RequestSpotInstance(MarketKey market, double bid) {
   instance.market = market;
   instance.mode = BillingMode::kSpot;
   instance.bid = bid;
-  instance.requested_at = sim_->Now();
   MetricInc(launch_requests_metric_);
   MarketFor(market);  // Materialize the market (and its replay) now.
   const SimDuration delay = OperationDelay(CloudOperation::kStartSpotInstance);
@@ -77,7 +76,6 @@ InstanceId NativeCloud::RequestOnDemandInstance(MarketKey market) {
   instance.id = id;
   instance.market = market;
   instance.mode = BillingMode::kOnDemand;
-  instance.requested_at = sim_->Now();
   MetricInc(launch_requests_metric_);
   const bool out_of_capacity =
       rng_.Bernoulli(config_.on_demand_unavailable_probability);
@@ -98,7 +96,6 @@ InstanceId NativeCloud::RequestOnDemandInstance(MarketKey market) {
 
 void NativeCloud::FailLaunch(Instance& instance) {
   instance.state = InstanceState::kTerminated;
-  instance.terminated_at = sim_->Now();
   MetricInc(launch_failures_metric_);
   if (launch_handler_) {
     launch_handler_(instance.id, false);
@@ -139,7 +136,6 @@ void NativeCloud::OnInstanceStarted(InstanceId id) {
     billing_.StartFixed(id, sim_->Now(), market.on_demand_price());
   }
   instance.state = InstanceState::kRunning;
-  instance.running_since = sim_->Now();
   ++launches_;
   MetricInc(launches_metric_);
   if (launch_handler_) {
@@ -235,7 +231,6 @@ void NativeCloud::ForceTerminate(InstanceId id) {
     return;  // Customer already terminated it during the warning period.
   }
   instance.state = InstanceState::kTerminated;
-  instance.terminated_at = sim_->Now();
   billing_.Stop(id, sim_->Now());
   MetricInc(terminations_metric_);
 }
@@ -271,7 +266,6 @@ void NativeCloud::FailZoneInstances(AvailabilityZone zone) {
 void NativeCloud::FailInstance(Instance& instance) {
   const InstanceId id = instance.id;
   instance.state = InstanceState::kTerminated;
-  instance.terminated_at = sim_->Now();
   billing_.Stop(id, sim_->Now());
   ++instance_failures_;
   MetricInc(instance_failures_metric_);
@@ -298,18 +292,14 @@ void NativeCloud::TerminateInstance(InstanceId id) {
   if (found == nullptr || found->state == InstanceState::kTerminated) {
     return;
   }
-  Instance& instance = *found;
-  // Billing stops at the customer's terminate call; the instance object
-  // lingers through the terminate-operation latency, matching how EC2
-  // reports "shutting-down" instances.
+  // Billing stops at the customer's terminate call. The operation's
+  // latency is still drawn: it feeds the latency stream, the histogram and
+  // the span.
   billing_.Stop(id, sim_->Now());
-  instance.state = InstanceState::kTerminated;
+  found->state = InstanceState::kTerminated;
   MetricInc(terminations_metric_);
   const SimDuration delay = OperationDelay(CloudOperation::kTerminateInstance);
   TraceOp("cloud.terminate", id, delay);
-  sim_->ScheduleAfter(delay, [this, id]() {
-    instances_.At(id).terminated_at = sim_->Now();
-  });
 }
 
 const Instance* NativeCloud::GetInstance(InstanceId id) const {

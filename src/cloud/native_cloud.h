@@ -47,9 +47,6 @@ struct Instance {
   BillingMode mode = BillingMode::kSpot;
   double bid = 0.0;  // $/hr; meaningful for spot only
   InstanceState state = InstanceState::kPending;
-  SimTime requested_at;
-  SimTime running_since;
-  SimTime terminated_at;
 };
 
 struct NativeCloudConfig {
@@ -98,8 +95,10 @@ class NativeCloud {
   // Both report the launch's outcome to the launch handler.
   InstanceId RequestSpotInstance(MarketKey market, double bid);
   InstanceId RequestOnDemandInstance(MarketKey market);
-  // Graceful, customer-initiated termination. Billing stops immediately;
-  // the instance disappears after the terminate-operation latency.
+  // Graceful, customer-initiated termination. Billing stops and the
+  // instance reads kTerminated at once; the terminate operation's latency
+  // is drawn and recorded (cloud.op_latency_s, a cloud.terminate span), but
+  // nothing waits for it. Instances are never erased.
   void TerminateInstance(InstanceId id);
 
   const Instance* GetInstance(InstanceId id) const;

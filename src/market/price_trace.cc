@@ -17,6 +17,44 @@ bool ParseFinite(const std::string& field, double* out) {
   return ec == std::errc() && ptr == end && std::isfinite(*out);
 }
 
+// Windows whose whole segments MeanPrices adds at once.
+constexpr size_t kLanes = 8;
+
+// sum[l] += from[l][s] for s = 0 .. steps - 1 in order, for each of the
+// eight lanes: eight independent add chains. Named locals keep the chains
+// in registers at every optimization level.
+void AddLanes(const double* const* from, size_t steps, double* sum) {
+  static_assert(kLanes == 8);
+  const double* p0 = from[0];
+  const double* p1 = from[1];
+  const double* p2 = from[2];
+  const double* p3 = from[3];
+  const double* p4 = from[4];
+  const double* p5 = from[5];
+  const double* p6 = from[6];
+  const double* p7 = from[7];
+  double s0 = sum[0], s1 = sum[1], s2 = sum[2], s3 = sum[3];
+  double s4 = sum[4], s5 = sum[5], s6 = sum[6], s7 = sum[7];
+  for (size_t s = 0; s < steps; ++s) {
+    s0 += p0[s];
+    s1 += p1[s];
+    s2 += p2[s];
+    s3 += p3[s];
+    s4 += p4[s];
+    s5 += p5[s];
+    s6 += p6[s];
+    s7 += p7[s];
+  }
+  sum[0] = s0;
+  sum[1] = s1;
+  sum[2] = s2;
+  sum[3] = s3;
+  sum[4] = s4;
+  sum[5] = s5;
+  sum[6] = s6;
+  sum[7] = s7;
+}
+
 }  // namespace
 
 PriceTrace::PriceTrace(std::vector<PricePoint> points) {
@@ -98,46 +136,158 @@ void PriceTrace::Append(SimTime t, double price) {
   }
   times_us_.push_back(t.micros());
   prices_.push_back(price);
+  if (levels_.empty()) {
+    levels_.emplace_back();
+  }
+  Summary& blocks = levels_[0];
   const size_t block = index >> kBlockLog2;
-  if (block == block_min_.size()) {
-    block_min_.push_back(price);
-    block_max_.push_back(price);
+  if (block == blocks.min.size()) {
+    blocks.min.push_back(price);
+    blocks.max.push_back(price);
   } else {
-    block_min_[block] = std::min(block_min_[block], price);
-    block_max_[block] = std::max(block_max_[block], price);
+    blocks.min[block] = std::min(blocks.min[block], price);
+    blocks.max[block] = std::max(blocks.max[block], price);
+  }
+  if (((index + 1) & (kBlockSize - 1)) != 0) {
+    return;
+  }
+  // The block is complete. Each level whose next node it completes gains
+  // that node; `done` counts the complete nodes one level down.
+  for (size_t level = 1, done = block + 1; done % kFanout == 0;
+       ++level, done /= kFanout) {
+    if (level == levels_.size()) {
+      levels_.emplace_back();
+    }
+    const Summary& below = levels_[level - 1];
+    double lo = below.min[done - kFanout];
+    double hi = below.max[done - kFanout];
+    for (size_t k = done - kFanout + 1; k < done; ++k) {
+      lo = std::min(lo, below.min[k]);
+      hi = std::max(hi, below.max[k]);
+    }
+    levels_[level].min.push_back(lo);
+    levels_[level].max.push_back(hi);
   }
 }
 
 double PriceTrace::MeanPrice(SimTime from, SimTime to) const {
-  if (empty() || to <= from) {
-    return 0.0;
-  }
-  const size_t n = times_us_.size();
-  const int64_t* times = times_us_.data();
-  const double* prices = prices_.data();
-  const double* costs = segment_cost_.data();
-  const int64_t from_us = from.micros();
-  const int64_t to_us = to.micros();
-  // i: first change point after `from`; j: the point governing `from`.
-  const size_t i = UpperBound(from_us);
-  const size_t j = i == 0 ? 0 : i - 1;
-  // The same terms, in the same order, as a walk over every segment: the
+  const MeanPriceQuery query{this, from, to};
+  double mean = 0.0;
+  MeanPrices({&query, 1}, {&mean, 1});
+  return mean;
+}
+
+void PriceTrace::MeanPrices(std::span<const MeanPriceQuery> queries,
+                            std::span<double> out) {
+  // Each window's terms, in the order of a walk over every segment: the
   // partial first segment, the whole segments (precomputed), the partial
-  // last one. The sum starts from 0.0 as the walk's did, so even a -0.0
-  // first term rounds the same way.
-  double weighted = 0.0;
-  if (i == n || times[i] >= to_us) {
-    weighted += prices[j] * SimDuration::Micros(to_us - from_us).seconds();
-    return weighted / (to - from).seconds();
+  // last one, summed from 0.0 as the walk's sum was, so even a -0.0 first
+  // term rounds the same way. A window with whole segments takes a lane;
+  // the lanes add their next entries in lockstep, so kLanes add chains are
+  // in flight at once.
+  const double* next_cost[kLanes] = {};  // the lane's next entry to add
+  size_t left[kLanes] = {};              // whole-segment entries still to add
+  double sum[kLanes] = {};
+  double tail[kLanes] = {};  // the partial last segment's term
+  size_t slot[kLanes] = {};  // the lane's query
+  size_t lanes = 0;          // busy lanes, packed at the front
+  size_t next = 0;           // the next query to start
+  // Starts queries until one needs a lane (true) or none is left; the
+  // others finish here.
+  const auto start = [&](size_t lane) {
+    while (next < queries.size()) {
+      const size_t q = next++;
+      const PriceTrace& trace = *queries[q].trace;
+      const SimTime from = queries[q].from;
+      const SimTime to = queries[q].to;
+      if (trace.empty() || to <= from) {
+        out[q] = 0.0;
+        continue;
+      }
+      const int64_t* times = trace.times_us_.data();
+      const double* prices = trace.prices_.data();
+      const size_t n = trace.times_us_.size();
+      const int64_t from_us = from.micros();
+      const int64_t to_us = to.micros();
+      // i: first change point after `from`; j: the point governing `from`.
+      const size_t i = trace.UpperBound(from_us);
+      const size_t j = i == 0 ? 0 : i - 1;
+      double weighted = 0.0;
+      if (i == n || times[i] >= to_us) {
+        weighted += prices[j] * SimDuration::Micros(to_us - from_us).seconds();
+        out[q] = weighted / (to - from).seconds();
+        continue;
+      }
+      weighted += prices[j] * SimDuration::Micros(times[i] - from_us).seconds();
+      // The last point before `to` governs the partial last segment.
+      const size_t last = static_cast<size_t>(
+          std::lower_bound(times + i, times + n, to_us) - times) - 1;
+      const double last_term =
+          prices[last] * SimDuration::Micros(to_us - times[last]).seconds();
+      if (last == i) {
+        weighted += last_term;
+        out[q] = weighted / (to - from).seconds();
+        continue;
+      }
+      next_cost[lane] = trace.segment_cost_.data() + i;
+      left[lane] = last - i;
+      sum[lane] = weighted;
+      tail[lane] = last_term;
+      slot[lane] = q;
+      return true;
+    }
+    return false;
+  };
+  while (lanes < kLanes && start(lanes)) {
+    ++lanes;
   }
-  weighted += prices[j] * SimDuration::Micros(times[i] - from_us).seconds();
-  size_t k = i;  // governing point of the segment being added
-  while (k + 1 < n && times[k + 1] < to_us) {
-    weighted += costs[k];
-    ++k;
+  while (lanes > 0) {
+    size_t steps = left[0];
+    for (size_t l = 1; l < lanes; ++l) {
+      steps = std::min(steps, left[l]);
+    }
+    if (lanes == 1) {
+      // A lone window (a batch of one, or a batch's last) adds on one
+      // chain.
+      double lone = sum[0];
+      for (size_t s = 0; s < steps; ++s) {
+        lone += next_cost[0][s];
+      }
+      sum[0] = lone;
+    } else {
+      // Idle lanes shadow lane 0, so every lane reads valid entries; their
+      // sums are never read.
+      for (size_t l = lanes; l < kLanes; ++l) {
+        next_cost[l] = next_cost[0];
+      }
+      AddLanes(next_cost, steps, sum);
+    }
+    for (size_t l = 0; l < lanes; ++l) {
+      next_cost[l] += steps;
+      left[l] -= steps;
+    }
+    // Finish the lanes that are done; the next query takes each one's
+    // place, or the last busy lane moves into it.
+    for (size_t l = 0; l < lanes;) {
+      if (left[l] > 0) {
+        ++l;
+        continue;
+      }
+      const MeanPriceQuery& query = queries[slot[l]];
+      sum[l] += tail[l];
+      out[slot[l]] = sum[l] / (query.to - query.from).seconds();
+      if (start(l)) {
+        ++l;
+        continue;
+      }
+      --lanes;
+      next_cost[l] = next_cost[lanes];
+      left[l] = left[lanes];
+      sum[l] = sum[lanes];
+      tail[l] = tail[lanes];
+      slot[l] = slot[lanes];
+    }
   }
-  weighted += prices[k] * SimDuration::Micros(to_us - times[k]).seconds();
-  return weighted / (to - from).seconds();
 }
 
 double PriceTrace::FractionAtOrBelow(double bid, SimTime from, SimTime to) const {
@@ -152,6 +302,7 @@ double PriceTrace::FractionAtOrBelow(double bid, SimTime from, SimTime to) const
   size_t j = i == 0 ? 0 : i - 1;
   int64_t cursor_us = from.micros();
   double covered = 0.0;
+  const double* block_min = levels_[0].min.data();
   while (cursor_us < to_us) {
     // Block skip: while the governing point opens a summary block whose
     // minimum price exceeds the bid, none of its 64 segments can
@@ -159,7 +310,7 @@ double PriceTrace::FractionAtOrBelow(double bid, SimTime from, SimTime to) const
     // segments added nothing in the scalar walk, so the accumulated sum
     // is bit-identical.
     while (j + 1 == i && (j & (kBlockSize - 1)) == 0 &&
-           block_min_[j >> kBlockLog2] > bid) {
+           block_min[j >> kBlockLog2] > bid) {
       const size_t next_block = j + kBlockSize;
       if (next_block >= n || times[next_block] >= to_us) {
         // The remainder of the query window sits under this (or a
@@ -189,19 +340,45 @@ size_t PriceTrace::FirstOutside(size_t from, double above,
   if (!(above < at_or_below)) {
     return std::min(from, n);
   }
+  const auto outside = [above, at_or_below](double price) {
+    return !(above < price && price <= at_or_below);
+  };
   size_t i = from;
-  while (i < n) {
-    // At a block start, skip the block when its whole range is quiet.
-    if ((i & (kBlockSize - 1)) == 0 && block_min_[i >> kBlockLog2] > above &&
-        block_max_[i >> kBlockLog2] <= at_or_below) {
-      i += kBlockSize;
-      continue;
-    }
-    const double price = prices_[i];
-    if (!(above < price && price <= at_or_below)) {
+  for (; i < n && (i & (kBlockSize - 1)) != 0; ++i) {
+    if (outside(prices_[i])) {
       return i;
     }
-    ++i;
+  }
+  // i starts a node of `level`: climb while i also starts a complete node
+  // one level up, then skip a quiet node whole, or descend to the first
+  // child of one that is not quiet (or not complete yet). A node that is
+  // not quiet holds a point outside the band, so the seek returns inside
+  // it and never climbs back into it.
+  size_t level = 0;
+  while (i < n) {
+    while (level + 1 < levels_.size() &&
+           (i & ((size_t{1} << NodeLog2(level + 1)) - 1)) == 0 &&
+           (i >> NodeLog2(level + 1)) < levels_[level + 1].min.size()) {
+      ++level;
+    }
+    for (;;) {
+      const Summary& nodes = levels_[level];
+      const size_t node = i >> NodeLog2(level);
+      if (node < nodes.min.size() && above < nodes.min[node] &&
+          nodes.max[node] <= at_or_below) {
+        break;
+      }
+      if (level == 0) {
+        for (; i < n; ++i) {
+          if (outside(prices_[i])) {
+            return i;
+          }
+        }
+        return n;
+      }
+      --level;
+    }
+    i += size_t{1} << NodeLog2(level);
   }
   return n;
 }

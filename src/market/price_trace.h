@@ -10,16 +10,18 @@
 // simulator leans on -- monotone cursor advance, time-weighted means,
 // threshold coverage -- walk a single packed column, so they autovectorize
 // and touch half the cache lines of an array-of-structs walk. Threshold
-// and band queries additionally skip 64-point blocks via a per-block
-// min/max summary maintained on Append, and time-weighted means add a
-// per-segment cost column filled on Append. All fast paths preserve the
-// exact floating-point terms and accumulation order of the scalar walk, so
-// results are bit-identical.
+// queries skip 64-point blocks via a per-block min/max summary maintained
+// on Append; band seeks also climb coarser min/max levels over those blocks
+// (fan-out 8). Time-weighted means add a per-segment cost column filled on
+// Append, and a batch of windows runs eight add chains interleaved. All
+// fast paths preserve the exact floating-point terms and accumulation
+// order of the scalar walk, so results are bit-identical.
 
 #ifndef SRC_MARKET_PRICE_TRACE_H_
 #define SRC_MARKET_PRICE_TRACE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,17 +88,32 @@ class PriceTrace {
 
   // Time-weighted mean price over [from, to). Whole segments inside the
   // window add their precomputed cost; only the first and last partial
-  // segments are computed per call.
+  // segments are computed per call. A batch of one MeanPrices window.
   double MeanPrice(SimTime from, SimTime to) const;
+
+  // One MeanPrices window: [from, to) on `trace`.
+  struct MeanPriceQuery {
+    const PriceTrace* trace;
+    SimTime from;
+    SimTime to;
+  };
+
+  // out[k] = queries[k].trace->MeanPrice(from, to), bitwise, for every k
+  // (out.size() >= queries.size()). Each window sums MeanPrice's terms in
+  // MeanPrice's order on its own accumulator; eight windows' add chains
+  // run interleaved, so a batch is not bound by one chain's add latency.
+  static void MeanPrices(std::span<const MeanPriceQuery> queries,
+                         std::span<double> out);
 
   // Fraction of [from, to) during which price <= bid. This is the
   // "availability" a spot instance with that bid would have seen (Fig. 6(a)).
   double FractionAtOrBelow(double bid, SimTime from, SimTime to) const;
 
   // First index i >= `from` whose price lies outside the band of prices p
-  // with above < p <= at_or_below, or size() if there is none. Whole
-  // 64-point blocks whose [min, max] summary lies inside the band are
-  // skipped. An empty band (above >= at_or_below) answers `from` (clamped
+  // with above < p <= at_or_below, or size() if there is none. The seek
+  // climbs and descends the min/max summary levels, skipping every
+  // 64-point block, or group of 8^L blocks, whose [min, max] lies inside
+  // the band. An empty band (above >= at_or_below) answers `from` (clamped
   // to size()). Prices must be finite, as FromCsv and the generators
   // guarantee.
   size_t FirstOutside(size_t from, double above, double at_or_below) const;
@@ -119,19 +136,34 @@ class PriceTrace {
   static PriceTrace FromCsv(const std::string& text);
 
  private:
-  // Points per min/max summary block; power of two so index math is shifts.
+  // Points per min/max summary block, and summary nodes per node one level
+  // up; powers of two so index math is shifts.
   static constexpr size_t kBlockLog2 = 6;
   static constexpr size_t kBlockSize = size_t{1} << kBlockLog2;
+  static constexpr size_t kFanoutLog2 = 3;
+  static constexpr size_t kFanout = size_t{1} << kFanoutLog2;
 
+  // Price min/max per node of one summary level.
+  struct Summary {
+    std::vector<double> min;
+    std::vector<double> max;
+  };
+
+  // log2 of the points one node of summary level `level` covers.
+  static constexpr size_t NodeLog2(size_t level) {
+    return kBlockLog2 + kFanoutLog2 * level;
+  }
   // First index with times_us_[i] > t_us (upper bound on the time column).
   size_t UpperBound(int64_t t_us) const;
 
   std::vector<int64_t> times_us_;
   std::vector<double> prices_;
-  // Per-block price min/max over prices_[b*64 .. b*64+63] (last block
-  // partial); lets threshold and band scans skip blocks that cannot match.
-  std::vector<double> block_min_;
-  std::vector<double> block_max_;
+  // levels_[0] holds one node per 64-point block, prices_[b*64 .. b*64+63]
+  // (the last block partial), updated on every Append. levels_[L] holds one
+  // node per kFanout consecutive level-(L-1) nodes, added once the last
+  // block under it completes, so a node never changes after it is added.
+  // Threshold and band scans skip whole nodes that cannot match.
+  std::vector<Summary> levels_;
   // Per-segment cost: segment_cost_[k] = prices_[k] * the seconds from point
   // k to point k+1, exactly the term MeanPrice's scalar walk adds for a
   // whole segment (size() - 1 entries; a zero-length segment holds its 0).

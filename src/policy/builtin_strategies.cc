@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/market/market_analytics.h"
+#include "src/market/price_trace.h"
 
 namespace spotcheck {
 
@@ -50,16 +51,29 @@ void AdaptiveBidStrategy::OnPriceObservation(const MarketKey& key, SimTime now,
 // --- Table-2 pool strategies -------------------------------------------------
 
 MarketKey CostWeightedPool::Choose(const MarketView& view, const BidStrategy&) {
-  // Weight inversely to historical per-slot cost.
-  std::vector<double> weights;
+  // Weight inversely to historical per-slot cost. The priced candidates'
+  // mean prices since time zero integrate as one batch.
+  std::vector<int> slots;  // per candidate; 0 when it gets no weight
+  std::vector<PriceTrace::MeanPriceQuery> windows;
   for (const MarketKey& key : candidates_) {
     const SpotMarket* market = view.Find(key);
-    const int slots = NestedSlotsPerHost(key.type, nested_type_);
+    const int per_host = NestedSlotsPerHost(key.type, nested_type_);
+    const bool priced =
+        market != nullptr && per_host > 0 && view.now() > SimTime();
+    slots.push_back(priced ? per_host : 0);
+    if (priced) {
+      windows.push_back({&market->trace(), SimTime(), view.now()});
+    }
+  }
+  std::vector<double> means(windows.size());
+  PriceTrace::MeanPrices(windows, means);
+  std::vector<double> weights;
+  const double* mean = means.data();
+  for (const int per_host : slots) {
     double weight = 0.0;
-    if (market != nullptr && slots > 0 && view.now() > SimTime()) {
-      const double mean = market->trace().MeanPrice(SimTime(), view.now()) /
-                          static_cast<double>(slots);
-      weight = mean > 0.0 ? 1.0 / mean : 0.0;
+    if (per_host > 0) {
+      const double per_slot = *mean++ / static_cast<double>(per_host);
+      weight = per_slot > 0.0 ? 1.0 / per_slot : 0.0;
     }
     weights.push_back(weight);
   }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -217,6 +218,121 @@ TEST(PriceTraceTest, MeanPriceMatchesSegmentWalk) {
   EXPECT_EQ(checker.mismatches(), 0);
 }
 
+// MeanPrices over batches of every size around its eight lanes and its
+// billing batch of 256: each answer must be the segment walk's, bitwise.
+// The windows mix traces, and cover every case the walk distinguishes: no
+// whole segment, before the first point, past the end, on point times,
+// to <= from, equal-time runs, -0.0 and negative prices, and an infinite
+// price, so a window ending on that point's time fails if it adds the
+// point's zero-length term.
+TEST(PriceTraceTest, MeanPricesMatchesSegmentWalk) {
+  const auto at = [](double seconds) { return SimTime::FromSeconds(seconds); };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<PriceTrace> traces;
+  traces.emplace_back(std::vector<PricePoint>{
+      {at(10), 0.5}, {at(10), 0.25}, {at(20), 1.0}, {at(30), -0.0},
+      {at(40), 0.75}, {at(40), 0.125}, {at(40), 3.0}, {at(55), 2.0},
+      {at(60), 0.3}, {at(60), 0.3}});
+  traces.emplace_back(std::vector<PricePoint>{
+      {at(5), -1.0}, {at(5), -0.5}, {at(15), -0.0}, {at(25), -2.0}});
+  // A run of -0.0 segments: a window inside it adds only -0.0 terms, so
+  // its sum is +0.0 only because it starts from 0.0.
+  traces.emplace_back(std::vector<PricePoint>{
+      {at(10), -0.0}, {at(11), -0.0}, {at(12), -0.0}, {at(13), -0.0},
+      {at(14), 0.5}});
+  traces.emplace_back(std::vector<PricePoint>{
+      {at(1), 0.25}, {at(2), 0.5}, {at(3), 0.75}, {at(4), kInf},
+      {at(6), 0.125}, {at(8), 1.5}});
+  traces.emplace_back(std::vector<PricePoint>{{at(100), 0.07}});
+  traces.emplace_back();
+  const size_t hand_built = traces.size();
+  for (const InstanceType type :
+       {InstanceType::kM3Medium, InstanceType::kM3Large}) {
+    traces.push_back(GenerateMarketTrace(
+        MarketKey{type, AvailabilityZone{0}}, SimDuration::Days(30),
+        /*master_seed=*/1));
+    ASSERT_GT(traces.back().size(), 100u);
+  }
+
+  // Windows over a grid of instants on the hand-built traces: before the
+  // first point, one microsecond either side of and on every point time,
+  // past the end, in every order (to <= from included).
+  std::vector<PriceTrace::MeanPriceQuery> pool;
+  for (size_t t = 0; t < hand_built; ++t) {
+    const PriceTrace& trace = traces[t];
+    std::vector<SimTime> instants = {SimTime(), at(1000)};
+    for (size_t k = 0; k < trace.size(); ++k) {
+      for (const int64_t d : {-1, 0, 1}) {
+        instants.push_back(trace.time(k) + SimDuration::Micros(d));
+      }
+    }
+    for (const SimTime from : instants) {
+      for (const SimTime to : instants) {
+        pool.push_back({&trace, from, to});
+      }
+    }
+  }
+  // Random windows on the generated traces, on and off point times.
+  std::mt19937_64 rng(20261020);
+  const int64_t day_us = SimDuration::Days(1).micros();
+  const auto uniform = [&rng](int64_t lo, int64_t hi) {
+    return lo +
+           static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  for (int k = 0; k < 5000; ++k) {
+    const PriceTrace& trace = traces[hand_built + static_cast<size_t>(k % 2)];
+    SimTime from;
+    SimTime to;
+    if (k % 3 == 0) {
+      const size_t a = static_cast<size_t>(rng() % trace.size());
+      const size_t b =
+          std::min(trace.size() - 1, a + static_cast<size_t>(rng() % 500));
+      from = trace.time(a) + SimDuration::Micros(uniform(-1, 1));
+      to = trace.time(b) + SimDuration::Micros(uniform(-1, 1));
+    } else {
+      from = SimTime::FromMicros(uniform(-day_us, 31 * day_us));
+      to = from + SimDuration::Micros(uniform(-day_us, k % 3 == 1
+                                                           ? day_us / 4
+                                                           : 40 * day_us));
+    }
+    pool.push_back({&trace, from, to});
+  }
+  ASSERT_GT(pool.size(), 6000u);
+
+  // Batches of each size, drawn from the shuffled pool, then the pool as
+  // one batch.
+  std::shuffle(pool.begin(), pool.end(), rng);
+  int mismatches = 0;
+  int checks = 0;
+  const auto check = [&](std::span<const PriceTrace::MeanPriceQuery> batch) {
+    std::vector<double> out(batch.size(), -1.0);
+    PriceTrace::MeanPrices(batch, out);
+    for (size_t k = 0; k < batch.size(); ++k) {
+      ++checks;
+      const double want =
+          SegmentWalkMeanPrice(*batch[k].trace, batch[k].from, batch[k].to);
+      if (std::bit_cast<uint64_t>(out[k]) != std::bit_cast<uint64_t>(want) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "batch of " << batch.size() << ", window " << k
+                      << " [" << batch[k].from.micros() << ", "
+                      << batch[k].to.micros() << ") us = " << out[k]
+                      << ", segment walk = " << want;
+      }
+    }
+  };
+  size_t offset = 0;
+  for (const size_t size : {0, 1, 7, 8, 9, 255, 256, 257}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      ASSERT_LE(offset + size, pool.size());
+      check(std::span(pool).subspan(offset, size));
+      offset += size;
+    }
+  }
+  check(pool);
+  EXPECT_GT(checks, 9000);
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(PriceTraceTest, FractionAtOrBelow) {
   const PriceTrace trace = MakeStepTrace();
   // Over [0, 300): 200s at 0.02, 100s at 0.10.
@@ -320,25 +436,69 @@ TEST(PriceTraceCursorTest, QueryBeforeFirstPointIsSafe) {
   EXPECT_EQ(cursor.backward_seeks(), 0);
 }
 
-// FirstOutside's block skips must answer exactly what a linear scan does:
-// random bands (empty, everything, windows), starts on, just before and just
-// after 64-point block boundaries, and traces whose last block is partial.
+// FirstOutside's skips must answer exactly what a linear scan does: random
+// bands (empty, everything, windows), starts on, just before and just after
+// 64-point block boundaries, and traces whose last block is partial. Sizes
+// around 512 and 4,096 points put a summary level's first node, or its
+// incomplete tail, at the end. Sparse-spike traces leave whole 512- and
+// 4,096-point groups quiet, with spikes in the last block of some groups,
+// so the seek climbs, and a node summarized before its last block
+// completed would skip a spike.
 TEST(PriceTraceFirstOutsideTest, MatchesLinearScan) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto linear = [](const PriceTrace& trace, size_t from, double above,
+  // The linear scan's answer from every start at once: a backward sweep.
+  const auto linear = [](const PriceTrace& trace, double above,
                          double at_or_below) {
-    size_t i = from;
-    while (i < trace.size() && above < trace.price(i) &&
-           trace.price(i) <= at_or_below) {
-      ++i;
+    std::vector<size_t> first(trace.size() + 1, trace.size());
+    for (size_t i = trace.size(); i-- > 0;) {
+      first[i] = above < trace.price(i) && trace.price(i) <= at_or_below
+                     ? first[i + 1]
+                     : i;
     }
-    return std::min(i, trace.size());
+    return first;
   };
   std::mt19937_64 rng(20261018);
   int checks = 0;
   int block_skips_possible = 0;
+  int group_skips = 0;  // answers at least 4,096 points past a start
+  const auto check_trace = [&](const PriceTrace& trace, size_t size,
+                               const std::vector<std::pair<double, double>>&
+                                   bands) {
+    std::vector<size_t> starts = {0, size, size + 3};
+    for (size_t b = 0; b <= size; b += 64) {
+      for (const size_t d : {b, b + 1, b + 63}) {
+        starts.push_back(d);
+      }
+      if (b > 0) {
+        starts.push_back(b - 1);
+      }
+    }
+    for (int k = 0; k < 8; ++k) {
+      starts.push_back(size == 0 ? 0 : rng() % size);
+    }
+    for (const auto& [above, at_or_below] : bands) {
+      if (above == -kInf && at_or_below == 0.99) {
+        ++block_skips_possible;
+      }
+      const std::vector<size_t> first = linear(trace, above, at_or_below);
+      for (const size_t from : starts) {
+        const size_t want = above < at_or_below ? first[std::min(from, size)]
+                                                : std::min(from, size);
+        const size_t got = trace.FirstOutside(from, above, at_or_below);
+        ASSERT_EQ(got, want) << "size " << size << " from " << from
+                             << " band (" << above << ", " << at_or_below
+                             << "]";
+        if (got >= from + 4096) {
+          ++group_skips;
+        }
+        ++checks;
+      }
+    }
+  };
   for (const size_t size : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
-                            size_t{65}, size_t{200}, size_t{1000}}) {
+                            size_t{65}, size_t{200}, size_t{1000},
+                            size_t{511}, size_t{512}, size_t{513},
+                            size_t{4095}, size_t{4097}, size_t{40000}}) {
     for (int trial = 0; trial < 12; ++trial) {
       // Mostly calm prices with rare spikes, so whole blocks can be quiet.
       PriceTrace trace;
@@ -348,18 +508,6 @@ TEST(PriceTraceFirstOutsideTest, MatchesLinearScan) {
                                  : static_cast<double>(rng() % 100) / 100.0;
         trace.Append(SimTime::FromSeconds(static_cast<double>(i)), price);
       }
-      std::vector<size_t> starts = {0, size, size + 3};
-      for (size_t b = 0; b <= size; b += 64) {
-        for (const size_t d : {b, b + 1, b + 63}) {
-          starts.push_back(d);
-        }
-        if (b > 0) {
-          starts.push_back(b - 1);
-        }
-      }
-      for (int k = 0; k < 8; ++k) {
-        starts.push_back(size == 0 ? 0 : rng() % size);
-      }
       std::vector<std::pair<double, double>> bands = {
           {kInf, -kInf}, {-kInf, kInf}, {0.5, 0.5}, {-kInf, 0.99},
           {0.2, kInf}};
@@ -368,22 +516,42 @@ TEST(PriceTraceFirstOutsideTest, MatchesLinearScan) {
         bands.emplace_back(above,
                            above + static_cast<double>(rng() % 1200) / 100.0);
       }
-      for (const auto& [above, at_or_below] : bands) {
-        if (above == -kInf && at_or_below == 0.99) {
-          ++block_skips_possible;
-        }
-        for (const size_t from : starts) {
-          ASSERT_EQ(trace.FirstOutside(from, above, at_or_below),
-                    linear(trace, from, above, at_or_below))
-              << "size " << size << " from " << from << " band (" << above
-              << ", " << at_or_below << "]";
-          ++checks;
-        }
+      check_trace(trace, size, bands);
+    }
+  }
+  // Sparse spikes: about one per 3,000 points, plus one in the last block
+  // of a random 512-point group and one late in a random 4,096-point
+  // group, at a point other than the block's first.
+  for (const size_t size : {size_t{511}, size_t{512}, size_t{513},
+                            size_t{4095}, size_t{4096}, size_t{4097},
+                            size_t{40000}}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<double> prices(size);
+      for (double& price : prices) {
+        price = rng() % 3000 == 0
+                    ? 1.0 + static_cast<double>(rng() % 100) / 10.0
+                    : static_cast<double>(rng() % 100) / 100.0;
       }
+      if (size >= 512) {
+        const size_t group = rng() % (size / 512);
+        prices[group * 512 + 449 + rng() % 63] = 5.5;
+      }
+      if (size >= 4096) {
+        const size_t group = rng() % (size / 4096);
+        prices[group * 4096 + 4033 + rng() % 63] = 7.5;
+      }
+      PriceTrace trace;
+      for (size_t i = 0; i < size; ++i) {
+        trace.Append(SimTime::FromSeconds(static_cast<double>(i)), prices[i]);
+      }
+      check_trace(trace, size,
+                  {{-kInf, 0.99}, {-0.5, 0.99}, {-0.01, 6.0}, {-1.0, 10.0},
+                   {-kInf, kInf}, {0.5, 0.5}});
     }
   }
   EXPECT_GT(checks, 5000);
   EXPECT_GT(block_skips_possible, 0);
+  EXPECT_GT(group_skips, 0);
 }
 
 TEST(PriceTraceFirstOutsideTest, EmptyBandAnswersFrom) {
